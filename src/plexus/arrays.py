@@ -3,10 +3,12 @@ operations (reorder/flatten/broaden/slice), entry-wise operations, incidence
 and contraction products, tensor products, and the Kronecker arrays.
 
 Entries are stored row-major: entry(a, (i1,...,in)) sits at
-((i1*|I2| + i2)*|I3| + ...) + in.
+((i1*|I2| + i2)*|I3| + ...) + in. Every product, here and in the evaluator
+and the fish product, is one call of the contraction kernel `einsum`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -48,10 +50,6 @@ class Array:
             if not (0 <= i < ax.size):
                 raise PlexusError("BAD_INDEX", f"index {i} out of range for {ax.id}:{ax.size}")
         return self.entries[self.offset(idx)]
-
-    def indices(self):
-        """All multi-indices in row-major order."""
-        return itertools.product(*(range(ax.size) for ax in self.axes))
 
     def scalar(self):
         if self.axes:
@@ -111,19 +109,10 @@ def reorder(a: Array, sigma: Sequence[int]) -> Array:
     n = a.order
     if sorted(sigma) != list(range(n)):
         raise PlexusError("BAD_PERMUTATION", f"{sigma!r} is not a permutation of 0..{n - 1}")
-    new_axes = [None] * n
-    for t, ax in enumerate(a.axes):
-        new_axes[sigma[t]] = ax
-    out = [a.semiring.zero()] * len(a.entries)
-    for idx in a.indices():
-        new_idx = [0] * n
-        for t, i in enumerate(idx):
-            new_idx[sigma[t]] = i
-        off = 0
-        for ax, i in zip(new_axes, new_idx):
-            off = off * ax.size + i
-        out[off] = a.entry(idx)
-    return Array(new_axes, out, a.semiring)
+    out = [None] * n
+    for t in range(n):
+        out[sigma[t]] = t
+    return einsum([(a, range(n))], out)
 
 
 def flatten(a: Array, group: Sequence[int]) -> Array:
@@ -135,48 +124,23 @@ def flatten(a: Array, group: Sequence[int]) -> Array:
         raise PlexusError("BAD_AXIS", f"invalid axis group {group!r}")
     if not group:
         raise PlexusError("BAD_AXIS", "empty axis group")
-    card = 1
-    for g in group:
-        card *= a.axes[g].size
+    card = _entry_count(a.axes[g] for g in group)
     composite = IndexSet("(" + "x".join(a.axes[g].id for g in group) + ")", card)
-    new_axes = []
-    for pos in range(n):
-        if pos == group[0]:
-            new_axes.append(composite)
-        elif pos in group:
-            continue
-        else:
-            new_axes.append(a.axes[pos])
-    out = [a.semiring.zero()] * _entry_count(new_axes)
-    for idx in a.indices():
-        m = 0
-        for g in group:
-            m = m * a.axes[g].size + idx[g]
-        new_idx = []
-        for pos in range(n):
-            if pos == group[0]:
-                new_idx.append(m)
-            elif pos in group:
-                continue
-            else:
-                new_idx.append(idx[pos])
-        off = 0
-        for ax, i in zip(new_axes, new_idx):
-            off = off * ax.size + i
-        out[off] = a.entry(idx)
-    return Array(new_axes, out, a.semiring)
+    rest = [p for p in range(n) if p not in group]
+    head = [p for p in rest if p < group[0]]
+    tail = [p for p in rest if p > group[0]]
+    gathered = einsum([(a, range(n))], head + list(group) + tail)
+    new_axes = [a.axes[p] for p in head] + [composite] + [a.axes[p] for p in tail]
+    return Array(new_axes, gathered.entries, a.semiring)
 
 
 def broaden(a: Array, new_axis: IndexSet, position: int) -> Array:
     """Insert a redundant axis: every section along it is a copy of `a`."""
     if not (0 <= position <= a.order):
         raise PlexusError("BAD_AXIS", f"broaden position {position} out of range")
-    new_axes = a.axes[:position] + (new_axis,) + a.axes[position:]
-    out = []
-    for idx in itertools.product(*(range(ax.size) for ax in new_axes)):
-        base = idx[:position] + idx[position + 1 :]
-        out.append(a.entry(base))
-    return Array(new_axes, out, a.semiring)
+    n = a.order
+    ones = full_array((new_axis,), a.semiring)
+    return einsum([(a, range(n)), (ones, (n,))], [*range(position), n, *range(position, n)])
 
 
 def slice_axes(a: Array, assignment: dict) -> Array:
@@ -187,17 +151,11 @@ def slice_axes(a: Array, assignment: dict) -> Array:
             raise PlexusError("BAD_AXIS", f"slice axis {pos} out of range")
         if not (0 <= val < a.axes[pos].size):
             raise PlexusError("BAD_INDEX", f"slice value {val} out of range for axis {pos}")
+    strides = _strides(range(a.order), a.sizes)
+    base = sum(val * strides[pos] for pos, val in assignment.items())
     keep = [p for p in range(a.order) if p not in assignment]
-    new_axes = tuple(a.axes[p] for p in keep)
-    out = []
-    for partial in itertools.product(*(range(a.axes[p].size) for p in keep)):
-        idx = [0] * a.order
-        for p, v in assignment.items():
-            idx[p] = v
-        for p, v in zip(keep, partial):
-            idx[p] = v
-        out.append(a.entry(idx))
-    return Array(new_axes, out, a.semiring)
+    grid = _grid(strides, keep, dict(enumerate(a.axes)))
+    return Array([a.axes[p] for p in keep], [a.entries[base + o] for o in grid], a.semiring)
 
 
 def _require_same_shape(a: Array, b: Array, what: str):
@@ -219,7 +177,7 @@ def entrywise_mul(a: Array, b: Array) -> Array:
     return Array(a.axes, [s.mul(x, y) for x, y in zip(a.entries, b.entries)], s)
 
 
-def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]) -> IndexSet:
+def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]):
     if len(arrays) != len(shared_axes) or not arrays:
         raise PlexusError("BAD_AXIS", "need one shared axis per array")
     shared = None
@@ -233,95 +191,51 @@ def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]) -> IndexS
             raise PlexusError("CONFORMABILITY", f"shared axes disagree: {shared} vs {ax}")
         if a.semiring != arrays[0].semiring:
             raise PlexusError("SEMIRING_MISMATCH", "incidence over mixed semirings")
-    return shared
 
 
-def _incidence_axes(arrays, shared_axes):
-    """Result constellation: first array's axes intact, the rest minus their
-    shared axis, concatenated. The shared index set appears once."""
-    new_axes = list(arrays[0].axes)
-    for a, pos in list(zip(arrays, shared_axes))[1:]:
-        new_axes.extend(ax for p, ax in enumerate(a.axes) if p != pos)
-    return tuple(new_axes)
-
-
-def _incidence_entries(arrays, shared_axes, combine):
-    first = arrays[0]
-    p_pos = shared_axes[0]
-    rest = list(zip(arrays, shared_axes))[1:]
-    out = []
-    rest_ranges = [
-        [range(a.axes[p].size) for p in range(a.order) if p != pos] for a, pos in rest
+def _incidence_labels(arrays, shared_axes):
+    """Kernel labels for an incidence: axis p of array k is (k, p), the
+    shared axes are all None. Result: the first array's axes intact, then
+    the rest minus their shared axis; the shared index set appears once."""
+    labels = [
+        [None if p == pos else (k, p) for p in range(a.order)]
+        for k, (a, pos) in enumerate(zip(arrays, shared_axes))
     ]
-    for first_idx in first.indices():
-        p = first_idx[p_pos]
-        for combo in itertools.product(*(itertools.product(*rr) for rr in rest_ranges)):
-            vals = [first.entry(first_idx)]
-            for (a, pos), partial in zip(rest, combo):
-                idx = list(partial[:pos]) + [p] + list(partial[pos:])
-                vals.append(a.entry(idx))
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = combine(acc, v)
-            out.append(acc)
-    return out
+    out = list(labels[0]) + [lab for ls in labels[1:] for lab in ls if lab is not None]
+    return labels, out
 
 
 def additive_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
     _check_shared(arrays, shared_axes)
     s = arrays[0].semiring
-    return Array(_incidence_axes(arrays, shared_axes), _incidence_entries(arrays, shared_axes, s.add), s)
+    labels, out = _incidence_labels(arrays, shared_axes)
+    axis = {lab: ax for a, ls in zip(arrays, labels) for lab, ax in zip(ls, a.axes)}
+    columns = [
+        [a.entries[o] for o in _grid(_strides(ls, a.sizes), out, axis)]
+        for a, ls in zip(arrays, labels)
+    ]
+    return Array([axis[lab] for lab in out], [functools.reduce(s.add, vals) for vals in zip(*columns)], s)
 
 
 def multiplicative_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
     _check_shared(arrays, shared_axes)
-    s = arrays[0].semiring
-    return Array(_incidence_axes(arrays, shared_axes), _incidence_entries(arrays, shared_axes, s.mul), s)
+    labels, out = _incidence_labels(arrays, shared_axes)
+    return einsum(list(zip(arrays, labels)), out)
 
 
 def contract(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
     """Multiply the arrays along one shared index and sum it out.
     Result order = sum of orders - arity."""
-    shared = _check_shared(arrays, shared_axes)
-    s = arrays[0].semiring
-    new_axes = []
-    free_positions = []
-    for a, pos in zip(arrays, shared_axes):
-        keep = [p for p in range(a.order) if p != pos]
-        free_positions.append(keep)
-        new_axes.extend(a.axes[p] for p in keep)
-    out = []
-    for free_idx in itertools.product(*(range(ax.size) for ax in new_axes)):
-        acc = s.zero()
-        for p in range(shared.size):
-            term = s.one()
-            cursor = 0
-            for a, pos, keep in zip(arrays, shared_axes, free_positions):
-                idx = [0] * a.order
-                idx[pos] = p
-                for k in keep:
-                    idx[k] = free_idx[cursor]
-                    cursor += 1
-                term = s.mul(term, a.entry(idx))
-            acc = s.add(acc, term)
-        out.append(acc)
-    return Array(tuple(new_axes), out, s)
+    _check_shared(arrays, shared_axes)
+    labels, out = _incidence_labels(arrays, shared_axes)
+    return einsum(list(zip(arrays, labels)), [lab for lab in out if lab is not None])
 
 
 def unary_contract(a: Array, axis: int) -> Array:
     """Sum one axis out (boolean 2-arrays: relation projections)."""
     if not (0 <= axis < a.order):
         raise PlexusError("BAD_AXIS", f"axis {axis} out of range")
-    s = a.semiring
-    new_axes = a.axes[:axis] + a.axes[axis + 1 :]
-    out = []
-    for idx in itertools.product(*(range(ax.size) for ax in new_axes)):
-        acc = s.zero()
-        for p in range(a.axes[axis].size):
-            full = idx[:axis] + (p,) + idx[axis:]
-            acc = s.add(acc, a.entry(full))
-        out.append(acc)
-    return Array(new_axes, out, s)
+    return einsum([(a, range(a.order))], [p for p in range(a.order) if p != axis])
 
 
 def self_contract(a: Array, axis_i: int, axis_j: int) -> Array:
@@ -330,21 +244,8 @@ def self_contract(a: Array, axis_i: int, axis_j: int) -> Array:
         raise PlexusError("BAD_AXIS", f"bad self-contraction axes ({axis_i}, {axis_j})")
     if a.axes[axis_i] != a.axes[axis_j]:
         raise PlexusError("CONFORMABILITY", "self-contraction axes must share an index set")
-    s = a.semiring
-    keep = [p for p in range(a.order) if p not in (axis_i, axis_j)]
-    new_axes = tuple(a.axes[p] for p in keep)
-    out = []
-    for idx in itertools.product(*(range(ax.size) for ax in new_axes)):
-        acc = s.zero()
-        for p in range(a.axes[axis_i].size):
-            full = [0] * a.order
-            full[axis_i] = p
-            full[axis_j] = p
-            for k, v in zip(keep, idx):
-                full[k] = v
-            acc = s.add(acc, a.entry(full))
-        out.append(acc)
-    return Array(new_axes, out, s)
+    labels = [axis_i if p == axis_j else p for p in range(a.order)]
+    return einsum([(a, labels)], [p for p in range(a.order) if p not in (axis_i, axis_j)])
 
 
 def tensor_product(arrays: Sequence[Array]) -> Array:
@@ -354,14 +255,83 @@ def tensor_product(arrays: Sequence[Array]) -> Array:
     for a in arrays[1:]:
         if a.semiring != s:
             raise PlexusError("SEMIRING_MISMATCH", "tensor product over mixed semirings")
-    new_axes = tuple(ax for a in arrays for ax in a.axes)
-    out = []
-    for idx in itertools.product(*(a.indices() for a in arrays)):
-        acc = s.one()
-        for a, sub in zip(arrays, idx):
-            acc = s.mul(acc, a.entry(sub))
-        out.append(acc)
-    return Array(new_axes, out, s)
+    labels = [[(k, p) for p in range(a.order)] for k, a in enumerate(arrays)]
+    return einsum(list(zip(arrays, labels)), [lab for ls in labels for lab in ls])
+
+
+def _strides(labels, sizes) -> dict:
+    """Row-major stride of each label; a label on several axes walks their
+    diagonal, so its strides add up."""
+    strides, step = {}, 1
+    for lab, n in zip(reversed(labels), reversed(sizes)):
+        strides[lab] = strides.get(lab, 0) + step
+        step *= n
+    return strides
+
+
+def _grid(strides: dict, labels, axis: dict) -> list:
+    """Flat offsets of every multi-index over `labels`, in row-major order,
+    into entries with the given label strides; `axis` gives each label's
+    index set. A label without a stride repeats the entries along it."""
+    offsets = [0]
+    for lab in labels:
+        stride = strides.get(lab, 0)
+        offsets = [o + i * stride for o in offsets for i in range(axis[lab].size)]
+    return offsets
+
+
+def einsum(operands, out_labels) -> Array:
+    """The contraction kernel: every array product goes through here.
+
+    `operands` are (array, labels) pairs naming each axis. Axes with the
+    same label are one index (within an array: its diagonal); labels not in
+    `out_labels` are summed out. The result has one axis per output label,
+    in that order. Callers check conformability: equal labels must carry
+    equal index sets. There are no bounds checks inside.
+
+    Terms are contracted pairwise. Each step takes the pair whose result has
+    the fewest entries, ties going to the earliest pair, and sums every
+    label that no other term and no output needs. Any order gives the same
+    array (generalized distributive law); nat64 is summed exactly and
+    `Semiring.check_range` judges the result.
+    """
+    s = operands[0][0].semiring
+    axis = {}
+    terms = []
+    for a, labels in operands:
+        labels = list(labels)
+        axis.update((lab, ax) for lab, ax in zip(labels, a.axes) if lab not in axis)
+        terms.append((_strides(labels, a.sizes), a.entries))
+    out_labels = list(out_labels)
+    if len(terms) == 1:  # pair a lone term with the scalar one: one path sums and reorders
+        terms.append(({}, (s.one(),)))
+    while len(terms) > 2:
+        best = None
+        for i, j in itertools.combinations(range(len(terms)), 2):
+            needed = set(out_labels).union(*(t[0] for k, t in enumerate(terms) if k not in (i, j)))
+            keep = [lab for lab in {**terms[i][0], **terms[j][0]} if lab in needed]
+            size = _entry_count(axis[lab] for lab in keep)
+            if best is None or size < best[0]:
+                best = (size, i, j, keep)
+        _, i, j, keep = best
+        pair = _contract_pair(s, axis, terms[i], terms[j], keep)
+        terms = [t for k, t in enumerate(terms) if k not in (i, j)] + [pair]
+    _, entries = _contract_pair(s, axis, terms[0], terms[1], out_labels)
+    s.check_range(entries)
+    return Array([axis[lab] for lab in out_labels], entries, s)
+
+
+def _contract_pair(s, axis, x, y, keep):
+    """Multiply two (strides, entries) terms, summing the labels not kept."""
+    (sx, ex), (sy, ey) = x, y
+    summed = [lab for lab in {**sx, **sy} if lab not in keep]
+    dx, dy = _grid(sx, summed, axis), _grid(sy, summed, axis)
+    dot = s.dot
+    entries = [
+        dot([ex[i + d] for d in dx], [ey[j + d] for d in dy])
+        for i, j in zip(_grid(sx, keep, axis), _grid(sy, keep, axis))
+    ]
+    return _strides(keep, [axis[lab].size for lab in keep]), entries
 
 
 def zero_array(axes: Sequence[IndexSet], semiring: Semiring) -> Array:
@@ -377,9 +347,10 @@ def kronecker(n: int, index_set: IndexSet, semiring: Semiring) -> Array:
     if n < 1:
         raise PlexusError("BAD_AXIS", "kronecker order must be >= 1")
     axes = (index_set,) * n
-    out = []
-    for idx in itertools.product(range(index_set.size), repeat=n):
-        out.append(semiring.one() if len(set(idx)) == 1 else semiring.zero())
+    out = [semiring.zero()] * _entry_count(axes)
+    diagonal_step = sum(index_set.size ** t for t in range(n))
+    for i in range(index_set.size):
+        out[i * diagonal_step] = semiring.one()
     return Array(axes, out, semiring)
 
 
@@ -398,15 +369,8 @@ def diagonal_extension(a: Array, axis: int, copies: int = 1) -> Array:
         raise PlexusError("BAD_AXIS", f"axis {axis} out of range")
     if copies < 1:
         raise PlexusError("BAD_AXIS", "copies must be >= 1")
-    ax = a.axes[axis]
-    new_axes = a.axes[:axis] + (ax,) * (copies + 1) + a.axes[axis + 1 :]
-    s = a.semiring
-    out = []
-    for idx in itertools.product(*(range(x.size) for x in new_axes)):
-        dup = idx[axis : axis + copies + 1]
-        if len(set(dup)) == 1:
-            base = idx[:axis] + (dup[0],) + idx[axis + copies + 1 :]
-            out.append(a.entry(base))
-        else:
-            out.append(s.zero())
-    return Array(new_axes, out, s)
+    n = a.order
+    added = list(range(n, n + copies))
+    delta = kronecker(copies + 1, a.axes[axis], a.semiring)
+    out = [*range(axis + 1), *added, *range(axis + 1, n)]
+    return einsum([(a, range(n)), (delta, [axis, *added])], out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arrays import Array, kronecker
+from .arrays import Array, einsum, kronecker
 from .core import PlexusError, natural_key
 from .diagram import Diagram, Hyperedge, Vertex
 
@@ -79,43 +79,28 @@ def _check_binding(d: Diagram, binding: dict):
 
 def evaluate(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
     """Sum over marked-vertex assignments of the product of bound entries.
-    Output axes follow `output_order` (default: free vertices by natural id)."""
-    s = _check_binding(d, binding)
+    Output axes follow `output_order` (default: free vertices by natural id).
+    Vertex ids label the kernel's indices; marked ones are summed out."""
+    _check_binding(d, binding)
     free = d.free_vertices()
     if output_order is not None:
         if sorted(output_order, key=natural_key) != free:
             raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
         free = list(output_order)
-    marked = d.marked_vertices()
-    out_axes = tuple(d.vertices[v].index_set for v in free)
-    edge_plan = []
+    operands = []
     for eid in d.edge_ids():
         be = binding[eid]
-        axis_to_leg = [None] * len(be.leg_to_axis)
+        labels = [None] * len(be.leg_to_axis)
         for v, t in be.leg_to_axis.items():
-            axis_to_leg[t] = v
-        edge_plan.append((be.array, axis_to_leg))
-    entries = []
-    assignment = {}
-    for free_idx in itertools.product(*(range(ax.size) for ax in out_axes)):
-        assignment.update(zip(free, free_idx))
-        acc = s.zero()
-        for marked_idx in itertools.product(
-            *(range(d.vertices[v].index_set.size) for v in marked)
-        ):
-            assignment.update(zip(marked, marked_idx))
-            term = s.one()
-            for array, axis_to_leg in edge_plan:
-                term = s.mul(term, array.entry([assignment[v] for v in axis_to_leg]))
-            acc = s.add(acc, term)
-        entries.append(acc)
-    return Array(out_axes, entries, s)
+            labels[t] = v
+        operands.append((be.array, labels))
+    return einsum(operands, free)
 
 
 def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
     """Reference evaluation, kept independent of `evaluate`: iterate over every
-    total vertex assignment, look entries up by hand-rolled offsets, and bucket
-    the terms by the free part of the assignment."""
+    total vertex assignment, look entries up by hand-rolled offsets, and add
+    each term into the output entry of the free part of the assignment."""
     vids = d.vertex_ids()
     free = [v for v in vids if not d.vertices[v].marked]
     if output_order is not None:
@@ -129,7 +114,12 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
         s = binding[eid].array.semiring
     if s is None:
         raise PlexusError("BAD_REFERENCE", "nothing bound: diagram has no edges")
-    buckets = {}
+    add, mul = s.reference_ops()
+    sizes = [d.vertices[v].index_set.size for v in free]
+    count = 1
+    for n in sizes:
+        count *= n
+    entries = [s.zero()] * count
     for total in itertools.product(
         *(range(d.vertices[v].index_set.size) for v in vids)
     ):
@@ -144,19 +134,12 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
             off = 0
             for t in range(arity):
                 off = off * be.array.axes[t].size + axis_value[t]
-            term = s.mul(term, be.array.entries[off])
-        key = tuple(assign[v] for v in free)
-        buckets[key] = s.add(buckets.get(key, s.zero()), term)
-    sizes = [d.vertices[v].index_set.size for v in free]
-    count = 1
-    for n in sizes:
-        count *= n
-    entries = [s.zero()] * count
-    for key, val in buckets.items():
+            term = mul(term, be.array.entries[off])
         off = 0
-        for n, i in zip(sizes, key):
-            off = off * n + i
-        entries[off] = val
+        for n, v in zip(sizes, free):
+            off = off * n + assign[v]
+        entries[off] = add(entries[off], term)
+    s.check_range(entries)
     axes = tuple(d.vertices[v].index_set for v in free)
     return Array(axes, entries, s)
 

@@ -6,6 +6,7 @@ min_plus (tropical), float64 (inexact, demonstration only).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import PlexusError, Verdict
@@ -56,8 +57,8 @@ class Semiring:
             if x != INF and (not isinstance(x, int) or x < 0):
                 raise PlexusError("BAD_ELEMENT", f"min_plus element must be a natural or inf, got {x!r}")
         elif k == "float64":
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise PlexusError("BAD_ELEMENT", f"float64 element must be a number, got {x!r}")
+            if not isinstance(x, (int, float)) or isinstance(x, bool) or x != x:
+                raise PlexusError("BAD_ELEMENT", f"float64 element must be a number, not NaN, got {x!r}")
 
     def elements(self):
         """Full carrier for the finite kinds; error otherwise."""
@@ -113,6 +114,34 @@ class Semiring:
             return x + y
         return x * y
 
+    def dot(self, xs, ys):
+        """Sum over p of xs[p] * ys[p]: the contraction kernel's only
+        per-kind step. nat64 stays in exact ints here; `check_range` judges
+        the final entries."""
+        k = self.kind
+        if k == "boolean":
+            return 1 if any(map(operator.and_, xs, ys)) else 0
+        if k == "min_plus":
+            return min(map(operator.add, xs, ys))  # inf + x is inf
+        if k == "int_mod":
+            return sum(map(operator.mul, xs, ys)) % self.modulus
+        return sum(map(operator.mul, xs, ys), self.zero())
+
+    def reference_ops(self):
+        """(add, mul) for the explicit reference loops: the checked pair,
+        except that nat64 runs in exact ints, as the kernel does."""
+        if self.kind == "nat64":
+            return operator.add, operator.mul
+        return self.add, self.mul
+
+    def check_range(self, entries) -> None:
+        """nat64 products are computed exactly; OVERFLOW iff a final entry
+        exceeds 2^64 - 1, whatever the order of summation."""
+        if self.kind == "nat64":
+            for x in entries:
+                if x > NAT64_MAX:
+                    raise PlexusError("OVERFLOW", f"nat64 result entry above 2^64 - 1: {x}")
+
     def eq(self, x, y) -> bool:
         if self.kind == "float64":
             return math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
@@ -135,8 +164,7 @@ class Semiring:
         if self.kind == "min_plus" and v == "inf":
             return INF
         if self.kind == "float64":
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise PlexusError("BAD_ELEMENT", f"not a float64 element: {v!r}")
+            self.validate(v)
             return float(v)
         if isinstance(v, bool) or not isinstance(v, int):
             raise PlexusError("BAD_ELEMENT", f"not an integer element: {v!r}")
@@ -159,6 +187,8 @@ def make_semiring(kind: str, modulus: int | None = None) -> Semiring:
 
 def parse_semiring(name: str) -> Semiring:
     """Parse the file/CLI spelling: boolean | nat64 | int-mod:<m> | min-plus | float64."""
+    if not isinstance(name, str):
+        raise PlexusError("PARSE_ERROR", f"semiring must be a string token, got {name!r}")
     if name.startswith("int-mod:") or name.startswith("int_mod:"):
         try:
             m = int(name.split(":", 1)[1])

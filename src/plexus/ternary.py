@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .arrays import Array, broaden, contract, flatten, kronecker, random_array, zero_array
+from .arrays import Array, broaden, contract, einsum, flatten, kronecker, random_array, zero_array
 from .core import IndexSet, PlexusError, Verdict, natural_key
 from .diagram import Diagram, Hyperedge, Vertex
 from .evaluator import BoundEdge
@@ -57,32 +57,16 @@ def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False
     z, rev = ETA_VARIANTS[variant]
     tail, body, head = (c, b, a) if rev else (a, b, c)
     t1, t2 = _conform(tail, body, head, z, twist)
-    s = tail.semiring
-    out_axes = [None, None, None]
-    out_axes[t1], out_axes[t2], out_axes[z] = tail.axes[t1], tail.axes[t2], head.axes[z]
-    entries = []
-    idx_t = [0, 0, 0]
-    idx_b = [0, 0, 0]
-    idx_h = [0, 0, 0]
-    for out_idx in itertools.product(*(range(ax.size) for ax in out_axes)):
-        idx_t[t1], idx_t[t2] = out_idx[t1], out_idx[t2]
-        idx_h[z] = out_idx[z]
-        acc = s.zero()
-        for p in range(tail.axes[z].size):
-            idx_t[z] = p
-            idx_b[z] = p
-            av = tail.entry(idx_t)
-            for w1 in range(head.axes[t1].size):
-                idx_h[t1] = w1
-                for w2 in range(head.axes[t2].size):
-                    idx_h[t2] = w2
-                    if twist:
-                        idx_b[t1], idx_b[t2] = w2, w1
-                    else:
-                        idx_b[t1], idx_b[t2] = w1, w2
-                    acc = s.add(acc, s.mul(av, s.mul(body.entry(idx_b), head.entry(idx_h))))
-        entries.append(acc)
-    return Array(tuple(out_axes), entries, s)
+
+    def at(x, y, w):
+        """Labels for the axes t1, t2 (the tips) and z (the mouth)."""
+        labels = [None] * 3
+        labels[t1], labels[t2], labels[z] = x, y, w
+        return labels
+
+    body_labels = at("r", "q", "p") if twist else at("q", "r", "p")
+    operands = [(tail, at("i", "j", "p")), (body, body_labels), (head, at("q", "r", "k"))]
+    return einsum(operands, at("i", "j", "k"))
 
 
 def make_fish_binding(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False):
@@ -338,6 +322,7 @@ def _explicit_form(a, b, c, body_swapped, reversed_):
     ni, nj = first.axes[0].size, first.axes[1].size
     np_, nq, nr = first.axes[2].size, last.axes[0].size, last.axes[1].size
     nk = last.axes[2].size
+    add, mul = s.reference_ops()
     out_axes = (first.axes[0], first.axes[1], last.axes[2])
     entries = []
     for i in range(ni):
@@ -348,11 +333,9 @@ def _explicit_form(a, b, c, body_swapped, reversed_):
                     for q in range(nq):
                         for r in range(nr):
                             bv = b.entry((r, q, p)) if body_swapped else b.entry((q, r, p))
-                            acc = s.add(
-                                acc,
-                                s.mul(first.entry((i, j, p)), s.mul(bv, last.entry((q, r, k)))),
-                            )
+                            acc = add(acc, mul(first.entry((i, j, p)), mul(bv, last.entry((q, r, k)))))
                 entries.append(acc)
+    s.check_range(entries)
     return Array(out_axes, entries, s)
 
 

@@ -91,6 +91,7 @@ def _load_array(name, spec, index_sets, semiring) -> Array:
     _require(isinstance(spec["axes"], list), "PARSE_ERROR", "'axes' must be a list", loc)
     axes = []
     for ax in spec["axes"]:
+        _require(isinstance(ax, str), "PARSE_ERROR", f"axis {ax!r} must name an index set", loc)
         if ax not in index_sets:
             raise PlexusError("UNKNOWN_INDEX_SET", f"axis {ax!r} is not a declared index set", loc)
         axes.append(index_sets[ax])
@@ -123,6 +124,7 @@ def _load_diagram(spec, index_sets, loc) -> Diagram:
         _require(isinstance(vid, str), "PARSE_ERROR", "vertex needs a string 'id'", vloc)
         _require(vid not in vertices, "PARSE_ERROR", f"duplicate vertex id {vid!r}", vloc)
         iset = vspec.get("index_set")
+        _require(isinstance(iset, str), "PARSE_ERROR", f"'index_set' {iset!r} must name an index set", vloc)
         if iset not in index_sets:
             raise PlexusError("UNKNOWN_INDEX_SET", f"vertex uses undeclared index set {iset!r}", vloc)
         contracted = vspec.get("contracted", False)

@@ -222,3 +222,24 @@ def test_mixed_semirings_rejected():
     with pytest.raises(PlexusError) as err:
         evaluate(d, default_binding(d, {"e0": a, "e1": b}))
     assert err.value.code == "SEMIRING_MISMATCH"
+
+
+def test_nat64_overflow_depends_only_on_the_result():
+    # OVERFLOW iff an output entry exceeds 2^64 - 1, whatever the edge order
+    nat = make_semiring("nat64")
+    d = standard_diagram("chain", n=3, size=1)
+    iset = IndexSet("I", 1)
+
+    def binding(values):
+        arrays = {f"e{t}": make_array((iset, iset), [v], nat) for t, v in enumerate(values)}
+        return default_binding(d, arrays)
+
+    for values in ([2**40, 2**40, 0], [0, 2**40, 2**40]):
+        assert evaluate(d, binding(values)).entries == (0,)
+        assert evaluate_formula_oracle(d, binding(values)).entries == (0,)
+    assert evaluate(d, binding([2**32 - 1, 2**32 + 1, 1])).entries == (2**64 - 1,)
+    for values in ([2**32, 2**32, 1], [2**40, 2**40, 2**40]):
+        for engine in (evaluate, evaluate_formula_oracle):
+            with pytest.raises(PlexusError) as err:
+                engine(d, binding(values))
+            assert err.value.code == "OVERFLOW"

@@ -59,6 +59,7 @@ def test_validate_rejects_foreign_elements():
         ("int_mod", 5, 5),
         ("min_plus", None, -3),
         ("float64", None, "x"),
+        ("float64", None, math.nan),
     ]
     for kind, modulus, bad in cases:
         s = make_semiring(kind, modulus)

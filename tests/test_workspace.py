@@ -90,9 +90,10 @@ def test_missing_semiring():
 
 
 def test_bad_semiring_token():
-    with pytest.raises(PlexusError) as err:
-        parse_workspace({"semiring": "tropical"})
-    assert err.value.code == "UNKNOWN_KIND"
+    for token, code in (("tropical", "UNKNOWN_KIND"), (7, "PARSE_ERROR"), (["boolean"], "PARSE_ERROR")):
+        with pytest.raises(PlexusError) as err:
+            parse_workspace({"semiring": token})
+        assert err.value.code == code
 
 
 def test_bad_index_set_sizes():
@@ -103,14 +104,16 @@ def test_bad_index_set_sizes():
 
 
 def test_unknown_index_set_in_array():
-    obj = {
-        "semiring": "boolean",
-        "index_sets": {"I": 2},
-        "arrays": {"a": {"axes": ["Q"], "entries": [0, 1]}},
-    }
-    with pytest.raises(PlexusError) as err:
-        parse_workspace(obj)
-    assert err.value.code == "UNKNOWN_INDEX_SET"
+    for axis, code in (("Q", "UNKNOWN_INDEX_SET"), (["I"], "PARSE_ERROR")):
+        obj = {
+            "semiring": "boolean",
+            "index_sets": {"I": 2},
+            "arrays": {"a": {"axes": [axis], "entries": [0, 1]}},
+        }
+        with pytest.raises(PlexusError) as err:
+            parse_workspace(obj)
+        assert err.value.code == code
+        assert err.value.location == "arrays.a"
 
 
 def test_entry_count_mismatch():
@@ -125,14 +128,15 @@ def test_entry_count_mismatch():
 
 
 def test_bad_element_for_semiring():
-    obj = {
-        "semiring": "boolean",
-        "index_sets": {"I": 2},
-        "arrays": {"a": {"axes": ["I"], "entries": [0, 7]}},
-    }
-    with pytest.raises(PlexusError) as err:
-        parse_workspace(obj)
-    assert err.value.code == "BAD_ELEMENT"
+    for semiring, bad in (("boolean", 7), ("float64", math.nan)):
+        obj = {
+            "semiring": semiring,
+            "index_sets": {"I": 2},
+            "arrays": {"a": {"axes": ["I"], "entries": [0, bad]}},
+        }
+        with pytest.raises(PlexusError) as err:
+            parse_workspace(obj)
+        assert err.value.code == "BAD_ELEMENT"
 
 
 def test_min_plus_inf_round_trip():
@@ -149,19 +153,21 @@ def test_min_plus_inf_round_trip():
 
 
 def test_unknown_index_set_in_vertex():
-    obj = {
-        "semiring": "boolean",
-        "index_sets": {"I": 2},
-        "diagrams": {
-            "d": {
-                "vertices": [{"id": "v0", "index_set": "Z"}],
-                "edges": [{"id": "e0", "legs": ["v0"]}],
-            }
-        },
-    }
-    with pytest.raises(PlexusError) as err:
-        parse_workspace(obj)
-    assert err.value.code == "UNKNOWN_INDEX_SET"
+    for iset, code in (("Z", "UNKNOWN_INDEX_SET"), (["I"], "PARSE_ERROR")):
+        obj = {
+            "semiring": "boolean",
+            "index_sets": {"I": 2},
+            "diagrams": {
+                "d": {
+                    "vertices": [{"id": "v0", "index_set": iset}],
+                    "edges": [{"id": "e0", "legs": ["v0"]}],
+                }
+            },
+        }
+        with pytest.raises(PlexusError) as err:
+            parse_workspace(obj)
+        assert err.value.code == code
+        assert err.value.location == "diagrams.d.vertices[0]"
 
 
 def test_edge_leg_must_name_a_vertex():
@@ -284,10 +290,11 @@ def test_load_bindings(tmp_path):
 
 
 def test_bindings_need_semiring(tmp_path):
-    path = write_json(tmp_path, {"arrays": {}}, "b.json")
-    with pytest.raises(PlexusError) as err:
-        load_bindings(path, {})
-    assert err.value.code == "PARSE_ERROR"
+    for obj in ({"arrays": {}}, {"semiring": 7, "arrays": {}}):
+        path = write_json(tmp_path, obj, "b.json")
+        with pytest.raises(PlexusError) as err:
+            load_bindings(path, {})
+        assert err.value.code == "PARSE_ERROR"
 
 
 def test_array_json_round_trip():
