@@ -60,8 +60,8 @@ from .rewrite import (
     state_key,
     vee_motif,
 )
+from .checks import run_selftest
 from .cli import run_command
-from .selftest import run_selftest
 from .semiring import Semiring, check_semiring_axioms, make_semiring, parse_semiring
 from .ternary import (
     ETA_VARIANTS,

@@ -7,14 +7,13 @@ flows through --seed, so output is byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
 import sys
 
-from .arrays import Array, kronecker, random_array
-from .core import IndexSet, PlexusError
+from .checks import SUITES, run_selftest
+from .core import PlexusError
 from .diagram import standard_diagram, to_dot
 from .evaluator import default_binding, evaluate
 from .rewrite import (
@@ -24,33 +23,11 @@ from .rewrite import (
     multiway,
     semantic_confluence,
 )
-from .selftest import run_selftest
 from .semiring import parse_semiring
-from .ternary import (
-    ETA_VARIANTS,
-    biunit_pair_check,
-    bijection_heap,
-    check_heap,
-    check_isotropy_biinvariance,
-    check_semiheap,
-    find_biunit_pairs,
-    fish,
-    fish_units_check,
-    flat_fish_equiv,
-    group_heap,
-    heapoid_check,
-    relation_semiheap,
-    semiheap_law_arrays,
-    vector_heap,
-)
+from .ternary import ETA_VARIANTS, fish
 from .workspace import array_to_json, load_bindings, load_diagram, load_workspace
 
 _STANDARD = ("vee", "zee", "chain", "fish", "long_fish", "bm", "trinity_mid", "trinity_right")
-
-
-def _note(args, text):
-    if not getattr(args, "json", False):
-        print(text)
 
 
 def _bind_by_label(ws, d):
@@ -198,124 +175,17 @@ def _parse_sizes(text):
     return sizes
 
 
-def _suite_semiheap(args, semiring, sizes):
-    v = semiheap_law_arrays(args.variant, semiring, sizes, args.trials, args.seed, args.twist)
-    if not v:
-        return _fail_law(v.law, v.witness)
-    _note(args, f"semiheap ok: {args.trials} trials, sizes {sizes}, semiring {semiring.name}")
-    return 0
-
-
-def _suite_heap(args, semiring, sizes):
-    z2 = [[0, 1], [1, 0]]
-    z3 = [[(r + c) % 3 for c in range(3)] for r in range(3)]
-    heaps = [
-        ("group_heap(Z2)", group_heap(z2)),
-        ("group_heap(Z3)", group_heap(z3)),
-        ("vector_heap(3,1)", vector_heap(3, 1)),
-        ("bijection_heap(2)", bijection_heap(2)),
-        ("bijection_heap(3)", bijection_heap(3)),
-    ]
-    for name, t in heaps:
-        r = check_heap(t)
-        if not r["ok"]:
-            return _fail_law(f"heap:{name}", {"sh": r["sh"].law, "h": r["h"].law, "m": r["m"].law})
-    rel = relation_semiheap(2, 2)
-    if not check_semiheap(rel):
-        return _fail_law("semiheap:relation(2,2)", None)
-    if check_heap(rel)["ok"]:
-        return _fail_law("relation(2,2) must not be a heap", None)
-    _note(args, "heap ok: group Z2, group Z3, vectors, bijections; relations are semiheap only")
-    return 0
-
-
-def _suite_units(args, semiring, sizes):
-    rng = random.Random(args.seed)
-    axes = tuple(IndexSet(n, s) for n, s in zip("IJK", sizes))
-    for t in range(args.trials):
-        a = random_array(axes, semiring, rng)
-        v = fish_units_check(a)
-        if not v:
-            return _fail_law(v.law, {"trial": t, "array": list(a.entries)})
-    _note(args, f"units ok: {args.trials} trials, sizes {sizes}, semiring {semiring.name}")
-    return 0
-
-
-def _suite_biunit(args, semiring, sizes):
-    if semiring.kind != "boolean":
-        raise PlexusError("UNSUPPORTED", "the biunit suite searches the boolean semiring")
-    I, J, K = (IndexSet(n, s) for n, s in zip("IJK", sizes))
-    pairs = find_biunit_pairs(I, J, K, semiring)
-    for e, e2 in pairs:
-        if not biunit_pair_check(e, e2)["ok"]:
-            return _fail_law("biunit-pair", {"entries": list(e.entries)})
-    delta = kronecker(3, IndexSet("I", 2), semiring)
-    if biunit_pair_check(delta, delta)["ok"]:
-        return _fail_law("delta must fail the first biunit equation", None)
-    _note(args, f"biunit ok: {len(pairs)} pairs at sizes {sizes}")
-    return 0
-
-
-def _suite_flatfish(args, semiring, sizes):
-    rng = random.Random(args.seed)
-    axes = tuple(IndexSet(n, s) for n, s in zip("IJK", sizes))
-    for t in range(args.trials):
-        arrays = [random_array(axes, semiring, rng) for _ in range(3)]
-        v = flat_fish_equiv(*arrays)
-        if not v:
-            return _fail_law(v.law, {"trial": t})
-    _note(args, f"flatfish ok: {args.trials} trials, sizes {sizes}, semiring {semiring.name}")
-    return 0
-
-
-def _suite_isotropy(args, semiring, sizes):
-    for n in (2, 3):
-        v = check_isotropy_biinvariance(n, n)
-        if not v:
-            return _fail_law(v.law, v.witness)
-    _note(args, "isotropy ok: sizes 2 and 3, exhaustive")
-    return 0
-
-
-def _suite_heapoid(args, semiring, sizes):
-    if semiring.kind != "boolean":
-        raise PlexusError("UNSUPPORTED", "the heapoid suite runs on the boolean semiring")
-    iset = IndexSet("I", 2)
-    delta = kronecker(3, iset, semiring)
-    r = heapoid_check([delta])
-    if not (r["semiheapoid"] and not r["heapoid"]):
-        return _fail_law("delta carrier must be a semiheapoid but not a heapoid", None)
-    I4, J2, K2 = IndexSet("I", 4), IndexSet("J", 2), IndexSet("K", 2)
-    carrier = []
-    for sigma in itertools.permutations(range(4)):
-        entries = [1 if sigma[p] == q * 2 + rr else 0 for p in range(4) for q in range(2) for rr in range(2)]
-        carrier.append(Array((I4, J2, K2), entries, semiring))
-    r = heapoid_check(carrier, "JKI")
-    if not (r["semiheapoid"] and r["heapoid"] and r["malcev"]):
-        return _fail_law("permutation carrier must be a Malcev heapoid", None)
-    _note(args, "heapoid ok: delta carrier semiheapoid only; permutation carrier Malcev heapoid")
-    return 0
-
-
-_SUITES = {
-    "semiheap": _suite_semiheap,
-    "heap": _suite_heap,
-    "units": _suite_units,
-    "biunit": _suite_biunit,
-    "flatfish": _suite_flatfish,
-    "isotropy": _suite_isotropy,
-    "heapoid": _suite_heapoid,
-}
-
-
 def _cmd_laws(args):
     semiring = parse_semiring(args.semiring)
     sizes = _parse_sizes(args.sizes)
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     for name in suites:
-        code = _SUITES[name](args, semiring, sizes)
-        if code:
-            return code
+        options = {"variant": args.variant, "twist": args.twist} if name == "semiheap" else {}
+        verdict, note = SUITES[name](semiring, sizes, args.trials, random.Random(args.seed), **options)
+        if not verdict:
+            return _fail_law(verdict.law, verdict.witness)
+        if not args.json:
+            print(note)
     if args.json:
         print(json.dumps({"ok": True, "suites": suites}))
     return 0
@@ -376,7 +246,7 @@ def build_parser():
     pd.set_defaults(fn=_cmd_export_dot)
 
     pl = sub.add_parser("laws", help="law suites with counterexample reporting")
-    pl.add_argument("--suite", default="all", choices=sorted(_SUITES) + ["all"])
+    pl.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
     pl.add_argument("--semiring", default="boolean")
     pl.add_argument("--sizes", default="2,2,2")
     pl.add_argument("--variant", default="IJK", choices=sorted(ETA_VARIANTS))

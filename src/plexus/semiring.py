@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .core import PlexusError, Verdict
 
 NAT64_MAX = 2**64 - 1
 INF = math.inf
+FLOAT64_MAX = sys.float_info.max
 
 KINDS = ("boolean", "nat64", "int_mod", "min_plus", "float64")
 
@@ -57,8 +59,9 @@ class Semiring:
             if x != INF and (not isinstance(x, int) or x < 0):
                 raise PlexusError("BAD_ELEMENT", f"min_plus element must be a natural or inf, got {x!r}")
         elif k == "float64":
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or x != x:
-                raise PlexusError("BAD_ELEMENT", f"float64 element must be a number, not NaN, got {x!r}")
+            # the bound also refuses integers with no float64 value
+            if not isinstance(x, (int, float)) or isinstance(x, bool) or x != x or abs(x) > FLOAT64_MAX:
+                raise PlexusError("BAD_ELEMENT", f"float64 element must be a finite number, got {x!r}")
 
     def elements(self):
         """Full carrier for the finite kinds; error otherwise."""

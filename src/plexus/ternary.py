@@ -16,7 +16,7 @@ import itertools
 import random
 
 from .arrays import Array, broaden, contract, einsum, flatten, kronecker, random_array, zero_array
-from .core import IndexSet, PlexusError, Verdict, natural_key
+from .core import IndexSet, PlexusError, Verdict
 from .diagram import Diagram, Hyperedge, Vertex
 from .evaluator import BoundEdge
 from .semiring import Semiring
@@ -33,7 +33,12 @@ ETA_VARIANTS = {
 }
 
 
-def _conform(tail: Array, body: Array, head: Array, z: int, twist: bool):
+def _conform(a: Array, b: Array, c: Array, variant: str, twist: bool):
+    """(tail, body, head, mouth axis z, tip axes t1, t2) of a conforming triple."""
+    if variant not in ETA_VARIANTS:
+        raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
+    z, rev = ETA_VARIANTS[variant]
+    tail, body, head = (c, b, a) if rev else (a, b, c)
     for name, x in (("tail", tail), ("body", body), ("head", head)):
         if x.order != 3:
             raise PlexusError("CONFORMABILITY", f"{name} must have order 3, got {x.order}")
@@ -47,16 +52,12 @@ def _conform(tail: Array, body: Array, head: Array, z: int, twist: bool):
             raise PlexusError("CONFORMABILITY", "body and head tips do not cross-match")
     elif body.axes[t1] != head.axes[t1] or body.axes[t2] != head.axes[t2]:
         raise PlexusError("CONFORMABILITY", "body and head disagree on the tip axes")
-    return t1, t2
+    return tail, body, head, z, t1, t2
 
 
 def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False) -> Array:
     """Ternary product of three order-3 arrays."""
-    if variant not in ETA_VARIANTS:
-        raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
-    z, rev = ETA_VARIANTS[variant]
-    tail, body, head = (c, b, a) if rev else (a, b, c)
-    t1, t2 = _conform(tail, body, head, z, twist)
+    tail, body, head, z, t1, t2 = _conform(a, b, c, variant, twist)
 
     def at(x, y, w):
         """Labels for the axes t1, t2 (the tips) and z (the mouth)."""
@@ -73,11 +74,7 @@ def make_fish_binding(a: Array, b: Array, c: Array, variant: str = "IJK", twist:
     """Build the one-body ternary diagram with a, b, c bound to its edges so
     that evaluating it reproduces fish(a, b, c, variant, twist).
     Returns (diagram, binding)."""
-    if variant not in ETA_VARIANTS:
-        raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
-    z, rev = ETA_VARIANTS[variant]
-    tail, body, head = (c, b, a) if rev else (a, b, c)
-    t1, t2 = _conform(tail, body, head, z, twist)
+    tail, body, head, z, t1, t2 = _conform(a, b, c, variant, twist)
     verts = {
         "v0": Vertex("v0", tail.axes[t1], False),
         "v1": Vertex("v1", tail.axes[t2], False),
@@ -157,32 +154,29 @@ def fish_sequentializations_check(a: Array, b: Array, c: Array) -> Verdict:
 
 
 def semiheap_law_arrays(variant: str, semiring: Semiring, sizes, trials: int,
-                        seed: int = 0, twist: bool = False, product=None) -> Verdict:
-    """Para-associativity ((abc)de) = (a(dcb)e) = (ab(cde)) on seeded random
-    order-3 arrays with the given axis sizes. `product` substitutes another
-    ternary product for the law check (defaults to the fish engine)."""
-    i, j, k = sizes
-    axes = (IndexSet("I", i), IndexSet("J", j), IndexSet("K", k))
-    rng = random.Random(seed)
-    prod = product or (lambda x, y, z: fish(x, y, z, variant, twist))
+                        seed=0, twist: bool = False, product=None) -> Verdict:
+    """Para-associativity ((abc)de) = (a(dcb)e) = (ab(cde)) on random
+    order-3 arrays with the given axis sizes, drawn from Random(seed) (or
+    from `seed` itself when it is a random.Random). `product` substitutes
+    another ternary product for the law check (defaults to the fish engine)."""
+    axes = (IndexSet("I", sizes[0]), IndexSet("J", sizes[1]), IndexSet("K", sizes[2]))
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     for t in range(trials):
-        a, b, c, d, e = (random_array(axes, semiring, rng) for _ in range(5))
-        left = prod(prod(a, b, c), d, e)
-        mid = prod(a, prod(d, c, b), e)
-        right = prod(a, b, prod(c, d, e))
-        if left != mid:
-            return Verdict(False, "sh-mid", {"trial": t, "left": left.entries, "mid": mid.entries})
-        if left != right:
-            return Verdict(False, "sh-right", {"trial": t, "left": left.entries, "right": right.entries})
+        arrays = [random_array(axes, semiring, rng) for _ in range(5)]
+        v = semiheap_check_arrays(*arrays, variant, twist, product)
+        if not v:
+            return Verdict(False, v.law, {"trial": t, **v.witness})
     return Verdict(True, "sh")
 
 
-def semiheap_check_arrays(a, b, c, d, e, variant: str = "IJK", twist: bool = False) -> Verdict:
+def semiheap_check_arrays(a, b, c, d, e, variant: str = "IJK", twist: bool = False,
+                          product=None) -> Verdict:
     """Para-associativity on arrays:
     ((abc)de) = (a(dcb)e) = (ab(cde))."""
-    left = fish(fish(a, b, c, variant, twist), d, e, variant, twist)
-    mid = fish(a, fish(d, c, b, variant, twist), e, variant, twist)
-    right = fish(a, b, fish(c, d, e, variant, twist), variant, twist)
+    prod = product or (lambda x, y, z: fish(x, y, z, variant, twist))
+    left = prod(prod(a, b, c), d, e)
+    mid = prod(a, prod(d, c, b), e)
+    right = prod(a, b, prod(c, d, e))
     if left != mid:
         return Verdict(False, "sh-mid", {"left": left.entries, "mid": mid.entries})
     if left != right:
@@ -199,29 +193,18 @@ def biunit_pair_check(e: Array, e_prime: Array) -> dict:
     s = e.semiring
     if e_prime.semiring != s:
         raise PlexusError("SEMIRING_MISMATCH", "biunit check over mixed semirings")
-    I, J, K = e.axes
-    q1 = Verdict(True, "Q1")
-    for i, k in itertools.product(range(J.size), repeat=2):
-        for j, l in itertools.product(range(K.size), repeat=2):
-            acc = s.zero()
-            for p in range(I.size):
-                acc = s.add(acc, s.mul(e.entry((p, i, j)), e_prime.entry((p, k, l))))
-            want = s.one() if (i == k and j == l) else s.zero()
-            if not s.eq(acc, want):
-                q1 = Verdict(False, "Q1", {"i": i, "j": j, "k": k, "l": l, "got": acc})
-                break
-        if not q1:
-            break
-    q2 = Verdict(True, "Q2")
-    for i, j in itertools.product(range(I.size), repeat=2):
-        acc = s.zero()
-        for q in range(J.size):
-            for r in range(K.size):
-                acc = s.add(acc, s.mul(e.entry((i, q, r)), e_prime.entry((j, q, r))))
-        want = s.one() if i == j else s.zero()
-        if not s.eq(acc, want):
-            q2 = Verdict(False, "Q2", {"i": i, "j": j, "got": acc})
-            break
+
+    def identity_check(law, e_labels, e_prime_labels, out):
+        """The product is 1 where the index pairs (out[0], out[1]), ...
+        agree and 0 elsewhere; the witness is its first wrong entry."""
+        got = einsum([(e, e_labels), (e_prime, e_prime_labels)], out)
+        for idx, x in zip(itertools.product(*(range(ax.size) for ax in got.axes)), got.entries):
+            if not s.eq(x, s.one() if idx[0::2] == idx[1::2] else s.zero()):
+                return Verdict(False, law, {**dict(sorted(zip(out, idx))), "got": x})
+        return Verdict(True, law)
+
+    q1 = identity_check("Q1", "pij", "pkl", "ikjl")
+    q2 = identity_check("Q2", "iqr", "jqr", "ij")
     return {"Q1": q1, "Q2": q2, "ok": q1.ok and q2.ok}
 
 
@@ -259,10 +242,7 @@ def indicator_array(axes, position, semiring: Semiring) -> Array:
     """Basis array: 1 at one multi-index, 0 elsewhere."""
     a = zero_array(axes, semiring)
     entries = list(a.entries)
-    off = 0
-    for ax, i in zip(axes, position):
-        off = off * ax.size + i
-    entries[off] = semiring.one()
+    entries[a.offset(position)] = semiring.one()
     return Array(tuple(axes), entries, semiring)
 
 

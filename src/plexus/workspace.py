@@ -22,9 +22,10 @@ min-plus zero is the string "inf". Edge labels default to the edge id;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from .arrays import Array, make_array
+from .arrays import Array
 from .core import IndexSet, PlexusError
 from .diagram import Diagram, Hyperedge, Vertex
 from .semiring import Semiring, parse_semiring
@@ -100,12 +101,10 @@ def _load_array(name, spec, index_sets, semiring) -> Array:
         entries = [semiring.element_from_json(x) for x in spec["entries"]]
     except PlexusError as err:
         raise PlexusError(err.code, str(err).split("] ", 1)[-1], loc)
-    expected = 1
-    for ax in axes:
-        expected *= ax.size
+    expected = math.prod(ax.size for ax in axes)
     if len(entries) != expected:
         raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}", loc)
-    return make_array(axes, entries, semiring)
+    return Array(axes, entries, semiring)
 
 
 def _load_diagram(spec, index_sets, loc) -> Diagram:

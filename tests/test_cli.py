@@ -346,9 +346,56 @@ def test_output_is_byte_stable(capsys):
     assert all(code == 0 for code in seen.values())
 
 
+SELFTEST_LINES = [
+    "PASS fish-matches-diagram-evaluation: engine, evaluator and formula oracle agree",
+    "PASS fish-para-associativity: ((abc)de) = (a(dcb)e) = (ab(cde)) on random arrays",
+    "PASS multiway-concurrency: zee 2/4/1 and long_fish 3/5/1, both concurrent",
+    "PASS semantic-confluence: all rewrite orders evaluate like the host",
+    "PASS kronecker-identities: identity edges are neutral",
+    "PASS fish-right-units: (att) = (aut) = (atu) = a",
+    "PASS flat-fish: mouth-first product = flattened matrix product",
+    "PASS biunit-pairs: 24 boolean pairs at sizes (4,2,2), none at (3,2,2)",
+    "PASS finite-semiheaps: group, vector, bijection heaps and relation semiheap pass",
+    "PASS involuted-monoids: biunits induce involuted monoids",
+    "PASS isotropy-biinvariance: relabelings leave the bijection heap invariant",
+    "PASS composition-census: 10 composition classes, 3 symmetric",
+    "PASS reversal-relations: each variant is the reverse of its partner",
+    "PASS twist-witness: twist changes values, except through the order-3 identity",
+]
+
+
 def test_selftest_json(capsys):
     code, out, _ = run(capsys, ["selftest", "--json"])
     assert code == 0
     rep = json.loads(out)
     assert rep["ok"] is True
     assert len(rep["lines"]) >= 10
+    assert rep["lines"] == SELFTEST_LINES
+
+
+LAWS_BOOLEAN_LINES = {
+    "semiheap": "semiheap ok: 5 trials, sizes (2, 2, 2), semiring boolean",
+    "heap": "heap ok: group Z2, group Z3, vectors, bijections; relations are semiheap only",
+    "units": "units ok: 5 trials, sizes (2, 2, 2), semiring boolean",
+    "biunit": "biunit ok: 0 pairs at sizes (2, 2, 2)",
+    "flatfish": "flatfish ok: 5 trials, sizes (2, 2, 2), semiring boolean",
+    "isotropy": "isotropy ok: sizes 2 and 3, exhaustive",
+    "heapoid": "heapoid ok: delta carrier semiheapoid only; permutation carrier Malcev heapoid",
+}
+
+
+@pytest.mark.parametrize("suite", list(LAWS_BOOLEAN_LINES))
+def test_laws_suite_golden_text(capsys, suite):
+    argv = ["laws", "--suite", suite, "--semiring", "boolean", "--trials", "5", "--seed", "4"]
+    assert run(capsys, argv) == (0, LAWS_BOOLEAN_LINES[suite] + "\n", "")
+
+
+def test_laws_all_stops_at_the_first_boolean_only_suite(capsys):
+    code, out, err = run(capsys, ["laws", "--semiring", "int-mod:5"])
+    assert code == 2
+    assert out == (
+        "semiheap ok: 20 trials, sizes (2, 2, 2), semiring int-mod:5\n"
+        "heap ok: group Z2, group Z3, vectors, bijections; relations are semiheap only\n"
+        "units ok: 20 trials, sizes (2, 2, 2), semiring int-mod:5\n"
+    )
+    assert json.loads(err)["error"] == "UNSUPPORTED"

@@ -60,6 +60,9 @@ def test_validate_rejects_foreign_elements():
         ("min_plus", None, -3),
         ("float64", None, "x"),
         ("float64", None, math.nan),
+        ("float64", None, math.inf),
+        ("float64", None, -math.inf),
+        ("float64", None, 10**400),
     ]
     for kind, modulus, bad in cases:
         s = make_semiring(kind, modulus)

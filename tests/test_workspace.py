@@ -128,7 +128,8 @@ def test_entry_count_mismatch():
 
 
 def test_bad_element_for_semiring():
-    for semiring, bad in (("boolean", 7), ("float64", math.nan)):
+    for semiring, bad in (("boolean", 7), ("float64", math.nan), ("float64", math.inf),
+                          ("float64", -math.inf), ("float64", 10**400)):
         obj = {
             "semiring": semiring,
             "index_sets": {"I": 2},
