@@ -4,27 +4,53 @@ A check is called as check(semiring, sizes, trials, rng), draws its random
 arrays from `rng`, ignores the arguments it does not need, and returns
 (verdict, note): a failed verdict's `law` and `witness` are the counterexample
 `plexus laws` prints, and `note` is the line it prints on success. SUITES
-(`plexus laws`) and SELFTEST (`plexus selftest`) are the two views.
+(`plexus laws`) and SELFTEST (`plexus selftest`) are the two views. The SUITES
+checks also take the keywords `variant` and `twist`, which only the semiheap
+suite reads.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
 from .arrays import Array, diagonal_extension, kronecker, random_array, unary_contract
 from .core import IndexSet, PlexusError, Verdict
 from .diagram import canonical_form, standard_diagram
-from .evaluator import default_binding, evaluate, evaluate_formula_oracle, insert_kronecker
+from .evaluator import evaluate, evaluate_formula_oracle, insert_kronecker
 from .rewrite import (
-    check_concurrency, enumerate_compositions, fish_motif, semantic_confluence_binding, vee_motif,
+    check_concurrency,
+    enumerate_compositions,
+    fish_motif,
+    random_binding,
+    semantic_confluence_binding,
+    vee_motif,
 )
 from .semiring import parse_semiring
 from .ternary import (
-    ETA_VARIANTS, bijection_heap, biunit_pair_check, check_heap, check_isotropy_biinvariance,
-    check_semiheap, find_biunit_pairs, find_biunits, fish, fish_form3, fish_form4, fish_output_order,
-    fish_units_check, flat_fish_equiv, group_heap, heapoid_check, indicator_array, involuted_monoid,
-    make_fish_binding, relation_semiheap, semiheap_law_arrays, vector_heap,
+    ETA_VARIANTS,
+    bijection_heap,
+    biunit_pair_check,
+    check_heap,
+    check_isotropy_biinvariance,
+    check_semiheap,
+    find_biunit_pairs,
+    find_biunits,
+    fish,
+    fish_form3,
+    fish_form4,
+    fish_output_order,
+    fish_units_check,
+    flat_fish_equiv,
+    group_heap,
+    heapoid_check,
+    indicator_array,
+    involuted_monoid,
+    make_fish_binding,
+    relation_semiheap,
+    semiheap_check_arrays,
+    vector_heap,
 )
 
 
@@ -64,18 +90,28 @@ def _conforming_triple(variant, twist, rng, semiring, sizes):
 
 
 def semiheap(semiring, sizes, trials, rng, variant="IJK", twist=False):
-    """Para-associativity (sh) of the fish product on random arrays."""
-    v = semiheap_law_arrays(variant, semiring, sizes, trials, rng, twist)
-    return v, _trials_note("semiheap", semiring, sizes, trials)
+    """Para-associativity (sh) of the fish product on random arrays, drawn
+    as semiheap_law_arrays draws them."""
+    axes = _axes(sizes)
+    for t in range(trials):
+        arrays = [random_array(axes, semiring, rng) for _ in range(5)]
+        v = semiheap_check_arrays(*arrays, variant, twist)
+        if not v:
+            return _fail(v.law, {"trial": t, **v.witness})
+    return _ok("sh", _trials_note("semiheap", semiring, sizes, trials))
 
 
-def heap(semiring, sizes, trials, rng):
+def heap(semiring, sizes, trials, rng, **_):
     """(sh), (h) and (m) on the heaps of groups, vectors and bijections;
     relations satisfy (sh) but not the heap laws."""
     z3 = [[(r + c) % 3 for c in range(3)] for r in range(3)]
-    heaps = [("group_heap(Z2)", group_heap([[0, 1], [1, 0]])), ("group_heap(Z3)", group_heap(z3)),
-             ("vector_heap(3,1)", vector_heap(3, 1)), ("bijection_heap(2)", bijection_heap(2)),
-             ("bijection_heap(3)", bijection_heap(3))]
+    heaps = [
+        ("group_heap(Z2)", group_heap([[0, 1], [1, 0]])),
+        ("group_heap(Z3)", group_heap(z3)),
+        ("vector_heap(3,1)", vector_heap(3, 1)),
+        ("bijection_heap(2)", bijection_heap(2)),
+        ("bijection_heap(3)", bijection_heap(3)),
+    ]
     for name, t in heaps:
         r = check_heap(t)
         if not r["ok"]:
@@ -88,7 +124,7 @@ def heap(semiring, sizes, trials, rng):
     return _ok("heap", "heap ok: group Z2, group Z3, vectors, bijections; relations are semiheap only")
 
 
-def units(semiring, sizes, trials, rng):
+def units(semiring, sizes, trials, rng, **_):
     """The right units: (a t t) = (a u t) = (a t u) = a."""
     axes = _axes(sizes)
     for t in range(trials):
@@ -99,7 +135,7 @@ def units(semiring, sizes, trials, rng):
     return _ok("right-units", _trials_note("units", semiring, sizes, trials))
 
 
-def biunit(semiring, sizes, trials, rng):
+def biunit(semiring, sizes, trials, rng, **_):
     """The boolean biunit pairs on (I, J, K): the permutation arrays, one
     for each bijection I -> J x K, each a two-sided unit of the JKI product;
     the order-3 identity is not one."""
@@ -122,17 +158,21 @@ def biunit(semiring, sizes, trials, rng):
     return _ok("biunit", f"biunit ok: {len(pairs)} pairs at sizes {sizes}")
 
 
-def flatfish(semiring, sizes, trials, rng):
-    """The mouth-first product is a flattened three-factor matrix product."""
-    axes = _axes(sizes)
+def flatfish(semiring, sizes, trials, rng, **_):
+    """The mouth-first product is a flattened three-factor matrix product,
+    with a on (M, W, V), b on (S, W, V) and c on (S, Y, Z): Y is sized as V
+    and Z as W, so the product's tips are not a's."""
+    i, j, k = sizes
+    m, w, v, s, y, z = (IndexSet(n, size) for n, size in zip("MWVSYZ", (i, j, k, i, k, j)))
     for t in range(trials):
-        v = flat_fish_equiv(*(random_array(axes, semiring, rng) for _ in range(3)))
-        if not v:
-            return _fail(v.law, {"trial": t})
+        a, b, c = (random_array(axes, semiring, rng) for axes in ((m, w, v), (s, w, v), (s, y, z)))
+        verdict = flat_fish_equiv(a, b, c)
+        if not verdict:
+            return _fail(verdict.law, {"trial": t})
     return _ok("flat-fish", _trials_note("flatfish", semiring, sizes, trials))
 
 
-def isotropy(semiring, sizes, trials, rng):
+def isotropy(semiring, sizes, trials, rng, **_):
     """Relabelings leave the bijection heap invariant, exhaustively."""
     for n in (2, 3):
         v = check_isotropy_biinvariance(n, n)
@@ -141,7 +181,7 @@ def isotropy(semiring, sizes, trials, rng):
     return _ok(v.law, "isotropy ok: sizes 2 and 3, exhaustive")
 
 
-def heapoid(semiring, sizes, trials, rng):
+def heapoid(semiring, sizes, trials, rng, **_):
     """The order-3 identity is a semiheapoid but not a heapoid; the 24
     permutation arrays on (I:4, J:2, K:2) are a Malcev heapoid."""
     if semiring.kind != "boolean":
@@ -193,11 +233,7 @@ def rewrite_orders(semiring, sizes, trials, rng):
     for d, motif in ((standard_diagram("chain", 4), vee_motif()),
                      (standard_diagram("long_fish"), fish_motif())):
         for _ in range(trials):
-            arrays = {
-                eid: random_array([d.vertices[v].index_set for v in sorted(e.legs)], semiring, rng)
-                for eid, e in d.edges.items()
-            }
-            if not semantic_confluence_binding(d, default_binding(d, arrays), motif)["ok"]:
+            if not semantic_confluence_binding(d, random_binding(d, semiring, rng), motif)["ok"]:
                 return _fail("semantic-confluence", {"edges": len(d.edges)})
     return _ok("semantic-confluence")
 
@@ -210,9 +246,8 @@ def kronecker_identities(semiring, sizes, trials, rng):
     if unary_contract(diagonal_extension(a, 0), 0) != a:
         return _fail("diagonal-extension")
     d = standard_diagram("fish", size=2)
-    iset2 = IndexSet("I", 2)
     for _ in range(trials):
-        binding = default_binding(d, {eid: random_array((iset2,) * 3, semiring, rng) for eid in d.edges})
+        binding = random_binding(d, semiring, rng)
         if evaluate(*insert_kronecker(d, binding, "v3", "e1")) != evaluate(d, binding):
             return _fail("identity-edge")
     return _ok("kronecker")
@@ -298,7 +333,7 @@ SELFTEST = (
      "identity edges are neutral"),
     ("fish-right-units", units, _on("boolean int-mod:5", (2, 3, 2)), 5,
      "(att) = (aut) = (atu) = a"),
-    ("flat-fish", flatfish, _on("int-mod:5", (2, 3, 2)), 5,
+    ("flat-fish", flatfish, _on("int-mod:5", (2, 2, 3)), 5,
      "mouth-first product = flattened matrix product"),
     ("biunit-pairs", biunit, _on("boolean", (4, 2, 2), (3, 2, 2)), 1,
      "24 boolean pairs at sizes (4,2,2), none at (3,2,2)"),
@@ -319,7 +354,8 @@ SELFTEST = (
 
 def run_selftest(seed: int = 0):
     """Run every SELFTEST row, each from a fresh Random(seed); a row stops
-    at its first failing run. Returns (all_ok, lines)."""
+    at its first failing run. A FAIL line names the law, the failing run
+    when the row has several, and the counterexample. Returns (all_ok, lines)."""
     lines = []
     all_ok = True
     for name, check, runs, trials, text in SELFTEST:
@@ -330,6 +366,10 @@ def run_selftest(seed: int = 0):
             if not verdict:
                 break
         all_ok = all_ok and verdict.ok
-        detail = text if verdict else f"{verdict.law} fails on {semiring.name} at sizes {sizes}"
+        detail = text
+        if not verdict:
+            detail = verdict.law + (f" on {semiring.name} at sizes {sizes}" if len(runs) > 1 else "")
+            if verdict.witness is not None:
+                detail += f": {json.dumps(verdict.witness, default=str)}"
         lines.append(f"{'PASS' if verdict else 'FAIL'} {name}: {detail}")
     return all_ok, lines

@@ -180,8 +180,8 @@ def _cmd_laws(args):
     sizes = _parse_sizes(args.sizes)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     for name in suites:
-        options = {"variant": args.variant, "twist": args.twist} if name == "semiheap" else {}
-        verdict, note = SUITES[name](semiring, sizes, args.trials, random.Random(args.seed), **options)
+        verdict, note = SUITES[name](semiring, sizes, args.trials, random.Random(args.seed),
+                                     variant=args.variant, twist=args.twist)
         if not verdict:
             return _fail_law(verdict.law, verdict.witness)
         if not args.json:

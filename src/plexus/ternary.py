@@ -33,12 +33,7 @@ ETA_VARIANTS = {
 }
 
 
-def _conform(a: Array, b: Array, c: Array, variant: str, twist: bool):
-    """(tail, body, head, mouth axis z, tip axes t1, t2) of a conforming triple."""
-    if variant not in ETA_VARIANTS:
-        raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
-    z, rev = ETA_VARIANTS[variant]
-    tail, body, head = (c, b, a) if rev else (a, b, c)
+def _conform(tail: Array, body: Array, head: Array, z: int, twist: bool):
     for name, x in (("tail", tail), ("body", body), ("head", head)):
         if x.order != 3:
             raise PlexusError("CONFORMABILITY", f"{name} must have order 3, got {x.order}")
@@ -52,12 +47,16 @@ def _conform(a: Array, b: Array, c: Array, variant: str, twist: bool):
             raise PlexusError("CONFORMABILITY", "body and head tips do not cross-match")
     elif body.axes[t1] != head.axes[t1] or body.axes[t2] != head.axes[t2]:
         raise PlexusError("CONFORMABILITY", "body and head disagree on the tip axes")
-    return tail, body, head, z, t1, t2
+    return t1, t2
 
 
 def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False) -> Array:
     """Ternary product of three order-3 arrays."""
-    tail, body, head, z, t1, t2 = _conform(a, b, c, variant, twist)
+    if variant not in ETA_VARIANTS:
+        raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
+    z, rev = ETA_VARIANTS[variant]
+    tail, body, head = (c, b, a) if rev else (a, b, c)
+    t1, t2 = _conform(tail, body, head, z, twist)
 
     def at(x, y, w):
         """Labels for the axes t1, t2 (the tips) and z (the mouth)."""
@@ -74,7 +73,11 @@ def make_fish_binding(a: Array, b: Array, c: Array, variant: str = "IJK", twist:
     """Build the one-body ternary diagram with a, b, c bound to its edges so
     that evaluating it reproduces fish(a, b, c, variant, twist).
     Returns (diagram, binding)."""
-    tail, body, head, z, t1, t2 = _conform(a, b, c, variant, twist)
+    if variant not in ETA_VARIANTS:
+        raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
+    z, rev = ETA_VARIANTS[variant]
+    tail, body, head = (c, b, a) if rev else (a, b, c)
+    t1, t2 = _conform(tail, body, head, z, twist)
     verts = {
         "v0": Vertex("v0", tail.axes[t1], False),
         "v1": Vertex("v1", tail.axes[t2], False),
@@ -154,13 +157,13 @@ def fish_sequentializations_check(a: Array, b: Array, c: Array) -> Verdict:
 
 
 def semiheap_law_arrays(variant: str, semiring: Semiring, sizes, trials: int,
-                        seed=0, twist: bool = False, product=None) -> Verdict:
-    """Para-associativity ((abc)de) = (a(dcb)e) = (ab(cde)) on random
-    order-3 arrays with the given axis sizes, drawn from Random(seed) (or
-    from `seed` itself when it is a random.Random). `product` substitutes
-    another ternary product for the law check (defaults to the fish engine)."""
-    axes = (IndexSet("I", sizes[0]), IndexSet("J", sizes[1]), IndexSet("K", sizes[2]))
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+                        seed: int = 0, twist: bool = False, product=None) -> Verdict:
+    """Para-associativity ((abc)de) = (a(dcb)e) = (ab(cde)) on seeded random
+    order-3 arrays with the given axis sizes. `product` substitutes another
+    ternary product for the law check (defaults to the fish engine)."""
+    i, j, k = sizes
+    axes = (IndexSet("I", i), IndexSet("J", j), IndexSet("K", k))
+    rng = random.Random(seed)
     for t in range(trials):
         arrays = [random_array(axes, semiring, rng) for _ in range(5)]
         v = semiheap_check_arrays(*arrays, variant, twist, product)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from plexus import IndexSet, fish, make_array, make_semiring
+from plexus import checks
 from plexus.cli import _fail_law, run_command
+from plexus.core import Verdict
 
 MOD5 = make_semiring("int_mod", 5)
 
@@ -371,6 +373,26 @@ def test_selftest_json(capsys):
     assert rep["ok"] is True
     assert len(rep["lines"]) >= 10
     assert rep["lines"] == SELFTEST_LINES
+
+
+def test_selftest_fail_line_names_the_run_and_the_counterexample(monkeypatch):
+    def fails_on_int_mod(semiring, sizes, trials, rng):
+        return Verdict(semiring.kind != "int_mod", "demo-law", {"trial": 0}), ""
+
+    def fails_without_witness(semiring, sizes, trials, rng):
+        return Verdict(False, "demo-law"), ""
+
+    rows = (
+        ("two-runs", fails_on_int_mod, checks._on("boolean int-mod:5", (2, 3, 2)), 1, "passes"),
+        ("one-run", fails_without_witness, checks._on("boolean"), 1, "passes"),
+        ("passing", fails_on_int_mod, checks._on("boolean"), 1, "passes"),
+    )
+    monkeypatch.setattr(checks, "SELFTEST", rows)
+    assert checks.run_selftest(0) == (False, [
+        'FAIL two-runs: demo-law on int-mod:5 at sizes (2, 3, 2): {"trial": 0}',
+        "FAIL one-run: demo-law",
+        "PASS passing: passes",
+    ])
 
 
 LAWS_BOOLEAN_LINES = {

@@ -192,10 +192,14 @@ def test_semiheap_law_rejects_broken_product():
 
 def test_flat_fish_equivalence():
     rng = random.Random(23)
-    for s in (BOOL, MOD5):
-        for _ in range(10):
-            a, b, c = (random_array((I2, J3, K2), s, rng) for _ in range(3))
-            assert flat_fish_equiv(a, b, c).ok
+    M, W, V, S, Y, Z = (IndexSet(n, k) for n, k in zip("MWVSYZ", (2, 2, 3, 2, 3, 2)))
+    # one index set triple for all three arrays, then one per role, where
+    # the product's tips (Y, Z) differ from a's (W, V) in name and size
+    for roles in (((I2, J3, K2),) * 3, ((M, W, V), (S, W, V), (S, Y, Z))):
+        for s in (BOOL, MOD5):
+            for _ in range(10):
+                a, b, c = (random_array(axes, s, rng) for axes in roles)
+                assert flat_fish_equiv(a, b, c).ok
 
 
 def test_biunit_pairs_four_two_two():
