@@ -72,19 +72,6 @@ class Array:
         shape = ",".join(f"{ax.id}:{ax.size}" for ax in self.axes)
         return f"Array(({shape}), {list(self.entries)!r})"
 
-    # Convenience wrappers so call sites can chain operations.
-    def reorder(self, sigma):
-        return reorder(self, sigma)
-
-    def flatten(self, group):
-        return flatten(self, group)
-
-    def broaden(self, new_axis, position):
-        return broaden(self, new_axis, position)
-
-    def slice(self, assignment):
-        return slice_axes(self, assignment)
-
 
 def _entry_count(axes) -> int:
     n = 1
@@ -158,50 +145,40 @@ def slice_axes(a: Array, assignment: dict) -> Array:
     return Array([a.axes[p] for p in keep], [a.entries[base + o] for o in grid], a.semiring)
 
 
-def _require_same_shape(a: Array, b: Array, what: str):
-    if a.semiring != b.semiring:
-        raise PlexusError("SEMIRING_MISMATCH", f"{what}: different semirings")
-    if a.axes != b.axes:
-        raise PlexusError("CONFORMABILITY", f"{what}: constellations differ")
+def _entrywise(op, a: Array, b: Array) -> Array:
+    """Combine entries at equal positions; both arrays carry the same axes."""
+    labels = range(a.order)
+    _label_axes([(a, labels), (b, labels)])
+    entries = [op(x, y) for x, y in zip(a.entries, b.entries)]
+    a.semiring.check_range(entries)
+    return Array(a.axes, entries, a.semiring)
 
 
 def entrywise_add(a: Array, b: Array) -> Array:
-    _require_same_shape(a, b, "entrywise_add")
-    s = a.semiring
-    return Array(a.axes, [s.add(x, y) for x, y in zip(a.entries, b.entries)], s)
+    return _entrywise(a.semiring.add, a, b)
 
 
 def entrywise_mul(a: Array, b: Array) -> Array:
-    _require_same_shape(a, b, "entrywise_mul")
-    s = a.semiring
-    return Array(a.axes, [s.mul(x, y) for x, y in zip(a.entries, b.entries)], s)
+    return _entrywise(a.semiring.mul, a, b)
 
 
 def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]):
     if len(arrays) != len(shared_axes) or not arrays:
         raise PlexusError("BAD_AXIS", "need one shared axis per array")
-    shared = None
     for a, pos in zip(arrays, shared_axes):
         if not (0 <= pos < a.order):
             raise PlexusError("BAD_AXIS", f"shared axis {pos} out of range")
-        ax = a.axes[pos]
-        if shared is None:
-            shared = ax
-        elif ax != shared:
-            raise PlexusError("CONFORMABILITY", f"shared axes disagree: {shared} vs {ax}")
-        if a.semiring != arrays[0].semiring:
-            raise PlexusError("SEMIRING_MISMATCH", "incidence over mixed semirings")
 
 
 def _incidence_labels(arrays, shared_axes):
     """Kernel labels for an incidence: axis p of array k is (k, p), the
-    shared axes are all None. Result: the first array's axes intact, then
+    shared axes are all "shared". Result: the first array's axes intact, then
     the rest minus their shared axis; the shared index set appears once."""
     labels = [
-        [None if p == pos else (k, p) for p in range(a.order)]
+        ["shared" if p == pos else (k, p) for p in range(a.order)]
         for k, (a, pos) in enumerate(zip(arrays, shared_axes))
     ]
-    out = list(labels[0]) + [lab for ls in labels[1:] for lab in ls if lab is not None]
+    out = list(labels[0]) + [lab for ls in labels[1:] for lab in ls if lab != "shared"]
     return labels, out
 
 
@@ -209,12 +186,14 @@ def additive_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> A
     _check_shared(arrays, shared_axes)
     s = arrays[0].semiring
     labels, out = _incidence_labels(arrays, shared_axes)
-    axis = {lab: ax for a, ls in zip(arrays, labels) for lab, ax in zip(ls, a.axes)}
+    axis = _label_axes(list(zip(arrays, labels)))
     columns = [
         [a.entries[o] for o in _grid(_strides(ls, a.sizes), out, axis)]
         for a, ls in zip(arrays, labels)
     ]
-    return Array([axis[lab] for lab in out], [functools.reduce(s.add, vals) for vals in zip(*columns)], s)
+    entries = [functools.reduce(s.add, vals) for vals in zip(*columns)]
+    s.check_range(entries)
+    return Array([axis[lab] for lab in out], entries, s)
 
 
 def multiplicative_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
@@ -228,7 +207,7 @@ def contract(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
     Result order = sum of orders - arity."""
     _check_shared(arrays, shared_axes)
     labels, out = _incidence_labels(arrays, shared_axes)
-    return einsum(list(zip(arrays, labels)), [lab for lab in out if lab is not None])
+    return einsum(list(zip(arrays, labels)), [lab for lab in out if lab != "shared"])
 
 
 def unary_contract(a: Array, axis: int) -> Array:
@@ -242,8 +221,6 @@ def self_contract(a: Array, axis_i: int, axis_j: int) -> Array:
     """Trace-style contraction of two axes of `a` over the same index set."""
     if axis_i == axis_j or not (0 <= axis_i < a.order) or not (0 <= axis_j < a.order):
         raise PlexusError("BAD_AXIS", f"bad self-contraction axes ({axis_i}, {axis_j})")
-    if a.axes[axis_i] != a.axes[axis_j]:
-        raise PlexusError("CONFORMABILITY", "self-contraction axes must share an index set")
     labels = [axis_i if p == axis_j else p for p in range(a.order)]
     return einsum([(a, labels)], [p for p in range(a.order) if p not in (axis_i, axis_j)])
 
@@ -251,10 +228,6 @@ def self_contract(a: Array, axis_i: int, axis_j: int) -> Array:
 def tensor_product(arrays: Sequence[Array]) -> Array:
     if not arrays:
         raise PlexusError("BAD_AXIS", "tensor product of nothing")
-    s = arrays[0].semiring
-    for a in arrays[1:]:
-        if a.semiring != s:
-            raise PlexusError("SEMIRING_MISMATCH", "tensor product over mixed semirings")
     labels = [[(k, p) for p in range(a.order)] for k, a in enumerate(arrays)]
     return einsum(list(zip(arrays, labels)), [lab for ls in labels for lab in ls])
 
@@ -280,14 +253,36 @@ def _grid(strides: dict, labels, axis: dict) -> list:
     return offsets
 
 
+def _label_axes(operands) -> dict:
+    """The operand check of every product: each (array, labels) operand
+    gives one label per axis, all share the first operand's semiring
+    (SEMIRING_MISMATCH), and each label names one index set across all of
+    them (CONFORMABILITY). Returns label -> index set."""
+    s = operands[0][0].semiring
+    axis = {}
+    for a, labels in operands:
+        if len(labels) != a.order:
+            raise PlexusError("CONFORMABILITY", f"{len(labels)} labels for an order-{a.order} array")
+        if a.semiring != s:
+            raise PlexusError("SEMIRING_MISMATCH", f"operands over {s.name} and {a.semiring.name}")
+        for lab, ax in zip(labels, a.axes):
+            known = axis.setdefault(lab, ax)
+            if known != ax:
+                raise PlexusError(
+                    "CONFORMABILITY",
+                    f"index {lab!r} carries {known.id}:{known.size} and {ax.id}:{ax.size}",
+                )
+    return axis
+
+
 def einsum(operands, out_labels) -> Array:
     """The contraction kernel: every array product goes through here.
 
     `operands` are (array, labels) pairs naming each axis. Axes with the
     same label are one index (within an array: its diagonal); labels not in
     `out_labels` are summed out. The result has one axis per output label,
-    in that order. Callers check conformability: equal labels must carry
-    equal index sets. There are no bounds checks inside.
+    in that order. `_label_axes` checks the operands; callers check only
+    their own argument positions. There are no bounds checks inside.
 
     Terms are contracted pairwise. Each step takes the pair whose result has
     the fewest entries, ties going to the earliest pair, and sums every
@@ -296,12 +291,8 @@ def einsum(operands, out_labels) -> Array:
     `Semiring.check_range` judges the result.
     """
     s = operands[0][0].semiring
-    axis = {}
-    terms = []
-    for a, labels in operands:
-        labels = list(labels)
-        axis.update((lab, ax) for lab, ax in zip(labels, a.axes) if lab not in axis)
-        terms.append((_strides(labels, a.sizes), a.entries))
+    axis = _label_axes(operands)
+    terms = [(_strides(labels, a.sizes), a.entries) for a, labels in operands]
     out_labels = list(out_labels)
     if len(terms) == 1:  # pair a lone term with the scalar one: one path sums and reorders
         terms.append(({}, (s.one(),)))

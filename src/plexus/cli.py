@@ -20,7 +20,6 @@ from .rewrite import (
     Motif,
     check_concurrency,
     enumerate_compositions,
-    multiway,
     semantic_confluence,
 )
 from .semiring import parse_semiring
@@ -58,8 +57,7 @@ def _load_array_arg(token):
     path, name = token, None
     if ":" in token and not os.path.exists(token):
         path, name = token.rsplit(":", 1)
-    ws = load_workspace(path)
-    return _sole(ws.arrays, "array", name), ws.semiring
+    return _sole(load_workspace(path).arrays, "array", name)
 
 
 def _load_host(token, diagram_name):
@@ -97,9 +95,7 @@ def _cmd_eval(args):
 
 
 def _cmd_fish(args):
-    (a, sa), (b, sb), (c, sc) = (_load_array_arg(t) for t in (args.a, args.b, args.c))
-    if sb != sa or sc != sa:
-        raise PlexusError("SEMIRING_MISMATCH", "the three workspaces use different semirings")
+    a, b, c = (_load_array_arg(t) for t in (args.a, args.b, args.c))
     result = fish(a, b, c, args.variant, args.twist)
     print(json.dumps(array_to_json(result)))
     return 0
@@ -110,10 +106,6 @@ def _cmd_rewrite(args):
     motif_d, _ = _load_host(args.motif, None)
     motif = Motif(motif_d)
     report = check_concurrency(host, motif)
-    g = multiway(host, motif)
-    report["terminal_labels"] = sorted(
-        sorted(e.label for e in d.edges.values()) for d in g.terminal_diagrams()
-    )
     code = 0
     if args.semantic:
         semiring = parse_semiring(args.semantic)

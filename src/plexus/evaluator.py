@@ -33,48 +33,40 @@ def default_binding(d: Diagram, arrays: dict) -> dict:
     for eid in d.edge_ids():
         if eid not in arrays:
             raise PlexusError("BAD_REFERENCE", f"no array bound to edge {eid}")
-        a = arrays[eid]
         legs = sorted(d.edges[eid].legs, key=natural_key)
-        if a.order != len(legs):
-            raise PlexusError(
-                "CONFORMABILITY",
-                f"edge {eid} has {len(legs)} legs but array order {a.order}",
-            )
-        for t, v in enumerate(legs):
-            if a.axes[t] != d.vertices[v].index_set:
-                raise PlexusError(
-                    "CONFORMABILITY",
-                    f"edge {eid} axis {t}: array has {a.axes[t].id}:{a.axes[t].size}, "
-                    f"vertex {v} has {d.vertices[v].index_set.id}:{d.vertices[v].index_set.size}",
-                )
-        binding[eid] = BoundEdge(a, {v: t for t, v in enumerate(legs)})
+        binding[eid] = BoundEdge(arrays[eid], {v: t for t, v in enumerate(legs)})
+    _check_binding(d, binding)
     return binding
 
 
 def _check_binding(d: Diagram, binding: dict):
-    semiring = None
+    """The diagram-side check: every edge is bound, its legs map one-to-one
+    onto its array's axes, and each axis carries its vertex's index set.
+    The kernel checks the arrays against each other."""
+    if not d.edges:
+        raise PlexusError("BAD_REFERENCE", "nothing bound: diagram has no edges")
     for eid in d.edge_ids():
         if eid not in binding:
             raise PlexusError("BAD_REFERENCE", f"no array bound to edge {eid}")
         be = binding[eid]
         legs = d.edges[eid].legs
+        if be.array.order != len(legs):
+            raise PlexusError(
+                "CONFORMABILITY",
+                f"edge {eid} has {len(legs)} legs but array order {be.array.order}",
+            )
         if sorted(be.leg_to_axis) != sorted(legs):
             raise PlexusError("CONFORMABILITY", f"edge {eid}: binding legs disagree")
         if sorted(be.leg_to_axis.values()) != list(range(len(legs))):
             raise PlexusError("CONFORMABILITY", f"edge {eid}: leg_to_axis not a bijection")
         for v, t in be.leg_to_axis.items():
-            if be.array.axes[t] != d.vertices[v].index_set:
+            ax, iset = be.array.axes[t], d.vertices[v].index_set
+            if ax != iset:
                 raise PlexusError(
                     "CONFORMABILITY",
-                    f"edge {eid} axis {t} does not match vertex {v}",
+                    f"edge {eid} axis {t}: array has {ax.id}:{ax.size}, "
+                    f"vertex {v} has {iset.id}:{iset.size}",
                 )
-        if semiring is None:
-            semiring = be.array.semiring
-        elif be.array.semiring != semiring:
-            raise PlexusError("SEMIRING_MISMATCH", "binding mixes semirings")
-    if semiring is None:
-        raise PlexusError("BAD_REFERENCE", "nothing bound: diagram has no edges")
-    return semiring
 
 
 def evaluate(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
@@ -90,30 +82,23 @@ def evaluate(d: Diagram, binding: dict, output_order: list | None = None) -> Arr
     operands = []
     for eid in d.edge_ids():
         be = binding[eid]
-        labels = [None] * len(be.leg_to_axis)
-        for v, t in be.leg_to_axis.items():
-            labels[t] = v
-        operands.append((be.array, labels))
+        operands.append((be.array, sorted(be.leg_to_axis, key=be.leg_to_axis.get)))
     return einsum(operands, free)
 
 
 def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
-    """Reference evaluation, kept independent of `evaluate`: iterate over every
-    total vertex assignment, look entries up by hand-rolled offsets, and add
-    each term into the output entry of the free part of the assignment."""
+    """Reference evaluation, kept independent of `evaluate` (it shares only
+    the binding check): iterate over every total vertex assignment, look
+    entries up by hand-rolled offsets, and add each term into the output
+    entry of the free part of the assignment."""
     vids = d.vertex_ids()
     free = [v for v in vids if not d.vertices[v].marked]
     if output_order is not None:
         if sorted(output_order, key=natural_key) != free:
             raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
         free = list(output_order)
-    s = None
-    for eid in d.edges:
-        if eid not in binding:
-            raise PlexusError("BAD_REFERENCE", f"no array bound to edge {eid}")
-        s = binding[eid].array.semiring
-    if s is None:
-        raise PlexusError("BAD_REFERENCE", "nothing bound: diagram has no edges")
+    _check_binding(d, binding)
+    s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()
     sizes = [d.vertices[v].index_set.size for v in free]
     count = 1

@@ -247,7 +247,8 @@ def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGrap
 def check_concurrency(host: Diagram, motif: Motif) -> dict:
     """confluent: one terminal state. regular: every edge in every reachable
     state has the same arity. overlapping: every pair of initial matches
-    shares a host edge. concurrent: all three."""
+    shares a host edge. concurrent: all three. terminal_labels: the sorted
+    edge labels of each terminal state, sorted."""
     g = multiway(host, motif)
     terminals = g.terminals
     arities = {len(e.legs) for d in g.states.values() for e in d.edges.values()}
@@ -266,6 +267,9 @@ def check_concurrency(host: Diagram, motif: Motif) -> dict:
         "initial_matches": len(init),
         "states": len(g.states),
         "terminals": len(terminals),
+        "terminal_labels": sorted(
+            sorted(e.label for e in d.edges.values()) for d in g.terminal_diagrams()
+        ),
     }
 
 
@@ -368,7 +372,9 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
     pool = tuple(range(edge_order + (num_edges - 1) * (edge_order - 1)))
     for group in itertools.combinations(itertools.combinations(pool, edge_order), num_edges):
         used = sorted(set().union(*group))
-        if not _connected(group):
+        # a gap in the used vertices: relabelling by rank gives the same
+        # diagrams as the gap-free group, which came earlier
+        if used[-1] != len(used) - 1 or not _connected(group):
             continue
         deg = {v: sum(v in e for e in group) for v in used}
         for unmarked in itertools.combinations(used, free_vertices):

@@ -139,11 +139,14 @@ class Semiring:
 
     def check_range(self, entries) -> None:
         """nat64 products are computed exactly; OVERFLOW iff a final entry
-        exceeds 2^64 - 1, whatever the order of summation."""
+        exceeds 2^64 - 1, whatever the order of summation. float64: OVERFLOW
+        iff a final entry is not finite (an overflow to inf, or NaN from it)."""
         if self.kind == "nat64":
             for x in entries:
                 if x > NAT64_MAX:
                     raise PlexusError("OVERFLOW", f"nat64 result entry above 2^64 - 1: {x}")
+        elif self.kind == "float64" and not all(map(math.isfinite, entries)):
+            raise PlexusError("OVERFLOW", "float64 result entry is not finite")
 
     def eq(self, x, y) -> bool:
         if self.kind == "float64":

@@ -186,7 +186,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise PlexusError("PARSE_ERROR", f"cannot read file: {err}")
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad syntax or UTF-8, too many digits, too deep
         raise PlexusError("PARSE_ERROR", f"invalid JSON: {err}")
 
 

@@ -132,6 +132,31 @@ def test_eval_malformed_json_names_the_line(tmp_path, capsys):
     assert "line" in payload["message"]
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param('{"semiring": "nat64", "index_sets": {"I": 1}, '
+                 '"arrays": {"a": {"axes": ["I"], "entries": [' + "9" * 5001 + ']}}}',
+                 id="5001-digit-entry"),
+    pytest.param("[" * 100_000, id="100000-nested-lists"),
+])
+def test_eval_json_the_decoder_cannot_hold_is_parse_error(tmp_path, capsys, text):
+    p = tmp_path / "w.json"
+    p.write_text(text)
+    code, out, err = run(capsys, ["eval", str(p)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PARSE_ERROR"
+
+
+def test_eval_float64_overflow_is_refused(tmp_path, capsys):
+    # 1e308 * 1e308 is inf, which would print as the non-JSON token Infinity
+    ws = json.loads(json.dumps(WS))
+    ws["semiring"] = "float64"
+    for name in ("a", "b"):
+        ws["arrays"][name]["entries"] = [1e308, 1, 1, 1]
+    code, out, err = run(capsys, ["eval", write(tmp_path, ws, "w.json")])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "OVERFLOW"
+
+
 def test_eval_entry_count_error(tmp_path, capsys):
     broken = json.loads(json.dumps(WS))
     broken["arrays"]["a"]["entries"] = [1, 2, 3]

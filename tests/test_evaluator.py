@@ -214,6 +214,21 @@ def test_binding_errors():
     assert err.value.code == "CONFORMABILITY"
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_bound_array_order_must_match_the_edge(order):
+    # an order-3 array on a 2-leg edge used to evaluate silently as a[0, :, :],
+    # an order-1 array to fail with a bare IndexError
+    d = standard_diagram("vee")
+    iset = IndexSet("I", 2)
+    a = make_array((iset, iset), [1, 0, 0, 1], MOD5)
+    wrong = make_array((iset,) * order, [k % 5 for k in range(2 ** order)], MOD5)
+    binding = {"e0": BoundEdge(a, {"v0": 0, "v1": 1}), "e1": BoundEdge(wrong, {"v1": 0, "v2": 1})}
+    with pytest.raises(PlexusError) as err:
+        evaluate(d, binding)
+    assert err.value.code == "CONFORMABILITY"
+    assert f"edge e1 has 2 legs but array order {order}" in str(err.value)
+
+
 def test_mixed_semirings_rejected():
     d = standard_diagram("vee")
     iset = IndexSet("I", 2)

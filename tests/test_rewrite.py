@@ -123,10 +123,13 @@ def test_check_concurrency_counts():
     assert report["initial_matches"] == 2
     assert report["states"] == 4
     assert report["terminals"] == 1
+    assert report["terminal_labels"] == [["((e0e1)e2)"]]
     report = check_concurrency(standard_diagram("long_fish"), fish_motif())
     assert report["initial_matches"] == 3
     assert report["states"] == 5
     assert report["terminals"] == 1
+    assert report["terminal_labels"] == [["((e0e1e2)e3e4)"]]
+    assert list(report)[-1] == "terminal_labels"
 
 
 def test_long_chains_are_confluent_but_not_overlapping():
