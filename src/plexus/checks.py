@@ -29,7 +29,8 @@ from .rewrite import (
 )
 from .semiring import parse_semiring
 from .ternary import (
-    ETA_VARIANTS,
+    _fish_labels,
+    _semiheap_trials,
     bijection_heap,
     biunit_pair_check,
     check_heap,
@@ -49,7 +50,6 @@ from .ternary import (
     involuted_monoid,
     make_fish_binding,
     relation_semiheap,
-    semiheap_check_arrays,
     vector_heap,
 )
 
@@ -71,19 +71,13 @@ def _trials_note(suite, semiring, sizes, trials):
 
 
 def _conforming_triple(variant, twist, rng, semiring, sizes):
-    """Random (a, b, c) accepted by the given fish variant: the tail has tips
-    X, Y and mouth P, the head tips W, V and mouth M, sized by sizes * 2."""
-    z, rev = ETA_VARIANTS[variant]
-    t1, t2 = [p for p in range(3) if p != z]
-    x, y, p, w, v, m = (IndexSet(n, s) for n, s in zip("XYPWVM", sizes * 2))
-
-    def draw(tip1, tip2, mouth):
-        axes = [None] * 3
-        axes[t1], axes[t2], axes[z] = tip1, tip2, mouth
-        return random_array(axes, semiring, rng)
-
-    tail, body, head = draw(x, y, p), (draw(v, w, p) if twist else draw(w, v, p)), draw(w, v, m)
-    return (head, body, tail) if rev else (tail, body, head)
+    """Random (a, b, c) accepted by the given fish variant: indices i j p
+    q r k carry X Y P W V M, sized by sizes * 2. The tail, body and head are
+    drawn in that order; an order that reverses is its own inverse."""
+    roles, _, order = _fish_labels(variant, twist)
+    iset = {lab: IndexSet(n, s) for lab, n, s in zip("ijpqrk", "XYPWVM", sizes * 2)}
+    drawn = [random_array([iset[lab] for lab in labels], semiring, rng) for labels in roles]
+    return tuple(drawn[n] for n in order)
 
 
 # -- the laws suites -------------------------------------------------------
@@ -92,12 +86,9 @@ def _conforming_triple(variant, twist, rng, semiring, sizes):
 def semiheap(semiring, sizes, trials, rng, variant="IJK", twist=False):
     """Para-associativity (sh) of the fish product on random arrays, drawn
     as semiheap_law_arrays draws them."""
-    axes = _axes(sizes)
-    for t in range(trials):
-        arrays = [random_array(axes, semiring, rng) for _ in range(5)]
-        v = semiheap_check_arrays(*arrays, variant, twist)
-        if not v:
-            return _fail(v.law, {"trial": t, **v.witness})
+    v = _semiheap_trials(variant, semiring, sizes, trials, rng, twist)
+    if not v:
+        return v, ""
     return _ok("sh", _trials_note("semiheap", semiring, sizes, trials))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arrays import Array, einsum, kronecker
+from .arrays import Array, _label_axes, einsum, kronecker
 from .core import PlexusError, natural_key
 from .diagram import Diagram, Hyperedge, Vertex
 
@@ -79,16 +79,22 @@ def evaluate(d: Diagram, binding: dict, output_order: list | None = None) -> Arr
         if sorted(output_order, key=natural_key) != free:
             raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
         free = list(output_order)
+    return einsum(_operands(d, binding), free)
+
+
+def _operands(d: Diagram, binding: dict) -> list:
+    """Each edge's array with its axes labelled by their vertex ids."""
     operands = []
     for eid in d.edge_ids():
         be = binding[eid]
         operands.append((be.array, sorted(be.leg_to_axis, key=be.leg_to_axis.get)))
-    return einsum(operands, free)
+    return operands
 
 
 def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
     """Reference evaluation, kept independent of `evaluate` (it shares only
-    the binding check): iterate over every total vertex assignment, look
+    the binding check and the kernel's operand check, so it refuses what
+    `evaluate` refuses): iterate over every total vertex assignment, look
     entries up by hand-rolled offsets, and add each term into the output
     entry of the free part of the assignment."""
     vids = d.vertex_ids()
@@ -98,6 +104,7 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
             raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
         free = list(output_order)
     _check_binding(d, binding)
+    _label_axes(_operands(d, binding))
     s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()
     sizes = [d.vertices[v].index_set.size for v in free]

@@ -364,8 +364,10 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
     symmetric means the automorphism group is transitive on edges."""
     if variant not in ENUMERATION_VARIANTS:
         raise PlexusError("BAD_REFERENCE", f"unknown enumeration variant {variant!r}")
-    if num_edges < 1 or edge_order < 1 or free_vertices < 0:
-        raise PlexusError("CONFORMABILITY", "enumeration parameters must be positive")
+    for name, value, least in (("num_edges", num_edges, 1), ("edge_order", edge_order, 1),
+                               ("free_vertices", free_vertices, 0)):
+        if value < least:
+            raise PlexusError("BAD_REFERENCE", f"{name} must be at least {least}, got {value}")
     marked_min, unmarked_exact = ENUMERATION_VARIANTS[variant]
     iset = IndexSet("I", size)
     reps, symmetric, seen = [], [], set()

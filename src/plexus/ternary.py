@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .arrays import Array, broaden, contract, einsum, flatten, kronecker, random_array, zero_array
+from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kronecker,
+                     random_array, zero_array)
 from .core import IndexSet, PlexusError, Verdict
 from .diagram import Diagram, Hyperedge, Vertex
 from .evaluator import BoundEdge
@@ -33,77 +34,59 @@ ETA_VARIANTS = {
 }
 
 
-def _tip_axes(tail: Array, body: Array, head: Array, z: int):
-    """Refuse arrays not of order 3; return the tip positions (t1, t2) for a
-    mouth at z. The kernel checks the axes the arrays share."""
-    for name, x in (("tail", tail), ("body", body), ("head", head)):
-        if x.order != 3:
-            raise PlexusError("CONFORMABILITY", f"{name} must have order 3, got {x.order}")
-    return [p for p in range(3) if p != z]
+# the fish diagram's vertex v<n> is index n of "ijpqrk"; its edges e0, e1,
+# e2 are the tail, body and head, with these legs
+_FISH_VERTEX = {lab: f"v{n}" for n, lab in enumerate("ijpqrk")}
+_FISH_LEGS = ("ijp", "qrp", "qrk")
 
 
-def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False) -> Array:
-    """Ternary product of three order-3 arrays."""
+def _fish_labels(variant: str, twist: bool):
+    """The fish geometry, stated once. Returns the kernel labels of the
+    tail, body and head over i j p q r k, the output labels, and the
+    positions in (a, b, c) of the tail, body and head. The tips sit on the
+    two axes that are not the mouth, in order; the twist swaps the body's."""
     if variant not in ETA_VARIANTS:
         raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
     z, rev = ETA_VARIANTS[variant]
-    tail, body, head = (c, b, a) if rev else (a, b, c)
-    t1, t2 = _tip_axes(tail, body, head, z)
 
-    def at(x, y, w):
-        """Labels for the axes t1, t2 (the tips) and z (the mouth)."""
-        labels = [None] * 3
-        labels[t1], labels[t2], labels[z] = x, y, w
-        return labels
+    def at(tips, mouth):
+        return tips[:z] + mouth + tips[z:]
 
-    body_labels = at("r", "q", "p") if twist else at("q", "r", "p")
-    operands = [(tail, at("i", "j", "p")), (body, body_labels), (head, at("q", "r", "k"))]
-    return einsum(operands, at("i", "j", "k"))
+    roles = (at("ij", "p"), at("rq" if twist else "qr", "p"), at("qr", "k"))
+    return roles, at("ij", "k"), ((2, 1, 0) if rev else (0, 1, 2))
+
+
+def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False) -> Array:
+    """Ternary product of three order-3 arrays; the kernel refuses arrays of
+    another order or that do not conform."""
+    roles, out, order = _fish_labels(variant, twist)
+    args = (a, b, c)
+    return einsum([(args[n], labels) for n, labels in zip(order, roles)], out)
 
 
 def make_fish_binding(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False):
     """Build the one-body ternary diagram with a, b, c bound to its edges so
     that evaluating it reproduces fish(a, b, c, variant, twist); evaluation
     refuses arrays that do not conform. Returns (diagram, binding)."""
-    if variant not in ETA_VARIANTS:
-        raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
-    z, rev = ETA_VARIANTS[variant]
-    tail, body, head = (c, b, a) if rev else (a, b, c)
-    t1, t2 = _tip_axes(tail, body, head, z)
-    verts = {
-        "v0": Vertex("v0", tail.axes[t1], False),
-        "v1": Vertex("v1", tail.axes[t2], False),
-        "v2": Vertex("v2", tail.axes[z], True),
-        "v3": Vertex("v3", head.axes[t1], True),
-        "v4": Vertex("v4", head.axes[t2], True),
-        "v5": Vertex("v5", head.axes[z], False),
-    }
-    edges = {
-        "e0": Hyperedge("e0", ("v0", "v1", "v2")),
-        "e1": Hyperedge("e1", ("v3", "v4", "v2")),
-        "e2": Hyperedge("e2", ("v3", "v4", "v5")),
-    }
-    d = Diagram(verts, edges)
-    if twist:
-        body_axes = {"v3": t2, "v4": t1, "v2": z}
-    else:
-        body_axes = {"v3": t1, "v4": t2, "v2": z}
-    binding = {
-        "e0": BoundEdge(tail, {"v0": t1, "v1": t2, "v2": z}),
-        "e1": BoundEdge(body, body_axes),
-        "e2": BoundEdge(head, {"v3": t1, "v4": t2, "v5": z}),
-    }
-    return d, binding
+    roles, _, order = _fish_labels(variant, twist)
+    arrays = [(a, b, c)[n] for n in order]
+    # each array on its own labels: one label per axis, else CONFORMABILITY
+    tail, _, head = (_label_axes([(x, labels)]) for x, labels in zip(arrays, roles))
+    axis = {**tail, **head}  # i j p carry the tail's index sets, q r k the head's
+    verts = {vid: Vertex(vid, axis[lab], lab in "pqr") for lab, vid in _FISH_VERTEX.items()}
+    edges, binding = {}, {}
+    for n, (legs, x, labels) in enumerate(zip(_FISH_LEGS, arrays, roles)):
+        eid = f"e{n}"
+        edges[eid] = Hyperedge(eid, tuple(_FISH_VERTEX[lab] for lab in legs))
+        binding[eid] = BoundEdge(x, {_FISH_VERTEX[lab]: labels.index(lab) for lab in legs})
+    return Diagram(verts, edges), binding
 
 
 def fish_output_order(variant: str) -> list:
     """Free vertices of the diagram from make_fish_binding, ordered so the
     evaluated axes line up with fish(): tips at their positions, mouth at z."""
-    z, _ = ETA_VARIANTS[variant]
-    order = [None, None, None]
-    t1, t2 = [p for p in range(3) if p != z]
-    order[t1], order[t2], order[z] = "v0", "v1", "v5"
-    return order
+    _, out, _ = _fish_labels(variant, False)
+    return [_FISH_VERTEX[lab] for lab in out]
 
 
 def fish_unit_arrays(index_set: IndexSet, semiring: Semiring):
@@ -153,9 +136,14 @@ def semiheap_law_arrays(variant: str, semiring: Semiring, sizes, trials: int,
     """Para-associativity ((abc)de) = (a(dcb)e) = (ab(cde)) on seeded random
     order-3 arrays with the given axis sizes. `product` substitutes another
     ternary product for the law check (defaults to the fish engine)."""
+    return _semiheap_trials(variant, semiring, sizes, trials, random.Random(seed), twist, product)
+
+
+def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False, product=None) -> Verdict:
+    """The trial loop of the para-associativity law: five arrays on (I, J, K)
+    drawn from `rng` per trial; a failure's witness names its trial."""
     i, j, k = sizes
     axes = (IndexSet("I", i), IndexSet("J", j), IndexSet("K", k))
-    rng = random.Random(seed)
     for t in range(trials):
         arrays = [random_array(axes, semiring, rng) for _ in range(5)]
         v = semiheap_check_arrays(*arrays, variant, twist, product)
@@ -340,6 +328,14 @@ class TernaryTable:
         return f"TernaryTable(n={self.n}, kind={self.kind!r})"
 
 
+def _tabulate(elements, op, kind: str, labels=None) -> TernaryTable:
+    """The table of a ternary operation on a finite list of distinct,
+    hashable elements: (a b c) is the position of op(a, b, c) in the list."""
+    index = {x: n for n, x in enumerate(elements)}
+    table = [index[op(x, y, z)] for x in elements for y in elements for z in elements]
+    return TernaryTable(len(index), table, labels, kind)
+
+
 def group_heap(mult) -> TernaryTable:
     """Heap of a finite group given by its multiplication table:
     (a b c) = a * inverse(b) * c."""
@@ -366,12 +362,7 @@ def group_heap(mult) -> TernaryTable:
     for a, b, c in itertools.product(range(n), repeat=3):
         if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
             raise PlexusError("BAD_TABLE", f"multiplication not associative at {(a, b, c)}")
-    table = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                table.append(rows[rows[a][inv[b]]][c])
-    return TernaryTable(n, table, kind="group-heap")
+    return _tabulate(range(n), lambda a, b, c: rows[rows[a][inv[b]]][c], "group-heap")
 
 
 def relation_semiheap(p: int, q: int) -> TernaryTable:
@@ -400,9 +391,8 @@ def relation_semiheap(p: int, q: int) -> TernaryTable:
                     out |= 1 << (x * q + w)
         return out
 
-    table = [op(r1, r2, r3) for r1 in range(n) for r2 in range(n) for r3 in range(n)]
     labels = [format(r, f"0{p * q}b") for r in range(n)]
-    return TernaryTable(n, table, labels, kind="relation-semiheap")
+    return _tabulate(range(n), op, "relation-semiheap", labels)
 
 
 def _perm_compose(f, g):
@@ -416,20 +406,18 @@ def _perm_inverse(f):
     return tuple(out)
 
 
+def _bijection_product(f, g, h):
+    """(f g h)(x) = f(g_inverse(h(x)))."""
+    return _perm_compose(f, _perm_compose(_perm_inverse(g), h))
+
+
 def bijection_heap(n: int) -> TernaryTable:
     """Heap of bijections on an n-set: (f g h)(x) = f(g_inverse(h(x)))."""
     if n < 1 or n > 3:
         raise PlexusError("BAD_TABLE", "bijection carrier supported up to 3 points")
     perms = sorted(itertools.permutations(range(n)))
-    index = {f: i for i, f in enumerate(perms)}
-    table = []
-    for f in perms:
-        for g in perms:
-            gi = _perm_inverse(g)
-            for h in perms:
-                table.append(index[_perm_compose(f, _perm_compose(gi, h))])
     labels = ["".join(map(str, f)) for f in perms]
-    return TernaryTable(len(perms), table, labels, kind="bijection-heap")
+    return _tabulate(perms, _bijection_product, "bijection-heap", labels)
 
 
 def vector_heap(m: int, dim: int) -> TernaryTable:
@@ -437,14 +425,9 @@ def vector_heap(m: int, dim: int) -> TernaryTable:
     if m < 1 or dim < 1:
         raise PlexusError("BAD_TABLE", "need m >= 1 and dim >= 1")
     elems = list(itertools.product(range(m), repeat=dim))
-    index = {v: i for i, v in enumerate(elems)}
-    table = []
-    for u in elems:
-        for v in elems:
-            for w in elems:
-                table.append(index[tuple((a - b + c) % m for a, b, c in zip(u, v, w))])
     labels = ["".join(map(str, v)) for v in elems]
-    return TernaryTable(len(elems), table, labels, kind="vector-heap")
+    return _tabulate(elems, lambda u, v, w: tuple((a - b + c) % m for a, b, c in zip(u, v, w)),
+                     "vector-heap", labels)
 
 
 def make_ternary_table(kind: str, *args) -> TernaryTable:
@@ -556,14 +539,7 @@ def biunit_transport(t: TernaryTable, e: int, e2: int):
 
 def reverse_table(t: TernaryTable) -> TernaryTable:
     """(a b c) of the reverse is (c b a) of the original."""
-    n = t.n
-    table = [
-        t.op(c, b, a)
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    ]
-    return TernaryTable(n, table, t.labels, kind=t.kind + "-reversed")
+    return _tabulate(range(t.n), lambda a, b, c: t.op(c, b, a), t.kind + "-reversed", t.labels)
 
 
 def check_reverse_semiheap(t: TernaryTable) -> Verdict:
@@ -592,19 +568,15 @@ def check_isotropy_biinvariance(A_size: int, B_size: int) -> Verdict:
     if n < 1 or n > 3:
         raise PlexusError("BAD_TABLE", "isotropy check supported up to 3 points")
     perms = sorted(itertools.permutations(range(n)))
-
-    def eta(f, g, h):
-        return _perm_compose(f, _perm_compose(_perm_inverse(g), h))
-
     for f, g, h in itertools.product(perms, repeat=3):
-        base = eta(f, g, h)
+        base = _bijection_product(f, g, h)
         for a in perms:
             fa = _perm_compose(f, a)
             ga = _perm_compose(g, a)
             for b in perms:
-                if eta(fa, _perm_compose(b, ga), _perm_compose(b, h)) != base:
+                if _bijection_product(fa, _perm_compose(b, ga), _perm_compose(b, h)) != base:
                     return Verdict(False, "biinvariance", (f, g, h, a, b))
-        if _perm_inverse(base) != eta(
+        if _perm_inverse(base) != _bijection_product(
             _perm_inverse(h), _perm_inverse(g), _perm_inverse(f)
         ):
             return Verdict(False, "reverse-iso", (f, g, h))

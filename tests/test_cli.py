@@ -237,6 +237,22 @@ def test_fish_semiring_mismatch(tmp_path, capsys):
     assert json.loads(err)["error"] == "SEMIRING_MISMATCH"
 
 
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["a", "b", "c"])
+def test_fish_refuses_an_argument_not_of_order_3(tmp_path, capsys, position):
+    ws = {
+        "semiring": "int-mod:5",
+        "index_sets": {"I": 2},
+        "arrays": {"cube": {"axes": ["I", "I", "I"], "entries": [1] * 8},
+                   "square": {"axes": ["I", "I"], "entries": [1] * 4}},
+    }
+    path = write(tmp_path, ws, "w.json")
+    args = [f"{path}:cube"] * 3
+    args[position] = f"{path}:square"
+    code, out, err = run(capsys, ["fish", *args])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "CONFORMABILITY"
+
+
 def test_rewrite_text_report(capsys):
     code, out, err = run(capsys, ["rewrite", "zee"])
     assert code == 0 and err == ""
@@ -302,6 +318,25 @@ def test_enumerate_json(capsys):
     assert rep["symmetric"] == 3
     assert len(rep["classes"]) == 10
     assert sum(c["symmetric"] for c in rep["classes"]) == 3
+
+
+@pytest.mark.parametrize("flag,value,name,least", [
+    ("--edges", "0", "num_edges", 1),
+    ("--order", "0", "edge_order", 1),
+    ("--free", "-1", "free_vertices", 0),
+])
+def test_enumerate_refuses_a_parameter_below_its_bound(capsys, flag, value, name, least):
+    code, out, err = run(capsys, ["enumerate", flag, value])
+    assert code == 2 and out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "BAD_REFERENCE"
+    assert f"{name} must be at least {least}, got {value}" in rep["message"]
+
+
+def test_enumerate_allows_no_free_vertices(capsys):
+    code, out, _ = run(capsys, ["enumerate", "--free", "0"])
+    assert code == 0
+    assert out.splitlines()[-1] == "count: 1, symmetric: 1"
 
 
 def test_export_dot(tmp_path, capsys):

@@ -14,6 +14,7 @@ from plexus import (
     entrywise_add,
     entrywise_mul,
     evaluate,
+    evaluate_formula_oracle,
     fish,
     make_fish_binding,
     make_semiring,
@@ -97,6 +98,9 @@ SEMIRING_MISMATCH = [
     pytest.param(lambda: entrywise_mul(arr(I2), arr(I2, s=MOD5)), id="entrywise_mul"),
     pytest.param(lambda: evaluate(standard_diagram("vee"), _vee_binding(arr(I2, I2, s=MOD5))),
                  id="evaluate"),
+    pytest.param(lambda: evaluate_formula_oracle(standard_diagram("vee"),
+                                                 _vee_binding(arr(I2, I2, s=MOD5))),
+                 id="evaluate_formula_oracle"),
     pytest.param(lambda: biunit_pair_check(arr(I2, J3, K2), arr(I2, J3, K2, s=MOD5)),
                  id="biunit_pair_check"),
     *[pytest.param(lambda v=v, t=t: fish(*_fish_triple(v, t, body_semiring=MOD5), v, t),

@@ -204,10 +204,16 @@ def test_census_variants():
 def test_census_bad_parameters():
     with pytest.raises(PlexusError) as err:
         enumerate_compositions(0, 3, 3)
-    assert err.value.code == "CONFORMABILITY"
+    assert err.value.code == "BAD_REFERENCE"
+    assert "num_edges must be at least 1" in str(err.value)
     with pytest.raises(PlexusError) as err:
         enumerate_compositions(3, 0, 3)
-    assert err.value.code == "CONFORMABILITY"
+    assert err.value.code == "BAD_REFERENCE"
+    assert "edge_order must be at least 1" in str(err.value)
+    with pytest.raises(PlexusError) as err:
+        enumerate_compositions(3, 3, -1)
+    assert err.value.code == "BAD_REFERENCE"
+    assert "free_vertices must be at least 0" in str(err.value)
     with pytest.raises(PlexusError) as err:
         enumerate_compositions(3, 3, 3, "nonsense")
     assert err.value.code == "BAD_REFERENCE"

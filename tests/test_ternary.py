@@ -7,6 +7,7 @@ import pytest
 
 from plexus import (
     ETA_VARIANTS,
+    Array,
     IndexSet,
     PlexusError,
     TernaryTable,
@@ -44,6 +45,7 @@ from plexus import (
     semiheap_check_arrays,
     semiheap_law_arrays,
     vector_heap,
+    zero_array,
 )
 
 BOOL = make_semiring("boolean")
@@ -142,6 +144,73 @@ def test_sequentializations_need_regular_arrays():
     with pytest.raises(PlexusError) as err:
         fish_sequentializations_check(a, a, a)
     assert err.value.code == "CONFORMABILITY"
+
+
+# Each (variant, twist) product written out by hand, without ETA_VARIANTS:
+# the index letters of a, b and c and of the result, read as
+# result[out] = sum over p, q, r of a[.] * b[.] * c[.].
+FISH_FORMULAS = {
+    ("IJK", False): ("ijp", "qrp", "qrk", "ijk"),
+    ("IJK", True): ("ijp", "rqp", "qrk", "ijk"),
+    ("JIK", False): ("qrk", "qrp", "ijp", "ijk"),
+    ("JIK", True): ("qrk", "rqp", "ijp", "ijk"),
+    ("KIJ", False): ("ipj", "qpr", "qkr", "ikj"),
+    ("KIJ", True): ("ipj", "rpq", "qkr", "ikj"),
+    ("IKJ", False): ("qkr", "qpr", "ipj", "ikj"),
+    ("IKJ", True): ("qkr", "rpq", "ipj", "ikj"),
+    ("JKI", False): ("pij", "pqr", "kqr", "kij"),
+    ("JKI", True): ("pij", "prq", "kqr", "kij"),
+    ("KJI", False): ("kqr", "pqr", "pij", "kij"),
+    ("KJI", True): ("kqr", "prq", "pij", "kij"),
+}
+MOD7 = make_semiring("int_mod", 7)
+# one index set per letter, sized so that no array has two axes of one size
+PER_LETTER = {lab: IndexSet(lab.upper(), n) for lab, n in zip("ijpqrk", (2, 3, 4, 3, 2, 4))}
+
+
+def _by_formula(arrays, letters, out):
+    """The product of `arrays` read off their index letters by plain loops,
+    with result axes in the order of `out`."""
+    s = arrays[0].semiring
+    axis = {lab: ax for x, word in zip(arrays, letters) for lab, ax in zip(word, x.axes)}
+    entries = []
+    for free in itertools.product(*(range(axis[lab].size) for lab in out)):
+        acc = s.zero()
+        for summed in itertools.product(*(range(axis[lab].size) for lab in "pqr")):
+            value = {**dict(zip(out, free)), **dict(zip("pqr", summed))}
+            term = s.one()
+            for x, word in zip(arrays, letters):
+                term = s.mul(term, x.entry(tuple(value[lab] for lab in word)))
+            acc = s.add(acc, term)
+        entries.append(acc)
+    return Array([axis[lab] for lab in out], entries, s)
+
+
+@pytest.mark.parametrize("regular", [False, True], ids=["per-letter-sets", "one-set"])
+@pytest.mark.parametrize("variant,twist", list(FISH_FORMULAS))
+def test_fish_and_its_diagram_match_the_hand_written_formula(variant, twist, regular):
+    # per-letter index sets catch a wrong geometry as a refusal or a wrong
+    # shape, one shared index set as wrong entries
+    *letters, out = FISH_FORMULAS[variant, twist]
+    rng = random.Random(31)
+    for _ in range(3):
+        arrays = [random_array([I2 if regular else PER_LETTER[lab] for lab in word], MOD7, rng)
+                  for word in letters]
+        assert fish(*arrays, variant, twist) == _by_formula(arrays, letters, out)
+        d, binding = make_fish_binding(*arrays, variant, twist)
+        assert evaluate(d, binding) == _by_formula(arrays, letters, "ijk")
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["a", "b", "c"])
+def test_fish_refuses_an_argument_not_of_order_3(position, order):
+    for (variant, twist), (*letters, _) in FISH_FORMULAS.items():
+        arrays = [zero_array([PER_LETTER[lab] for lab in word], MOD7) for word in letters]
+        arrays[position] = zero_array((I2,) * order, MOD7)
+        for product in (fish, make_fish_binding):
+            with pytest.raises(PlexusError) as err:
+                product(*arrays, variant, twist)
+            assert err.value.code == "CONFORMABILITY"
 
 
 def test_fish_through_diagram_evaluator():
