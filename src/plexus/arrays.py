@@ -262,7 +262,7 @@ def _label_axes(operands) -> dict:
     axis = {}
     for a, labels in operands:
         if len(labels) != a.order:
-            raise PlexusError("CONFORMABILITY", f"{len(labels)} labels for an order-{a.order} array")
+            raise PlexusError("CONFORMABILITY", f"labels {list(labels)} for an order-{a.order} array")
         if a.semiring != s:
             raise PlexusError("SEMIRING_MISMATCH", f"operands over {s.name} and {a.semiring.name}")
         for lab, ax in zip(labels, a.axes):

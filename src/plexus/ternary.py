@@ -59,9 +59,15 @@ def _fish_labels(variant: str, twist: bool):
 def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False) -> Array:
     """Ternary product of three order-3 arrays; the kernel refuses arrays of
     another order or that do not conform."""
+    return _fish_kernel(((a, ""), (b, ""), (c, "")), variant, twist)
+
+
+def _fish_kernel(args, variant, twist, batch=""):
+    """The fish as one kernel call on (array, batch labels) pairs in (a, b, c)
+    order: an argument's leading axes, under its batch labels, are stacks of
+    arguments, and the output leads with the `batch` axes."""
     roles, out, order = _fish_labels(variant, twist)
-    args = (a, b, c)
-    return einsum([(args[n], labels) for n, labels in zip(order, roles)], out)
+    return einsum([(args[n][0], [*args[n][1], *labels]) for n, labels in zip(order, roles)], [*batch, *out])
 
 
 def make_fish_binding(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False):
@@ -231,15 +237,17 @@ def unit_pair_via_basis(e: Array, e_prime: Array, variant: str = "JKI",
                         side: str = "right", twist: bool = False) -> Verdict:
     """Quantify a unit identity over every array by checking it on the basis
     indicators: right means (a e e') = a, left means (e e' a) = a. The
-    product is linear in each slot, so the basis settles all arrays."""
-    axes = e.axes
-    for pos in itertools.product(*(range(ax.size) for ax in axes)):
-        a = indicator_array(axes, pos, e.semiring)
-        if side == "right":
-            got = fish(a, e, e_prime, variant, twist)
-        else:
-            got = fish(e, e_prime, a, variant, twist)
-        if got != a:
+    product is linear in each slot, so the basis settles all arrays. All
+    indicators are stacked on one basis label and multiplied in one kernel
+    call; a witness is the first indicator, in row-major order, that fails."""
+    axes, s, m = e.axes, e.semiring, len(e.entries)
+    basis = IndexSet("basis", m)
+    stacked = Array((basis, *axes), kronecker(2, basis, s).entries, s)
+    args = [(stacked, "X"), (e, ""), (e_prime, "")]
+    got = _fish_kernel(args if side == "right" else args[1:] + args[:1], variant, twist, "X")
+    for k, pos in enumerate(itertools.product(*(range(ax.size) for ax in axes))):
+        block = slice(k * m, (k + 1) * m)
+        if got.axes[1:] != axes or not all(map(s.eq, got.entries[block], stacked.entries[block])):
             return Verdict(False, f"{side}-unit", {"basis": pos})
     return Verdict(True, f"{side}-unit")
 
@@ -448,28 +456,33 @@ def make_ternary_table(kind: str, *args) -> TernaryTable:
 
 def check_semiheap(t: TernaryTable) -> Verdict:
     """Para-associativity over all quintuples:
-    ((abc)de) = (a(dcb)e) = (ab(cde))."""
+    ((abc)de) = (a(dcb)e) = (ab(cde)). As maps of e the three sides are the
+    rows (abc,d) and (a,dcb) of the table and row (a,b) after row (c,d),
+    where row (x,y) is e -> (x y e). Rows get interned ids, so a quadruple
+    compares ids; only a failing one is scanned over e for its witness."""
     n, T = t.n, t.table
     rng = range(n)
-    for a in rng:
-        an = a * n
-        for b in rng:
-            abn = (an + b) * n
-            for c in rng:
-                abc = T[abn + c]
-                abcn = abc * n
-                cn = c * n
-                for d in rng:
-                    dcb = T[(d * n + c) * n + b]
-                    adcb = (an + dcb) * n
-                    cdn = (cn + d) * n
-                    abcdn = (abcn + d) * n
-                    for e in rng:
-                        x = T[abcdn + e]
-                        if x != T[adcb + e]:
-                            return Verdict(False, "sh-mid", (a, b, c, d, e))
-                        if x != T[abn + T[cdn + e]]:
-                            return Verdict(False, "sh-right", (a, b, c, d, e))
+    ids = {}
+    row = [ids.setdefault(T[k:k + n], len(ids)) for k in range(0, n ** 3, n)]
+    rows, after = list(ids), {}
+    R = [row[x * n:(x + 1) * n] for x in rng]  # R[x][y]: id of row (x,y)
+    for a, b, c in itertools.product(rng, repeat=3):
+        abc = T[(a * n + b) * n + c]
+        Ra, Rabc, Rc, ab = R[a], R[abc], R[c], R[a][b]
+        for d in rng:
+            cd, dcb = Rc[d], T[(d * n + c) * n + b]
+            right = after.get((ab, cd))
+            if right is None:  # -1: a composite that is no row equals no left side
+                right = after[ab, cd] = ids.get(tuple(rows[ab][x] for x in rows[cd]), -1)
+            left = Rabc[d]
+            if left == Ra[dcb] and left == right:
+                continue
+            for e in rng:
+                x = T[(abc * n + d) * n + e]
+                if x != T[(a * n + dcb) * n + e]:
+                    return Verdict(False, "sh-mid", (a, b, c, d, e))
+                if x != T[(a * n + b) * n + T[(c * n + d) * n + e]]:
+                    return Verdict(False, "sh-right", (a, b, c, d, e))
     return Verdict(True, "sh")
 
 
@@ -590,30 +603,48 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
     indicators; the product is linear in each slot, so the basis suffices),
     heapoid (every element in some biunit pair), Malcev (every element pairs
     with itself), and whether the tridentity and extended partial identity
-    are present and neutral (fish category units)."""
+    are present and neutral (fish category units).
+
+    The carrier shares one constellation and one semiring, else it is
+    refused up front with the kernel's CONFORMABILITY or SEMIRING_MISMATCH.
+    The products (a b c) of one a over every b, c are one kernel call, so a
+    nat64 or float64 OVERFLOW anywhere in that block is raised even where an
+    earlier product of the block is missing from the carrier. Products are
+    looked up by their entries; the first of equal carrier arrays wins."""
     n = len(carrier)
     if n == 0:
         raise PlexusError("BAD_TABLE", "empty carrier")
+    # one constellation and semiring for all, else the kernel's own error
+    _label_axes([(x, "ijk") for x in carrier])
+    axes, s, m = carrier[0].axes, carrier[0].semiring, len(carrier[0].entries)
+    stacked = Array((IndexSet("carrier", n), *axes), [v for x in carrier for v in x.entries], s)
+    if s.exact:
+        first = {}
+        for k, x in enumerate(carrier):
+            first.setdefault(x.entries, k)
+        find = first.get
+    else:  # float64 equality is approximate: scan for the first match
+        def find(r):
+            return next((k for k, x in enumerate(carrier) if all(map(s.eq, x.entries, r))), None)
     table = []
-    for a in carrier:
-        for b in carrier:
-            for c in carrier:
-                r = fish(a, b, c, variant, twist)
-                idx = next((i for i, x in enumerate(carrier) if x == r), None)
-                if idx is None:
-                    return {
-                        "closed": Verdict(False, "closure", r),
-                        "table": None,
-                        "sh": None,
-                        "semiheapoid": False,
-                        "unit_pairs": [],
-                        "co_unit_pairs": [],
-                        "biunit_pairs": [],
-                        "heapoid": False,
-                        "malcev": False,
-                        "fish_category": False,
-                    }
-                table.append(idx)
+    for a in carrier:  # the block of (a b c) over all b, c, one kernel call
+        block = _fish_kernel(((a, ""), (stacked, "B"), (stacked, "C")), variant, twist, "BC")
+        for off in range(0, n * n * m, m):
+            idx = find(block.entries[off:off + m])
+            if idx is None:
+                return {
+                    "closed": Verdict(False, "closure", Array(block.axes[2:], block.entries[off:off + m], s)),
+                    "table": None,
+                    "sh": None,
+                    "semiheapoid": False,
+                    "unit_pairs": [],
+                    "co_unit_pairs": [],
+                    "biunit_pairs": [],
+                    "heapoid": False,
+                    "malcev": False,
+                    "fish_category": False,
+                }
+            table.append(idx)
     tt = TernaryTable(n, table, kind="fish-carrier")
     sh = check_semiheap(tt)
     unit_pairs = [
@@ -641,10 +672,9 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
     heapoid = all(any(p[0] == i for p in biunit_pairs) for i in range(n))
     malcev = all((i, i) in biunit_pairs for i in range(n))
     fish_category = False
-    axes = carrier[0].axes
     if len(set(axes)) == 1:
-        t, u = fish_unit_arrays(axes[2], carrier[0].semiring)
-        if any(x == t for x in carrier) and any(x == u for x in carrier):
+        t, u = fish_unit_arrays(axes[2], s)
+        if find(t.entries) is not None and find(u.entries) is not None:
             fish_category = all(
                 unit_pair_via_basis(mid, top, variant, "right", twist).ok
                 for mid, top in ((t, t), (u, t), (t, u))

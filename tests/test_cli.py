@@ -251,6 +251,9 @@ def test_fish_refuses_an_argument_not_of_order_3(tmp_path, capsys, position):
     code, out, err = run(capsys, ["fish", *args])
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "CONFORMABILITY"
+    # the argument's labels in a[i,j,p] b[q,r,p] c[q,r,k]
+    labels = list(("ijp", "qrp", "qrk")[position])
+    assert f"labels {labels} for an order-2 array" in json.loads(err)["message"]
 
 
 def test_rewrite_text_report(capsys):

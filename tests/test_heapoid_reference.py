@@ -1,0 +1,201 @@
+"""`heapoid_check` and `check_semiheap` against the plain loops they
+replace: the closure as one `fish` call and one linear scan per triple, the
+basis check as one `fish` call per indicator, and para-associativity as a
+five-deep loop over quintuples. The loops are kept here as references."""
+import itertools
+import random
+
+import pytest
+
+from plexus import (
+    ETA_VARIANTS,
+    Array,
+    IndexSet,
+    PlexusError,
+    TernaryTable,
+    bijection_heap,
+    check_semiheap,
+    fish,
+    fish_unit_arrays,
+    group_heap,
+    heapoid_check,
+    indicator_array,
+    kronecker,
+    parse_semiring,
+    random_array,
+    relation_semiheap,
+    reverse_table,
+    vector_heap,
+)
+from plexus.core import Verdict
+
+SEMIRINGS = [parse_semiring(name) for name in ("boolean", "int-mod:3", "nat64", "min-plus", "float64")]
+PAIRS = [(variant, twist) for variant in ETA_VARIANTS for twist in (False, True)]
+I2 = IndexSet("I", 2)
+
+
+def loop_semiheap(t):
+    """Para-associativity, one quintuple at a time."""
+    for a, b, c, d, e in itertools.product(range(t.n), repeat=5):
+        x = t.op(t.op(a, b, c), d, e)
+        if x != t.op(a, t.op(d, c, b), e):
+            return Verdict(False, "sh-mid", (a, b, c, d, e))
+        if x != t.op(a, b, t.op(c, d, e)):
+            return Verdict(False, "sh-right", (a, b, c, d, e))
+    return Verdict(True, "sh")
+
+
+def loop_unit(e, e_prime, variant, side, twist):
+    """The unit identity on each basis indicator, one `fish` call each."""
+    for pos in itertools.product(*(range(ax.size) for ax in e.axes)):
+        a = indicator_array(e.axes, pos, e.semiring)
+        got = fish(a, e, e_prime, variant, twist) if side == "right" else fish(e, e_prime, a, variant, twist)
+        if got != a:
+            return Verdict(False, f"{side}-unit", {"basis": pos})
+    return Verdict(True, f"{side}-unit")
+
+
+def loop_heapoid(carrier, variant, twist):
+    """The closure report, one `fish` call and one linear scan per triple."""
+    n = len(carrier)
+    table = []
+    for a, b, c in itertools.product(carrier, repeat=3):
+        r = fish(a, b, c, variant, twist)
+        idx = next((i for i, x in enumerate(carrier) if x == r), None)
+        if idx is None:
+            return {"closed": Verdict(False, "closure", r), "table": None, "sh": None, "semiheapoid": False,
+                    "unit_pairs": [], "co_unit_pairs": [], "biunit_pairs": [],
+                    "heapoid": False, "malcev": False, "fish_category": False}
+        table.append(idx)
+    tt = TernaryTable(n, table)
+    unit = [(i, j) for i in range(n) for j in range(n) if all(tt.op(k, i, j) == k for k in range(n))]
+    co_unit = [(i, j) for i in range(n) for j in range(n) if all(tt.op(i, j, k) == k for k in range(n))]
+    biunit = [(i, j) for i, j in unit if (i, j) in co_unit
+              and loop_unit(carrier[i], carrier[j], variant, "right", twist).ok
+              and loop_unit(carrier[i], carrier[j], variant, "left", twist).ok]
+    category = False
+    if len(set(carrier[0].axes)) == 1:
+        t, u = fish_unit_arrays(carrier[0].axes[2], carrier[0].semiring)
+        if any(x == t for x in carrier) and any(x == u for x in carrier):
+            category = all(loop_unit(mid, top, variant, "right", twist).ok
+                           for mid, top in ((t, t), (u, t), (t, u)))
+    sh = loop_semiheap(tt)
+    return {"closed": Verdict(True, "closure"), "table": tt.table, "sh": sh, "semiheapoid": sh.ok,
+            "unit_pairs": unit, "co_unit_pairs": co_unit, "biunit_pairs": biunit,
+            "heapoid": all(any(p[0] == i for p in biunit) for i in range(n)),
+            "malcev": all((i, i) in biunit for i in range(n)), "fish_category": category}
+
+
+def outcome(check):
+    """A report with its table as a tuple, or the code of the error raised."""
+    try:
+        report = check()
+    except PlexusError as err:
+        return err.code
+    if isinstance(report["table"], TernaryTable):
+        report["table"] = report["table"].table
+    return report
+
+
+def permutation_carrier(axes, s):
+    """The arrays with one `one` in each mouth fibre, placed by a
+    permutation: closed under the product in every semiring."""
+    p, q, r = (ax.size for ax in axes)
+    return [Array(axes, [s.one() if sigma[i] == j * r + k else s.zero()
+                         for i in range(p) for j in range(q) for k in range(r)], s)
+            for sigma in itertools.permutations(range(p))]
+
+
+def carriers(s, rng):
+    t, u = fish_unit_arrays(I2, s)
+    delta = kronecker(3, I2, s)
+    yield [delta]
+    yield [t, u]
+    yield [u, t, u]  # a duplicate: products resolve to its first copy
+    yield permutation_carrier((IndexSet("I", 2), IndexSet("J", 2), IndexSet("K", 1)), s)
+    yield permutation_carrier((IndexSet("I", 2), IndexSet("J", 1), IndexSet("K", 2)), s)
+    yield permutation_carrier((I2, I2, IndexSet("K", 1)), s)
+    for n in (1, 2, 3):
+        x = [random_array((I2,) * 3, s, rng) for _ in range(n)]
+        yield x
+        yield x + [delta, x[0]]
+
+
+@pytest.mark.parametrize("s", SEMIRINGS, ids=lambda s: s.name)
+def test_heapoid_check_matches_the_loop_closure(s):
+    rng = random.Random(5)
+    seen = set()
+    for carrier in carriers(s, rng):
+        for variant, twist in PAIRS:
+            want = outcome(lambda: loop_heapoid(carrier, variant, twist))
+            got = outcome(lambda: heapoid_check(carrier, variant, twist))
+            assert got == want, (variant, twist, carrier)
+            seen.add(want if isinstance(want, str) else want["closed"].ok)
+    assert seen == {True, False, "CONFORMABILITY"}  # closed, open and refused carriers
+
+
+def random_tables(rng):
+    for k in range(400):
+        n = 1 + k % 5
+        kind = rng.random()
+        if kind < 0.1:  # the projections onto a and onto c are semiheaps
+            triples = itertools.product(range(n), repeat=3)
+            yield TernaryTable(n, [x if kind < 0.05 else z for x, _, z in triples])
+        else:
+            yield TernaryTable(n, [rng.randrange(n) for _ in range(n ** 3)])
+
+
+def test_check_semiheap_matches_the_quintuple_loop_on_random_tables():
+    laws = set()
+    for t in random_tables(random.Random(7)):
+        want = loop_semiheap(t)
+        assert check_semiheap(t) == want, t.table
+        laws.add(want.law)
+    assert laws == {"sh", "sh-mid", "sh-right"}
+
+
+def cyclic(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+SHIPPED = {f"group_heap Z{n}": lambda n=n: group_heap(cyclic(n)) for n in (2, 3, 4, 5)}
+SHIPPED.update({
+    "vector_heap 3,1": lambda: vector_heap(3, 1),
+    "vector_heap 2,2": lambda: vector_heap(2, 2),
+    "bijection_heap 2": lambda: bijection_heap(2),
+    "bijection_heap 3": lambda: bijection_heap(3),
+    "relation_semiheap 2,2": lambda: relation_semiheap(2, 2),
+})
+
+
+@pytest.mark.parametrize("name", list(SHIPPED))
+def test_check_semiheap_matches_the_quintuple_loop_on_shipped_tables(name):
+    t = SHIPPED[name]()
+    for table in (t, reverse_table(t)):
+        assert check_semiheap(table) == loop_semiheap(table)
+
+
+def test_heapoid_refuses_a_mixed_carrier_up_front():
+    # the loop returned "not closed" at the first triple, (x x x) = 8x; the
+    # stacked carrier is refused before any product
+    s = parse_semiring("int-mod:11")
+    x = Array((I2,) * 3, [1] * 8, s)
+    other = Array((IndexSet("J", 2),) * 3, [0] * 8, s)
+    assert not loop_heapoid([x, other], "IJK", False)["closed"].ok
+    with pytest.raises(PlexusError) as err:
+        heapoid_check([x, other])
+    assert err.value.code == "CONFORMABILITY"
+    with pytest.raises(PlexusError) as err:
+        heapoid_check([x, Array(x.axes, x.entries, parse_semiring("int-mod:13"))])
+    assert err.value.code == "SEMIRING_MISMATCH"
+
+
+@pytest.mark.parametrize("name,big", [("nat64", 2 ** 40), ("float64", 1e200)])
+def test_heapoid_raises_an_overflow_anywhere_in_the_block(name, big):
+    # (x x x) is missing and comes first; (x y y) overflows in the same block
+    s = parse_semiring(name)
+    x, y = Array((I2,) * 3, [s.one()] * 8, s), Array((I2,) * 3, [big] * 8, s)
+    assert not loop_heapoid([x, y], "IJK", False)["closed"].ok
+    with pytest.raises(PlexusError) as err:
+        heapoid_check([x, y])
+    assert err.value.code == "OVERFLOW"

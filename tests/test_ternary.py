@@ -211,6 +211,9 @@ def test_fish_refuses_an_argument_not_of_order_3(position, order):
             with pytest.raises(PlexusError) as err:
                 product(*arrays, variant, twist)
             assert err.value.code == "CONFORMABILITY"
+            # the message names the argument's labels in the formula
+            assert str(err.value) == (f"[CONFORMABILITY] labels {list(letters[position])} "
+                                      f"for an order-{order} array")
 
 
 def test_fish_through_diagram_evaluator():
