@@ -14,7 +14,7 @@ import sys
 
 from .checks import SUITES, run_selftest
 from .core import PlexusError
-from .diagram import standard_diagram, to_dot
+from .diagram import STANDARD_NAMES, standard_diagram, to_dot
 from .evaluator import default_binding, evaluate
 from .rewrite import (
     Motif,
@@ -25,8 +25,6 @@ from .rewrite import (
 from .semiring import parse_semiring
 from .ternary import ETA_VARIANTS, fish
 from .workspace import array_to_json, load_bindings, load_diagram, load_workspace
-
-_STANDARD = ("vee", "zee", "chain", "fish", "long_fish", "bm", "trinity_mid", "trinity_right")
 
 
 def _bind_by_label(ws, d):
@@ -64,7 +62,7 @@ def _load_host(token, diagram_name):
     if os.path.exists(token):
         ws = load_workspace(token)
         return _sole(ws.diagrams, "diagram", diagram_name), ws
-    if token in _STANDARD:
+    if token in STANDARD_NAMES:
         return standard_diagram(token), None
     if token.startswith("chain"):
         tail = token[5:].lstrip("(").rstrip(")")

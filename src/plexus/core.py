@@ -48,5 +48,6 @@ _SPLIT_DIGITS = re.compile(r"(\d+)")
 
 
 def natural_key(s: str):
-    """Sort key treating digit runs numerically, so v2 < v10."""
-    return tuple(int(part) if part.isdigit() else part for part in _SPLIT_DIGITS.split(s))
+    """Sort key treating decimal digit runs numerically, so v2 < v10; the raw
+    id breaks ties, so x01 < x1 and no two ids share a key."""
+    return tuple(int(part) if part.isdecimal() else part for part in _SPLIT_DIGITS.split(s)), s

@@ -128,6 +128,9 @@ _STANDARD = {
     "trinity_right": (6, [3, 4, 5], [(0, 3, 4), (1, 4, 5), (2, 3, 5)]),
 }
 
+# every name `standard_diagram` knows; chain also needs its edge count
+STANDARD_NAMES = ("chain", *_STANDARD)
+
 
 def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
     """Library of named diagrams, all on a single index set "I".
@@ -176,16 +179,16 @@ def _refine_colors(d: Diagram):
         color = new_color
 
 
-def canonical_form(d: Diagram) -> str:
-    """Label-independent certificate. Equal certificates = isomorphic diagrams
-    (marks and cardinalities respected). Exhaustive tie-break inside color
-    classes, so intended for small diagrams."""
+def _labelling_search(d: Diagram):
+    """The least (vertex, edge) signature over all labellings inside the
+    refined color classes (exhaustive, so for small diagrams), and every
+    labelling (vertex -> position) attaining it; two differ by an automorphism."""
     color = _refine_colors(d)
     classes = {}
     for v, c in color.items():
         classes.setdefault(c, []).append(v)
     blocks = [sorted(classes[c], key=natural_key) for c in sorted(classes)]
-    best = None
+    best, optimal = None, []
     for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
         pos = {}
         t = 0
@@ -202,9 +205,17 @@ def canonical_form(d: Diagram) -> str:
             sorted(tuple(sorted(pos[w] for w in e.legs)) for e in d.edges.values())
         )
         cand = (vsig, esig)
-        if best is None or cand < best:
-            best = cand
-    return repr(best)
+        if best is None or cand <= best:
+            if cand != best:
+                best, optimal = cand, []
+            optimal.append(pos)
+    return best, optimal
+
+
+def canonical_form(d: Diagram) -> str:
+    """Label-independent certificate. Equal certificates = isomorphic diagrams
+    (marks and cardinalities respected)."""
+    return repr(_labelling_search(d)[0])
 
 
 def is_isomorphic(d1: Diagram, d2: Diagram) -> bool:

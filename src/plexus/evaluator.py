@@ -74,12 +74,16 @@ def evaluate(d: Diagram, binding: dict, output_order: list | None = None) -> Arr
     Output axes follow `output_order` (default: free vertices by natural id).
     Vertex ids label the kernel's indices; marked ones are summed out."""
     _check_binding(d, binding)
+    return einsum(_operands(d, binding), _output_order(d, output_order))
+
+
+def _output_order(d: Diagram, output_order: list | None) -> list:
+    """The output axes: `output_order` if it lists every free vertex once,
+    by default the free vertices by natural id."""
     free = d.free_vertices()
-    if output_order is not None:
-        if sorted(output_order, key=natural_key) != free:
-            raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
-        free = list(output_order)
-    return einsum(_operands(d, binding), free)
+    if output_order is not None and sorted(output_order, key=natural_key) != free:
+        raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
+    return free if output_order is None else list(output_order)
 
 
 def _operands(d: Diagram, binding: dict) -> list:
@@ -93,18 +97,15 @@ def _operands(d: Diagram, binding: dict) -> list:
 
 def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
     """Reference evaluation, kept independent of `evaluate` (it shares only
-    the binding check and the kernel's operand check, so it refuses what
-    `evaluate` refuses): iterate over every total vertex assignment, look
-    entries up by hand-rolled offsets, and add each term into the output
-    entry of the free part of the assignment."""
-    vids = d.vertex_ids()
-    free = [v for v in vids if not d.vertices[v].marked]
-    if output_order is not None:
-        if sorted(output_order, key=natural_key) != free:
-            raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
-        free = list(output_order)
+    the binding check, the output-order rule and the kernel's operand check,
+    in `evaluate`'s order, so it refuses what `evaluate` refuses): iterate
+    over every total vertex assignment, look entries up by hand-rolled
+    offsets, and add each term into the output entry of the free part of
+    the assignment."""
     _check_binding(d, binding)
+    free = _output_order(d, output_order)
     _label_axes(_operands(d, binding))
+    vids = d.vertex_ids()
     s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()
     sizes = [d.vertices[v].index_set.size for v in free]

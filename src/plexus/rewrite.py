@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import IndexSet, PlexusError, natural_key
 from .arrays import random_array
-from .diagram import Diagram, Hyperedge, Vertex, build_diagram, canonical_form, standard_diagram
+from .diagram import Diagram, Hyperedge, Vertex, _labelling_search, build_diagram, canonical_form, standard_diagram
 from .evaluator import BoundEdge, default_binding, evaluate
 
 
@@ -55,30 +55,23 @@ class Match:
     edge_map: dict
 
 
-def _compatible_vertex(pattern, host, pv, hv, strict_marks):
+def _compatible_vertex(pattern, host, pv, hv):
     pvx, hvx = pattern.vertices[pv], host.vertices[hv]
-    if pvx.index_set.size != hvx.index_set.size:
-        return False
-    if strict_marks:
-        return pvx.marked == hvx.marked
-    if pvx.marked and not hvx.marked:
-        return False
-    return True
+    return pvx.index_set.size == hvx.index_set.size and (hvx.marked or not pvx.marked)
 
 
-def _find_raw(host: Diagram, pattern: Diagram, strict_marks: bool, require_locality: bool):
+def _find_raw(host: Diagram, pattern: Diagram):
     pedges = pattern.edge_ids()
     results = []
 
     def backtrack(k, vmap, emap):
         if k == len(pedges):
-            if require_locality:
-                image = set(emap.values())
-                for pv, hv in vmap.items():
-                    if pattern.vertices[pv].marked:
-                        for he, hedge in host.edges.items():
-                            if hv in hedge.legs and he not in image:
-                                return
+            image = set(emap.values())
+            for pv, hv in vmap.items():
+                if pattern.vertices[pv].marked:
+                    for he, hedge in host.edges.items():
+                        if hv in hedge.legs and he not in image:
+                            return
             results.append(Match(dict(vmap), dict(emap)))
             return
         pe = pedges[k]
@@ -87,13 +80,7 @@ def _find_raw(host: Diagram, pattern: Diagram, strict_marks: bool, require_local
         for he, hedge in host.edges.items():
             if he in emap.values() or len(hedge.legs) != len(plegs):
                 continue
-            hlegs = set(hedge.legs)
-            fixed_ok = True
-            for pv in plegs:
-                if pv in vmap and vmap[pv] not in hlegs:
-                    fixed_ok = False
-                    break
-            if not fixed_ok:
+            if any(pv in vmap and vmap[pv] not in hedge.legs for pv in plegs):
                 continue
             free_plegs = [pv for pv in plegs if pv not in vmap]
             avail = [hv for hv in hedge.legs if hv not in taken]
@@ -101,7 +88,7 @@ def _find_raw(host: Diagram, pattern: Diagram, strict_marks: bool, require_local
                 continue
             for perm in itertools.permutations(avail):
                 if all(
-                    _compatible_vertex(pattern, host, pv, hv, strict_marks)
+                    _compatible_vertex(pattern, host, pv, hv)
                     for pv, hv in zip(free_plegs, perm)
                 ):
                     vmap.update(zip(free_plegs, perm))
@@ -116,28 +103,32 @@ def _find_raw(host: Diagram, pattern: Diagram, strict_marks: bool, require_local
 
 
 def motif_automorphisms(pattern: Diagram):
-    """Mark- and cardinality-preserving self-isomorphisms."""
-    return _find_raw(pattern, pattern, strict_marks=True, require_locality=False)
+    """Mark- and cardinality-preserving self-isomorphisms: pos0^-1 . pos over
+    the optimal labellings of the canonical search."""
+    _, optimal = _labelling_search(pattern)
+    at = {t: v for v, t in optimal[0].items()}
+    by_legs = {frozenset(e.legs): eid for eid, e in pattern.edges.items()}
+    vmaps = [{v: at[t] for v, t in pos.items()} for pos in optimal]
+    return [Match(vm, {eid: by_legs[frozenset(map(vm.get, e.legs))] for eid, e in pattern.edges.items()})
+            for vm in vmaps]
 
 
 def find_matches(host: Diagram, motif: Motif):
     """Matches of the motif in the host, one representative per automorphism
     orbit: the one whose tuple of host images (motif vertices in natural-id
-    order) is smallest."""
-    raw = _find_raw(host, motif.pattern, strict_marks=False, require_locality=True)
-    autos = motif_automorphisms(motif.pattern)
-    vids = motif.pattern.vertex_ids()
-    best_by_orbit = {}
-    for m in raw:
-        best_key, best_match = None, None
-        for a in autos:
-            vmap = {pv: m.vertex_map[a.vertex_map[pv]] for pv in m.vertex_map}
-            emap = {pe: m.edge_map[a.edge_map[pe]] for pe in m.edge_map}
-            key = tuple(natural_key(vmap[v]) for v in vids)
-            if best_key is None or key < best_key:
-                best_key, best_match = key, Match(vmap, emap)
-        best_by_orbit[best_key] = best_match
-    return [best_by_orbit[k] for k in sorted(best_by_orbit)]
+    order) is smallest. Two raw matches share an orbit iff they cover the
+    same host edges and give each covered host vertex a preimage of the same
+    mark."""
+    pattern = motif.pattern
+    vids = pattern.vertex_ids()
+    best = {}
+    for m in _find_raw(host, pattern):
+        key = tuple(natural_key(m.vertex_map[v]) for v in vids)
+        orbit = (frozenset(m.edge_map.values()),
+                 frozenset((hv, pattern.vertices[pv].marked) for pv, hv in m.vertex_map.items()))
+        if orbit not in best or key < best[orbit][0]:
+            best[orbit] = (key, m)
+    return [m for _, m in sorted(best.values(), key=lambda km: km[0])]
 
 
 def _replacement(host: Diagram, motif: Motif, match: Match):

@@ -196,29 +196,24 @@ def biunit_pair_check(e: Array, e_prime: Array) -> dict:
 
 
 def find_biunit_pairs(I: IndexSet, J: IndexSet, K: IndexSet, semiring: Semiring):
-    """Exhaustive boolean search for biunit pairs on (I, J, K). Every
-    candidate e is enumerated (entry count capped at 16) and its partner is
-    solved for through the flattened matrix: a boolean two-sided inverse of
-    flatten(e) transposed exists only when flatten(e) is a permutation
-    matrix, and then e' = e. Survivors are re-verified entrywise."""
+    """Exhaustive boolean search for biunit pairs on (I, J, K), capped at 16
+    entries. A boolean two-sided inverse of flatten(e) transposed exists only
+    when flatten(e) is a permutation matrix, and then e' = e, so the candidates
+    are the bijections sigma: I -> J x K, in ascending bitmask order (sorted by
+    sigma reversed). Survivors are re-verified entrywise."""
     if semiring.kind != "boolean":
         raise PlexusError("UNSUPPORTED", "biunit search is implemented for the boolean semiring")
     total = I.size * J.size * K.size
     if total > 16:
         raise PlexusError("UNSUPPORTED", f"search capped at 16 entries, got {total}")
     cols = J.size * K.size
-    full = (1 << cols) - 1
+    if I.size != cols:
+        return []
     pairs = []
-    for mask in range(1 << total):
-        rows = [(mask >> (p * cols)) & full for p in range(I.size)]
-        if any(bin(r).count("1") != 1 for r in rows):
-            continue
-        cover = 0
-        for r in rows:
-            cover |= r
-        if I.size != cols or cover != full:
-            continue
-        entries = [(mask >> off) & 1 for off in range(total)]
+    for sigma in sorted(itertools.permutations(range(cols)), key=lambda sg: sg[::-1]):
+        entries = [0] * total
+        for p, col in enumerate(sigma):
+            entries[p * cols + col] = 1
         e = Array((I, J, K), entries, semiring)
         if biunit_pair_check(e, e)["ok"]:
             pairs.append((e, e))

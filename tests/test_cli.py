@@ -8,6 +8,7 @@ from plexus import IndexSet, fish, make_array, make_semiring
 from plexus import checks
 from plexus.cli import _fail_law, run_command
 from plexus.core import Verdict
+from plexus.diagram import STANDARD_NAMES, standard_diagram, to_dot
 
 MOD5 = make_semiring("int_mod", 5)
 
@@ -350,6 +351,31 @@ def test_export_dot(tmp_path, capsys):
     code, out, _ = run(capsys, ["export-dot", "vee", "--out", str(target)])
     assert code == 0 and out == ""
     assert "fillcolor=black" in target.read_text()
+
+
+@pytest.mark.parametrize("name", STANDARD_NAMES)
+def test_export_dot_every_standard_name(name, capsys):
+    code, out, err = run(capsys, ["export-dot", name])
+    if name == "chain":
+        # chain needs its edge count: chain5 or chain(5)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "BAD_REFERENCE"
+    else:
+        assert (code, err) == (0, "")
+        assert out == to_dot(standard_diagram(name)) + "\n"
+
+
+@pytest.mark.parametrize("token", ["chain5", "chain(5)"])
+def test_export_dot_chain_tokens(token, capsys):
+    code, out, _ = run(capsys, ["export-dot", token])
+    assert code == 0
+    assert out == to_dot(standard_diagram("chain", n=5)) + "\n"
+
+
+def test_export_dot_unknown_token(capsys):
+    code, out, err = run(capsys, ["export-dot", "chainx"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "PARSE_ERROR"
 
 
 def test_laws_semiheap(capsys):

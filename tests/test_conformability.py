@@ -129,6 +129,14 @@ def test_every_product_refuses_mixed_semirings(product):
     assert err.value.code == "SEMIRING_MISMATCH"
 
 
+@pytest.mark.parametrize("engine", [evaluate, evaluate_formula_oracle])
+def test_engines_check_the_binding_before_the_output_order(engine):
+    # a bad binding and a bad output order at once: both engines name the binding
+    with pytest.raises(PlexusError) as err:
+        engine(standard_diagram("vee"), _vee_binding(arr(J3)), output_order=["v0"])
+    assert err.value.code == "CONFORMABILITY"
+
+
 @pytest.mark.parametrize("labels", ["ij", "ijkl", ""])
 def test_einsum_refuses_a_label_list_of_the_wrong_length(labels):
     with pytest.raises(PlexusError) as err:

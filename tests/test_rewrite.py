@@ -1,5 +1,6 @@
 """Motif matching, rewrite application, multiway exploration, concurrency
 reports, and the composition census."""
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from plexus import (
     state_key,
     vee_motif,
 )
+from plexus.core import natural_key
 
 MOD7 = make_semiring("int_mod", 7)
 
@@ -138,6 +140,39 @@ def test_long_chains_are_confluent_but_not_overlapping():
     assert report["regular"]
     assert not report["overlapping"]
     assert not report["concurrent"]
+
+
+def test_natural_key_is_injective():
+    assert natural_key("v2") < natural_key("v10")
+    assert natural_key("x1") != natural_key("x01")
+    assert natural_key("x01") < natural_key("x1") < natural_key("x2")
+    # a superscript is no digit run: it stays part of the text
+    assert natural_key("v1\u00b2") == (("v", 1, "\u00b2"), "v1\u00b2")
+
+
+def test_chain_with_colliding_end_ids_is_confluent():
+    # the end ids differ only in a leading zero; each state must still get one key
+    iset = IndexSet("I", 2)
+    ids = ["x1", "m1", "m2", "m3", "x01"]
+    host = build_diagram([(v, iset, v.startswith("m")) for v in ids],
+                         [(f"e{t}", (ids[t], ids[t + 1])) for t in range(4)])
+    report = check_concurrency(host, vee_motif())
+    assert report["confluent"] is True
+    assert (report["states"], report["terminals"]) == (8, 1)
+
+
+def test_orbit_representative_ignores_input_order():
+    # both ends of the vee are free: the representative maps v0 to x01
+    # however the host lists its vertices, edges and legs
+    iset = IndexSet("I", 2)
+    legs = [("x1", "m"), ("m", "x01")]
+    for vs in itertools.permutations(["x1", "m", "x01"]):
+        for es in (legs, legs[::-1]):
+            for flip in (False, True):
+                host = build_diagram([(v, iset, v == "m") for v in vs],
+                                     [(f"e{k}", e[::-1] if flip else e) for k, e in enumerate(es)])
+                (m,) = find_matches(host, vee_motif())
+                assert m.vertex_map == {"v0": "x01", "v1": "m", "v2": "x1"}
 
 
 def test_apply_rewrite_bound_preserves_value():

@@ -289,6 +289,35 @@ def test_biunit_pairs_three_two_two_empty():
     assert find_biunit_pairs(I3, I2, K2, BOOL) == []
 
 
+def loop_biunit_pairs(I, J, K, semiring):
+    """The search over every boolean array on (I, J, K), one bitmask each,
+    keeping the row-permutation matrices that pass the biunit check."""
+    total, cols = I.size * J.size * K.size, J.size * K.size
+    full = (1 << cols) - 1
+    pairs = []
+    for mask in range(1 << total):
+        rows = [(mask >> (p * cols)) & full for p in range(I.size)]
+        if any(bin(r).count("1") != 1 for r in rows):
+            continue
+        cover = 0
+        for r in rows:
+            cover |= r
+        if I.size != cols or cover != full:
+            continue
+        e = Array((I, J, K), [(mask >> off) & 1 for off in range(total)], semiring)
+        if biunit_pair_check(e, e)["ok"]:
+            pairs.append((e, e))
+    return pairs
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 3),
+                                   (3, 3, 1), (4, 2, 2), (4, 4, 1), (4, 1, 4), (1, 2, 3),
+                                   (3, 2, 2), (2, 4, 2)])
+def test_biunit_pairs_match_the_bitmask_loop(sizes):
+    I, J, K = (IndexSet(name, n) for name, n in zip("IJK", sizes))
+    assert find_biunit_pairs(I, J, K, BOOL) == loop_biunit_pairs(I, J, K, BOOL)
+
+
 def test_delta_three_is_not_a_biunit():
     t = kronecker(3, I2, BOOL)
     res = biunit_pair_check(t, t)
