@@ -51,3 +51,11 @@ def natural_key(s: str):
     """Sort key treating decimal digit runs numerically, so v2 < v10; the raw
     id breaks ties, so x01 < x1 and no two ids share a key."""
     return tuple(int(part) if part.isdecimal() else part for part in _SPLIT_DIGITS.split(s)), s
+
+
+def fresh_id(prefix: str, taken) -> str:
+    """The first of prefix0, prefix1, ... not in `taken`."""
+    n = 0
+    while f"{prefix}{n}" in taken:
+        n += 1
+    return f"{prefix}{n}"

@@ -226,12 +226,16 @@ def to_dot(d: Diagram) -> str:
     """Graphviz rendering: vertices as points (filled black when marked,
     open when free), each hyperedge as a clique over its legs carrying the
     edge label on its first clique line."""
+
+    def quoted(s):  # a DOT quoted string: backslashes and quotes escaped
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["graph plex {"]
     for v in d.vertex_ids():
         vx = d.vertices[v]
         fill = "black" if vx.marked else "white"
         lines.append(
-            f'  "{v}" [shape=point style=filled fillcolor={fill} xlabel="{v}:{vx.index_set.id}"];'
+            f'  {quoted(v)} [shape=point style=filled fillcolor={fill} xlabel={quoted(f"{v}:{vx.index_set.id}")}];'
         )
     for e in d.edge_ids():
         ed = d.edges[e]
@@ -239,7 +243,7 @@ def to_dot(d: Diagram) -> str:
         if not pairs:
             pairs = [(ed.legs[0], ed.legs[0])]
         for k, (u, v) in enumerate(pairs):
-            tag = f' [label="{ed.label}"]' if k == 0 else ""
-            lines.append(f'  "{u}" -- "{v}"{tag};')
+            tag = f" [label={quoted(ed.label)}]" if k == 0 else ""
+            lines.append(f"  {quoted(u)} -- {quoted(v)}{tag};")
     lines.append("}")
     return "\n".join(lines)

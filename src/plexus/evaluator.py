@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .arrays import Array, _label_axes, einsum, kronecker
-from .core import PlexusError, natural_key
+from .core import PlexusError, fresh_id, natural_key
 from .diagram import Diagram, Hyperedge, Vertex
 
 
@@ -149,14 +149,7 @@ def insert_kronecker(d: Diagram, binding: dict, vertex: str, edge: str):
     if vertex not in old_edge.legs:
         raise PlexusError("BAD_REFERENCE", f"edge {edge} is not incident to {vertex}")
     iset = d.vertices[vertex].index_set
-    n = 0
-    while f"k{n}" in d.vertices:
-        n += 1
-    fresh = f"k{n}"
-    m = 0
-    while f"dk{m}" in d.edges:
-        m += 1
-    fresh_edge = f"dk{m}"
+    fresh, fresh_edge = fresh_id("k", d.vertices), fresh_id("dk", d.edges)
     vertices = dict(d.vertices)
     vertices[fresh] = Vertex(fresh, iset, True)
     edges = dict(d.edges)

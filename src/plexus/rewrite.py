@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 
-from .core import IndexSet, PlexusError, natural_key
+from .core import IndexSet, PlexusError, fresh_id, natural_key
 from .arrays import random_array
 from .diagram import Diagram, Hyperedge, Vertex, _labelling_search, build_diagram, canonical_form, standard_diagram
 from .evaluator import BoundEdge, default_binding, evaluate
@@ -23,16 +24,11 @@ from .evaluator import BoundEdge, default_binding, evaluate
 
 @dataclass(frozen=True)
 class Motif:
-    """Pattern diagram plus the edge order used to build replacement labels."""
+    """Pattern diagram; a replacement label lists its edges in natural id order."""
 
     pattern: Diagram
-    role_order: tuple = ()
 
     def __post_init__(self):
-        if not self.role_order:
-            object.__setattr__(self, "role_order", tuple(self.pattern.edge_ids()))
-        if sorted(self.role_order) != sorted(self.pattern.edges):
-            raise PlexusError("BAD_REFERENCE", "role_order must list every motif edge once")
         if not self.pattern.free_vertices():
             raise PlexusError("INVALID_MOTIF", "motif needs at least one free vertex")
         if len(self.pattern.edges) > 1 and not _connected(
@@ -137,12 +133,9 @@ def _replacement(host: Diagram, motif: Motif, match: Match):
         (match.vertex_map[pv] for pv in pattern.free_vertices()), key=natural_key
     )
     label = "(" + "".join(
-        host.edges[match.edge_map[pe]].label for pe in motif.role_order
+        host.edges[match.edge_map[pe]].label for pe in pattern.edge_ids()
     ) + ")"
-    n = 0
-    while f"r{n}" in host.edges:
-        n += 1
-    return f"r{n}", tuple(free_images), label
+    return fresh_id("r", host.edges), tuple(free_images), label
 
 
 def apply_rewrite(host: Diagram, match: Match, motif: Motif) -> Diagram:
@@ -214,25 +207,37 @@ class RewriteGraph:
         return [self.states[k] for k in self.terminals]
 
 
-def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGraph:
-    """Breadth-first exploration of every rewrite order."""
-    k0 = state_key(host)
-    states = {k0: host}
-    transitions = []
-    frontier = [k0]
+def _walk(start, key, successors, max_states: int = 1000):
+    """Breadth-first walk expanding each distinct `key` once; `successors` yields (state,
+    label) pairs. Returns the graph and each key's count of rewrite sequences from `start`."""
+    k0 = key(start)
+    states, paths, transitions = {k0: start}, {k0: 1}, []
+    frontier = deque([k0])
     while frontier:
-        k = frontier.pop(0)
-        d = states[k]
-        for m in find_matches(d, motif):
-            d2, new_eid = _apply(d, motif, m)
-            k2 = state_key(d2)
-            transitions.append((k, k2, d2.edges[new_eid].label))
+        k = frontier.popleft()
+        for s2, label in successors(states[k]):
+            k2 = key(s2)
+            transitions.append((k, k2, label))
             if k2 not in states:
-                states[k2] = d2
+                states[k2], paths[k2] = s2, 0
                 if len(states) > max_states:
                     raise PlexusError("REWRITE_EXPLOSION", f"more than {max_states} states")
                 frontier.append(k2)
-    return RewriteGraph(states, transitions, k0)
+            # exact: each rewrite by one motif removes k-1 edges and its marked vertices,
+            # so all of a state's predecessors lie one level up and are expanded before it
+            paths[k2] += paths[k]
+    return RewriteGraph(states, transitions, k0), paths
+
+
+def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGraph:
+    """Breadth-first exploration of every rewrite order."""
+
+    def successors(d):
+        for m in find_matches(d, motif):
+            d2, new_eid = _apply(d, motif, m)
+            yield d2, d2.edges[new_eid].label
+
+    return _walk(host, state_key, successors, max_states)[0]
 
 
 def check_concurrency(host: Diagram, motif: Motif) -> dict:
@@ -265,24 +270,25 @@ def check_concurrency(host: Diagram, motif: Motif) -> dict:
 
 
 def semantic_confluence_binding(host: Diagram, binding: dict, motif: Motif) -> dict:
-    """Run every maximal rewrite sequence on one bound host, collapsing
-    matched sub-diagrams into bound arrays, and compare each final evaluation
-    with evaluating the host directly."""
+    """Walk every rewrite order of one bound host, collapsing matched sub-diagrams
+    into bound arrays, and compare the evaluation of each distinct final bound
+    state (`finals`) with evaluating the host directly."""
     direct = evaluate(host, binding)
-    finals = []
 
-    def rec(d, b):
-        ms = find_matches(d, motif)
-        if not ms:
-            finals.append(evaluate(d, b))
-            return
-        for m in ms:
-            d2, b2, _ = apply_rewrite_bound(d, b, m, motif)
-            rec(d2, b2)
+    def successors(state):
+        for m in find_matches(state[0], motif):
+            yield apply_rewrite_bound(*state, m, motif)[:2], None
 
-    rec(host, binding)
+    def key(state):  # exact: vertex ids fix index sets; matching and evaluation ignore edge ids
+        return state_key(state[0]), frozenset(
+            (frozenset(be.leg_to_axis.items()), be.array.entries) for be in state[1].values())
+
+    g, paths = _walk((host, binding), key, successors)
+    if not g.terminals:
+        raise PlexusError("INVALID_MOTIF", "no rewrite sequence ends: the motif rewrites a state into itself")
+    finals = [evaluate(*g.states[k]) for k in g.terminals]
     ok = all(f == direct for f in finals)
-    return {"ok": ok, "sequences": len(finals), "direct": direct, "finals": finals}
+    return {"ok": ok, "sequences": sum(paths[k] for k in g.terminals), "direct": direct, "finals": finals}
 
 
 def random_binding(d: Diagram, semiring, rng) -> dict:

@@ -293,6 +293,17 @@ def test_rewrite_chain_host_token(capsys):
     assert rep["concurrent"] is False
 
 
+@pytest.mark.parametrize("host", ["zee", "chain4"])
+def test_rewrite_semantic_refuses_a_self_rewriting_motif(host, capsys):
+    code, out, err = run(capsys, ["rewrite", host, "--motif", "chain1", "--semantic", "int-mod:7"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "INVALID_MOTIF"
+    # without --semantic the report still shows the one looping state
+    code, out, err = run(capsys, ["rewrite", host, "--motif", "chain1"])
+    assert (code, err) == (0, "")
+    assert {"states: 1", "terminals: 0"} <= set(out.splitlines())
+
+
 def test_rewrite_unknown_host(capsys):
     code, _, err = run(capsys, ["rewrite", "mystery"])
     assert code == 2

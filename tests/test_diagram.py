@@ -206,6 +206,19 @@ def test_to_dot_points_and_cliques():
     assert fish.count("--") == 9
 
 
+def test_to_dot_escapes_backslashes_and_quotes():
+    # a quote or backslash in an id or label must not end its quoted string
+    d = build_diagram([('a"b', IndexSet('J"', 2), True), ("w\\", I2, False)],
+                      [("e0", ('a"b', "w\\"), 'x"];')])
+    assert to_dot(d).splitlines() == [
+        "graph plex {",
+        r'  "a\"b" [shape=point style=filled fillcolor=black xlabel="a\"b:J\""];',
+        r'  "w\\" [shape=point style=filled fillcolor=white xlabel="w\\:I"];',
+        r'  "a\"b" -- "w\\" [label="x\"];"];',
+        "}",
+    ]
+
+
 def test_edge_label_defaults_to_id():
     d = standard_diagram("zee")
     assert [d.edges[e].label for e in d.edge_ids()] == ["e0", "e1", "e2"]

@@ -204,6 +204,17 @@ def test_semantic_confluence_sampled():
     assert res["ok"]
 
 
+def test_semantic_confluence_refuses_a_self_rewriting_motif():
+    # one edge, no marked vertex: each rewrite gives back the host, so the
+    # multiway graph is one state with a loop and no rewrite sequence ends
+    host, motif = standard_diagram("zee"), Motif(standard_diagram("chain", n=1))
+    g = multiway(host, motif)
+    assert (len(g.states), len(g.terminals)) == (1, 0)
+    with pytest.raises(PlexusError) as err:
+        semantic_confluence(host, motif, MOD7, trials=1)
+    assert err.value.code == "INVALID_MOTIF"
+
+
 def test_semantic_confluence_rejects_inexact():
     with pytest.raises(PlexusError) as err:
         semantic_confluence(standard_diagram("zee"), vee_motif(), make_semiring("float64"), 2)
