@@ -166,6 +166,8 @@ def _parse_sizes(text):
 
 
 def _cmd_laws(args):
+    if args.trials < 1:
+        raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {args.trials}")
     semiring = parse_semiring(args.semiring)
     sizes = _parse_sizes(args.sizes)
     suites = list(SUITES) if args.suite == "all" else [args.suite]

@@ -191,12 +191,13 @@ def state_key(d: Diagram):
 
 class RewriteGraph:
     """Multiway rewrite graph: states keyed by `state_key`, transitions
-    labeled by the replacement-edge label."""
+    labeled by the replacement-edge label; `multiway` keeps the initial state's matches."""
 
     def __init__(self, states: dict, transitions: list, initial):
         self.states = states
         self.transitions = transitions
         self.initial = initial
+        self.initial_matches = []
 
     @property
     def terminals(self):
@@ -231,13 +232,16 @@ def _walk(start, key, successors, max_states: int = 1000):
 
 def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGraph:
     """Breadth-first exploration of every rewrite order."""
+    initial_matches = find_matches(host, motif)
 
-    def successors(d):
-        for m in find_matches(d, motif):
+    def successors(d):  # the walk expands its start state once
+        for m in initial_matches if d is host else find_matches(d, motif):
             d2, new_eid = _apply(d, motif, m)
             yield d2, d2.edges[new_eid].label
 
-    return _walk(host, state_key, successors, max_states)[0]
+    g = _walk(host, state_key, successors, max_states)[0]
+    g.initial_matches = initial_matches
+    return g
 
 
 def check_concurrency(host: Diagram, motif: Motif) -> dict:
@@ -248,10 +252,9 @@ def check_concurrency(host: Diagram, motif: Motif) -> dict:
     g = multiway(host, motif)
     terminals = g.terminals
     arities = {len(e.legs) for d in g.states.values() for e in d.edges.values()}
-    init = find_matches(host, motif)
     overlapping = all(
         set(m1.edge_map.values()) & set(m2.edge_map.values())
-        for m1, m2 in itertools.combinations(init, 2)
+        for m1, m2 in itertools.combinations(g.initial_matches, 2)
     )
     confluent = len(terminals) == 1
     regular = len(arities) <= 1
@@ -260,7 +263,7 @@ def check_concurrency(host: Diagram, motif: Motif) -> dict:
         "regular": regular,
         "overlapping": overlapping,
         "concurrent": confluent and regular and overlapping,
-        "initial_matches": len(init),
+        "initial_matches": len(g.initial_matches),
         "states": len(g.states),
         "terminals": len(terminals),
         "terminal_labels": sorted(
@@ -307,18 +310,18 @@ def semantic_confluence(host: Diagram, motif: Motif, semiring, trials: int = 50,
                         seed: int = 0) -> dict:
     """Sample random bindings and check that every maximal rewrite sequence
     evaluates to the direct host value on each. Needs an exact semiring."""
+    if trials < 1:
+        raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {trials}")
     if not semiring.exact:
         raise PlexusError("INEXACT_SEMIRING", "semantic confluence needs an exact semiring")
     rng = random.Random(seed)
-    sequences = 0
     for t in range(trials):
         binding = random_binding(host, semiring, rng)
         res = semantic_confluence_binding(host, binding, motif)
-        sequences = res["sequences"]
         if not res["ok"]:
             res["trial"] = t
             return res
-    return {"ok": True, "trials": trials, "sequences": sequences}
+    return {"ok": True, "trials": trials, "sequences": res["sequences"]}
 
 
 ENUMERATION_VARIANTS = {
@@ -368,34 +371,23 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
     marked_min, unmarked_exact = ENUMERATION_VARIANTS[variant]
     iset = IndexSet("I", size)
     reps, symmetric, seen = [], [], set()
-    pool = tuple(range(edge_order + (num_edges - 1) * (edge_order - 1)))
-    for group in itertools.combinations(itertools.combinations(pool, edge_order), num_edges):
+    edges = list(itertools.combinations(range(edge_order + (num_edges - 1) * (edge_order - 1)), edge_order))
+    # every class has a gap-free labelling holding the least edge (0, ..., k-1), and the groups
+    # holding it come first: they meet each class's first representative, in the same order
+    for rest in itertools.combinations(edges[1:], num_edges - 1):
+        group = (edges[0], *rest)
         used = sorted(set().union(*group))
         # a gap in the used vertices: relabelling by rank gives the same
         # diagrams as the gap-free group, which came earlier
         if used[-1] != len(used) - 1 or not _connected(group):
             continue
-        deg = {v: sum(v in e for e in group) for v in used}
+        deg = [sum(v in e for e in group) for v in used]
         for unmarked in itertools.combinations(used, free_vertices):
-            ok = True
-            for v in used:
-                if v in unmarked:
-                    if unmarked_exact is not None and deg[v] != unmarked_exact:
-                        ok = False
-                        break
-                elif deg[v] < marked_min:
-                    ok = False
-                    break
-            if not ok:
+            if any(deg[v] < marked_min for v in used if v not in unmarked) or (
+                    unmarked_exact is not None and any(deg[v] != unmarked_exact for v in unmarked)):
                 continue
-            relabel = {v: f"v{i}" for i, v in enumerate(used)}
-            d = build_diagram(
-                [(relabel[v], iset, v not in unmarked) for v in used],
-                [
-                    (f"e{k}", tuple(relabel[v] for v in sorted(e)))
-                    for k, e in enumerate(group)
-                ],
-            )
+            d = build_diagram([(f"v{v}", iset, v not in unmarked) for v in used],
+                              [(f"e{k}", tuple(f"v{v}" for v in e)) for k, e in enumerate(group)])
             cert = canonical_form(d)
             if cert in seen:
                 continue

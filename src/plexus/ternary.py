@@ -148,8 +148,13 @@ def semiheap_law_arrays(variant: str, semiring: Semiring, sizes, trials: int,
 def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False, product=None) -> Verdict:
     """The trial loop of the para-associativity law: five arrays on (I, J, K)
     drawn from `rng` per trial; a failure's witness names its trial."""
-    i, j, k = sizes
-    axes = (IndexSet("I", i), IndexSet("J", j), IndexSet("K", k))
+    axes = [IndexSet(n, s) for n, s in zip("IJK", sizes, strict=True)]
+    if twist:  # the twist swaps the body's tips: draw both on the first tip's index set
+        first, second = (_fish_labels(variant, False)[1].index(tip) for tip in "ij")
+        if sizes[first] != sizes[second]:
+            raise PlexusError("CONFORMABILITY", f"the twist of {variant} needs equal tip sizes, got "
+                              f"{axes[first].id}:{sizes[first]} and {axes[second].id}:{sizes[second]}")
+        axes[second] = axes[first]
     for t in range(trials):
         arrays = [random_array(axes, semiring, rng) for _ in range(5)]
         v = semiheap_check_arrays(*arrays, variant, twist, product)

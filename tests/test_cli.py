@@ -426,6 +426,40 @@ def test_laws_bad_sizes(capsys):
     assert json.loads(err)["error"] == "PARSE_ERROR"
 
 
+@pytest.mark.parametrize("variant", ["IJK", "JIK", "KIJ", "IKJ", "JKI", "KJI"])
+def test_laws_semiheap_twist_holds_on_equal_tips(capsys, variant):
+    code, out, err = run(capsys, ["laws", "--suite", "semiheap", "--twist", "--variant", variant,
+                                  "--sizes", "2,2,2"])
+    assert (code, err) == (0, "")
+    assert out == "semiheap ok: 20 trials, sizes (2, 2, 2), semiring boolean\n"
+
+
+def test_laws_semiheap_twist_refuses_unequal_tips(capsys):
+    code, out, err = run(capsys, ["laws", "--suite", "semiheap", "--twist", "--sizes", "2,3,2"])
+    assert (code, out) == (2, "")
+    rep = json.loads(err)
+    assert rep["error"] == "CONFORMABILITY"
+    assert "needs equal tip sizes, got I:2 and J:3" in rep["message"]
+    # the mouth may differ: KIJ has its tips on I and K
+    code, out, err = run(capsys, ["laws", "--suite", "semiheap", "--twist", "--variant", "KIJ",
+                                  "--sizes", "2,3,2"])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "--suite", "semiheap"],
+    ["laws"],
+    ["rewrite", "chain4", "--semantic", "int-mod:7"],
+], ids=["laws-semiheap", "laws-all", "rewrite-semantic"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_are_refused(capsys, argv, trials):
+    code, out, err = run(capsys, [*argv, "--trials", trials])
+    assert (code, out) == (2, "")
+    rep = json.loads(err)
+    assert rep["error"] == "BAD_REFERENCE"
+    assert f"trials must be at least 1, got {trials}" in rep["message"]
+
+
 def test_fail_law_contract(capsys):
     code = _fail_law("sh-mid", {"trial": 3})
     assert code == 1

@@ -27,6 +27,7 @@ from plexus import (
     state_key,
     vee_motif,
 )
+from plexus import rewrite
 from plexus.core import natural_key
 
 MOD7 = make_semiring("int_mod", 7)
@@ -134,6 +135,17 @@ def test_check_concurrency_counts():
     assert list(report)[-1] == "terminal_labels"
 
 
+def test_check_concurrency_matches_each_state_once(monkeypatch):
+    # the overlap test reads the initial matches off the walk
+    calls = []
+    monkeypatch.setattr(rewrite, "find_matches", lambda d, m: calls.append(d) or find_matches(d, m))
+    host = standard_diagram("chain", n=8)
+    report = check_concurrency(host, vee_motif())
+    assert len(calls) == report["states"] == 128
+    assert calls[0] is host
+    assert report["initial_matches"] == 7 and not report["overlapping"]
+
+
 def test_long_chains_are_confluent_but_not_overlapping():
     report = check_concurrency(standard_diagram("chain", n=4), vee_motif())
     assert report["confluent"]
@@ -236,15 +248,26 @@ def test_census_two_edges():
     assert canonical_form(reps[0]) == canonical_form(standard_diagram("vee"))
 
 
-def test_census_variants():
-    counts = {}
+def test_census_variants(monkeypatch):
+    # one canonical form per candidate of the groups that hold the least edge
+    calls = []
+    monkeypatch.setattr(rewrite, "canonical_form", lambda d: calls.append(d) or canonical_form(d))
+    counts, certificates = {}, {}
     for variant in ("default", "tips-only", "loose", "all"):
+        calls.clear()
         reps, symmetric = enumerate_compositions(3, 3, 3, variant)
         counts[variant] = (len(reps), len(symmetric))
+        certificates[variant] = len(calls)
     assert counts["default"] == (10, 3)
     assert counts["tips-only"][0] == 3
     assert counts["loose"][0] == 10
     assert counts["all"][0] > 10
+    assert certificates == {"default": 168, "tips-only": 48, "loose": 876, "all": 3957}
+
+
+def test_census_four_edges():
+    reps, symmetric = enumerate_compositions(4, 3, 3)
+    assert (len(reps), len(symmetric)) == (84, 1)
 
 
 def test_census_bad_parameters():

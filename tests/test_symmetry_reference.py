@@ -106,9 +106,9 @@ def census_classes():
     """One diagram per isomorphism class of `enumerate_compositions(3, 3, 3,
     "all")`, with the variant each class satisfies; every other variant only
     adds degree conditions, so these are the classes of all four. The
-    candidates are built as the census builds them, but only from edge groups
-    whose first edge is (0, 1, 2): every class has such a labelling, and the
-    search costs a tenth of the census."""
+    candidates are built as the census builds them, from the edge groups
+    whose first edge is (0, 1, 2), but without the degree rule, which is
+    recorded per class instead."""
     iset = IndexSet("I", 2)
     classes, seen = [], set()
     for rest in itertools.combinations(itertools.combinations(range(7), 3), 2):

@@ -256,6 +256,20 @@ def test_semiheap_law_on_arrays():
     assert semiheap_check_arrays(*arrays).ok
 
 
+def test_twisted_semiheap_law_draws_both_tips_on_one_index_set():
+    # the tips are the variant's two non-mouth axes; the mouth may differ
+    for variant, (z, _) in ETA_VARIANTS.items():
+        sizes = [2, 2, 2]
+        sizes[z] = 3
+        for s in (BOOL, MOD5):
+            v = semiheap_law_arrays(variant, s, sizes, trials=4, seed=5, twist=True)
+            assert v.ok and v.law == "sh", variant
+    with pytest.raises(PlexusError) as err:
+        semiheap_law_arrays("JKI", MOD5, (3, 2, 3), trials=4, twist=True)
+    assert err.value.code == "CONFORMABILITY"
+    assert "got J:2 and K:3" in str(err.value)
+
+
 def test_semiheap_law_rejects_broken_product():
     bad = lambda x, y, z: fish(x, y, x)
     v = semiheap_law_arrays("IJK", MOD5, (2, 2, 2), trials=15, seed=4, product=bad)
