@@ -16,7 +16,7 @@ import math
 import random
 
 from .arrays import Array, diagonal_extension, kronecker, random_array, unary_contract
-from .core import IndexSet, PlexusError, Verdict
+from .core import IndexSet, PlexusError, Verdict, trial_range
 from .diagram import canonical_form, standard_diagram
 from .evaluator import evaluate, evaluate_formula_oracle, insert_kronecker
 from .rewrite import (
@@ -118,7 +118,7 @@ def heap(semiring, sizes, trials, rng, **_):
 def units(semiring, sizes, trials, rng, **_):
     """The right units: (a t t) = (a u t) = (a t u) = a."""
     axes = _axes(sizes)
-    for t in range(trials):
+    for t in trial_range(trials):
         a = random_array(axes, semiring, rng)
         v = fish_units_check(a)
         if not v:
@@ -155,7 +155,7 @@ def flatfish(semiring, sizes, trials, rng, **_):
     and Z as W, so the product's tips are not a's."""
     i, j, k = sizes
     m, w, v, s, y, z = (IndexSet(n, size) for n, size in zip("MWVSYZ", (i, j, k, i, k, j)))
-    for t in range(trials):
+    for t in trial_range(trials):
         a, b, c = (random_array(axes, semiring, rng) for axes in ((m, w, v), (s, w, v), (s, y, z)))
         verdict = flat_fish_equiv(a, b, c)
         if not verdict:
@@ -197,7 +197,7 @@ def fish_vs_evaluation(semiring, sizes, trials, rng):
     """fish agrees with evaluating its diagram, by the evaluator and by the
     formula oracle."""
     for variant, twist in itertools.product(("IJK", "JKI", "KJI"), (False, True)):
-        for _ in range(trials):
+        for _ in trial_range(trials):
             a, b, c = _conforming_triple(variant, twist, rng, semiring, sizes)
             direct = fish(a, b, c, variant, twist)
             d, binding = make_fish_binding(a, b, c, variant, twist)
@@ -223,7 +223,7 @@ def rewrite_orders(semiring, sizes, trials, rng):
     """Every rewrite order of a bound host evaluates like the host."""
     for d, motif in ((standard_diagram("chain", 4), vee_motif()),
                      (standard_diagram("long_fish"), fish_motif())):
-        for _ in range(trials):
+        for _ in trial_range(trials):
             if not semantic_confluence_binding(d, random_binding(d, semiring, rng), motif)["ok"]:
                 return _fail("semantic-confluence", {"edges": len(d.edges)})
     return _ok("semantic-confluence")
@@ -237,7 +237,7 @@ def kronecker_identities(semiring, sizes, trials, rng):
     if unary_contract(diagonal_extension(a, 0), 0) != a:
         return _fail("diagonal-extension")
     d = standard_diagram("fish", size=2)
-    for _ in range(trials):
+    for _ in trial_range(trials):
         binding = random_binding(d, semiring, rng)
         if evaluate(*insert_kronecker(d, binding, "v3", "e1")) != evaluate(d, binding):
             return _fail("identity-edge")
@@ -267,7 +267,7 @@ def census(semiring, sizes, trials, rng):
 def reversal(semiring, sizes, trials, rng):
     """Each variant is the reverse of its partner: (a b c) = (c b a)'."""
     for fwd, rev in (("IJK", "JIK"), ("KIJ", "IKJ"), ("JKI", "KJI")):
-        for _ in range(trials):
+        for _ in trial_range(trials):
             a, b, c = _conforming_triple(fwd, False, rng, semiring, sizes)
             if fish(a, b, c, fwd) != fish(c, b, a, rev):
                 return _fail("reversal", {"variants": [fwd, rev]})
@@ -286,7 +286,7 @@ def twist_witness(semiring, sizes, trials, rng):
 
     if differs(kronecker(3, axes[0], semiring)):
         return _fail("twist visible through the order-3 identity")
-    if not any(differs(random_array(axes, semiring, rng)) for _ in range(trials)):
+    if not any(differs(random_array(axes, semiring, rng)) for _ in trial_range(trials)):
         return _fail("no twist witness found")
     return _ok("twist-witness")
 

@@ -13,7 +13,7 @@ import random
 import sys
 
 from .checks import SUITES, run_selftest
-from .core import PlexusError
+from .core import PlexusError, trial_range
 from .diagram import STANDARD_NAMES, standard_diagram, to_dot
 from .evaluator import default_binding, evaluate
 from .rewrite import (
@@ -166,8 +166,7 @@ def _parse_sizes(text):
 
 
 def _cmd_laws(args):
-    if args.trials < 1:
-        raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {args.trials}")
+    trial_range(args.trials)  # refuse a bad count before any suite runs
     semiring = parse_semiring(args.semiring)
     sizes = _parse_sizes(args.sizes)
     suites = list(SUITES) if args.suite == "all" else [args.suite]

@@ -1,6 +1,7 @@
 """Shared plumbing: index sets, error type, verdicts, id ordering."""
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -47,10 +48,19 @@ class Verdict:
 _SPLIT_DIGITS = re.compile(r"(\d+)")
 
 
+@functools.lru_cache(maxsize=4096)  # diagrams reuse a few ids, and every new diagram sorts them
 def natural_key(s: str):
     """Sort key treating decimal digit runs numerically, so v2 < v10; the raw
     id breaks ties, so x01 < x1 and no two ids share a key."""
     return tuple(int(part) if part.isdecimal() else part for part in _SPLIT_DIGITS.split(s)), s
+
+
+def trial_range(trials: int) -> range:
+    """range(trials), refusing fewer than one trial: a law check that draws
+    no array would pass without testing anything."""
+    if trials < 1:
+        raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {trials}")
+    return range(trials)
 
 
 def fresh_id(prefix: str, taken) -> str:

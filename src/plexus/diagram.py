@@ -32,14 +32,18 @@ class Hyperedge:
 
 
 class Diagram:
-    """Immutable marked hypergraph."""
+    """Immutable marked hypergraph. Its natural-id vertex and edge orders are
+    computed once; `rank` maps each vertex id to its place in that order."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("vertices", "edges", "rank", "_eids")
 
     def __init__(self, vertices: dict, edges: dict):
         object.__setattr__(self, "vertices", dict(vertices))
         object.__setattr__(self, "edges", dict(edges))
         self._validate()
+        vids = sorted(self.vertices, key=natural_key)
+        object.__setattr__(self, "rank", {v: t for t, v in enumerate(vids)})  # in natural order
+        object.__setattr__(self, "_eids", tuple(sorted(self.edges, key=natural_key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -65,19 +69,19 @@ class Diagram:
                 raise PlexusError("INVALID_DIAGRAM", f"isolated vertex {v}")
 
     def vertex_ids(self):
-        return sorted(self.vertices, key=natural_key)
+        return list(self.rank)
 
     def edge_ids(self):
-        return sorted(self.edges, key=natural_key)
+        return list(self._eids)
 
     def free_vertices(self):
-        return [v for v in self.vertex_ids() if not self.vertices[v].marked]
+        return [v for v in self.rank if not self.vertices[v].marked]
 
     def marked_vertices(self):
-        return [v for v in self.vertex_ids() if self.vertices[v].marked]
+        return [v for v in self.rank if self.vertices[v].marked]
 
     def incident_edges(self, vertex_id: str):
-        return [e for e in self.edge_ids() if vertex_id in self.edges[e].legs]
+        return [e for e in self._eids if vertex_id in self.edges[e].legs]
 
     def degree(self, vertex_id: str) -> int:
         return sum(1 for e in self.edges.values() if vertex_id in e.legs)
@@ -187,7 +191,7 @@ def _labelling_search(d: Diagram):
     classes = {}
     for v, c in color.items():
         classes.setdefault(c, []).append(v)
-    blocks = [sorted(classes[c], key=natural_key) for c in sorted(classes)]
+    blocks = [classes[c] for c in sorted(classes)]  # each in natural order, as `color` is
     best, optimal = None, []
     for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
         pos = {}

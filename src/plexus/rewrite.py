@@ -16,9 +16,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .core import IndexSet, PlexusError, fresh_id, natural_key
+from .core import IndexSet, PlexusError, fresh_id, trial_range
 from .arrays import random_array
-from .diagram import Diagram, Hyperedge, Vertex, _labelling_search, build_diagram, canonical_form, standard_diagram
+from .diagram import Diagram, Hyperedge, Vertex, _labelling_search, build_diagram, standard_diagram
 from .evaluator import BoundEdge, default_binding, evaluate
 
 
@@ -115,11 +115,11 @@ def find_matches(host: Diagram, motif: Motif):
     order) is smallest. Two raw matches share an orbit iff they cover the
     same host edges and give each covered host vertex a preimage of the same
     mark."""
-    pattern = motif.pattern
+    pattern, rank = motif.pattern, host.rank
     vids = pattern.vertex_ids()
     best = {}
     for m in _find_raw(host, pattern):
-        key = tuple(natural_key(m.vertex_map[v]) for v in vids)
+        key = tuple(rank[m.vertex_map[v]] for v in vids)
         orbit = (frozenset(m.edge_map.values()),
                  frozenset((hv, pattern.vertices[pv].marked) for pv, hv in m.vertex_map.items()))
         if orbit not in best or key < best[orbit][0]:
@@ -129,9 +129,7 @@ def find_matches(host: Diagram, motif: Motif):
 
 def _replacement(host: Diagram, motif: Motif, match: Match):
     pattern = motif.pattern
-    free_images = sorted(
-        (match.vertex_map[pv] for pv in pattern.free_vertices()), key=natural_key
-    )
+    free_images = sorted((match.vertex_map[pv] for pv in pattern.free_vertices()), key=host.rank.get)
     label = "(" + "".join(
         host.edges[match.edge_map[pe]].label for pe in pattern.edge_ids()
     ) + ")"
@@ -169,9 +167,7 @@ def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif
             sub_vertices[v] = Vertex(v, host.vertices[v].index_set, v in marked_images)
     sub_d = Diagram(sub_vertices, {eid: host.edges[eid] for eid in matched})
     sub_binding = {eid: binding[eid] for eid in matched}
-    out_order = sorted(
-        (v for v in sub_vertices if v not in marked_images), key=natural_key
-    )
+    out_order = sorted((v for v in sub_vertices if v not in marked_images), key=host.rank.get)
     collapsed = evaluate(sub_d, sub_binding, output_order=out_order)
     new_d, new_eid = _apply(host, motif, match)
     new_binding = {eid: binding[eid] for eid in new_d.edges if eid != new_eid}
@@ -185,7 +181,7 @@ def state_key(d: Diagram):
     vsig = tuple(
         sorted((v, d.vertices[v].marked, d.vertices[v].index_set.size) for v in d.vertices)
     )
-    esig = tuple(sorted(tuple(sorted(e.legs, key=natural_key)) for e in d.edges.values()))
+    esig = tuple(sorted(tuple(sorted(e.legs, key=d.rank.get)) for e in d.edges.values()))
     return (vsig, esig)
 
 
@@ -299,9 +295,7 @@ def random_binding(d: Diagram, semiring, rng) -> dict:
     natural order, matching `default_binding`)."""
     arrays = {}
     for eid, e in d.edges.items():
-        axes = [
-            d.vertices[v].index_set for v in sorted(e.legs, key=natural_key)
-        ]
+        axes = [d.vertices[v].index_set for v in sorted(e.legs, key=d.rank.get)]
         arrays[eid] = random_array(axes, semiring, rng)
     return default_binding(d, arrays)
 
@@ -310,12 +304,11 @@ def semantic_confluence(host: Diagram, motif: Motif, semiring, trials: int = 50,
                         seed: int = 0) -> dict:
     """Sample random bindings and check that every maximal rewrite sequence
     evaluates to the direct host value on each. Needs an exact semiring."""
-    if trials < 1:
-        raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {trials}")
+    draws = trial_range(trials)
     if not semiring.exact:
         raise PlexusError("INEXACT_SEMIRING", "semantic confluence needs an exact semiring")
     rng = random.Random(seed)
-    for t in range(trials):
+    for t in draws:
         binding = random_binding(host, semiring, rng)
         res = semantic_confluence_binding(host, binding, motif)
         if not res["ok"]:
@@ -354,6 +347,15 @@ def _edge_transitive(d: Diagram) -> bool:
     return orbit == set(eids)
 
 
+def _marking_key(skeleton, unmarked):
+    """The class of a marking of a skeleton, from the skeleton's labelling search
+    (signature, optimal labellings): the signature and the least image of the unmarked
+    vertices. Exact: the optimal labellings of isomorphic skeletons differ by exactly their
+    isomorphisms, so two markings get equal keys iff an isomorphism maps one onto the other."""
+    sig, optimal = skeleton
+    return sig, min(tuple(sorted(pos[v] for v in unmarked)) for pos in optimal)
+
+
 def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
                            free_vertices: int = 3, variant: str = "default",
                            size: int = 2):
@@ -382,16 +384,23 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
         if used[-1] != len(used) - 1 or not _connected(group):
             continue
         deg = [sum(v in e for e in group) for v in used]
-        for unmarked in itertools.combinations(used, free_vertices):
-            if any(deg[v] < marked_min for v in used if v not in unmarked) or (
-                    unmarked_exact is not None and any(deg[v] != unmarked_exact for v in unmarked)):
+        # the degree rule: a vertex below the marked minimum stays unmarked, and
+        # only a vertex of the exact unmarked degree, if one is set, may be unmarked
+        low = {v for v in used if deg[v] < marked_min}
+        may_be_free = [v for v in used if unmarked_exact in (None, deg[v])]
+        names = [f"v{v}" for v in used]
+        legs = [(f"e{k}", tuple(names[v] for v in e)) for k, e in enumerate(group)]
+        skeleton = None
+        for unmarked in itertools.combinations(may_be_free, free_vertices):
+            if not low.issubset(unmarked):
                 continue
-            d = build_diagram([(f"v{v}", iset, v not in unmarked) for v in used],
-                              [(f"e{k}", tuple(f"v{v}" for v in e)) for k, e in enumerate(group)])
-            cert = canonical_form(d)
-            if cert in seen:
+            if skeleton is None:  # one labelling search per group, on its unmarked skeleton
+                skeleton = _labelling_search(build_diagram([(n, iset, False) for n in names], legs))
+            key = _marking_key(skeleton, [names[v] for v in unmarked])
+            if key in seen:
                 continue
-            seen.add(cert)
+            seen.add(key)
+            d = build_diagram([(n, iset, v not in unmarked) for v, n in enumerate(names)], legs)
             reps.append(d)
             if _edge_transitive(d):
                 symmetric.append(d)

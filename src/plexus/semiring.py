@@ -46,22 +46,27 @@ class Semiring:
 
     def validate(self, x) -> None:
         k = self.kind
+        if k == "float64":
+            # the bound also refuses integers with no float64 value
+            if not isinstance(x, (int, float)) or isinstance(x, bool) or x != x or abs(x) > FLOAT64_MAX:
+                raise PlexusError("BAD_ELEMENT", f"float64 element must be a finite number, got {x!r}")
+            return
+        if k == "min_plus" and x == INF:
+            return
+        # the other kinds hold ints only: never a bool, nor a float such as 1.0
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise PlexusError("BAD_ELEMENT", f"not an integer element: {x!r}")
         if k == "boolean":
             if x not in (0, 1):
                 raise PlexusError("BAD_ELEMENT", f"boolean element must be 0 or 1, got {x!r}")
         elif k == "nat64":
-            if not isinstance(x, int) or not (0 <= x <= NAT64_MAX):
+            if not 0 <= x <= NAT64_MAX:
                 raise PlexusError("BAD_ELEMENT", f"nat64 element out of range: {x!r}")
         elif k == "int_mod":
-            if not isinstance(x, int) or not (0 <= x < self.modulus):
+            if not 0 <= x < self.modulus:
                 raise PlexusError("BAD_ELEMENT", f"int_mod({self.modulus}) element out of range: {x!r}")
-        elif k == "min_plus":
-            if x != INF and (not isinstance(x, int) or x < 0):
-                raise PlexusError("BAD_ELEMENT", f"min_plus element must be a natural or inf, got {x!r}")
-        elif k == "float64":
-            # the bound also refuses integers with no float64 value
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or x != x or abs(x) > FLOAT64_MAX:
-                raise PlexusError("BAD_ELEMENT", f"float64 element must be a finite number, got {x!r}")
+        elif x < 0:
+            raise PlexusError("BAD_ELEMENT", f"min_plus element must be a natural or inf, got {x!r}")
 
     def elements(self):
         """Full carrier for the finite kinds; error otherwise."""
@@ -167,15 +172,13 @@ class Semiring:
         return x
 
     def element_from_json(self, v):
-        if self.kind == "min_plus" and v == "inf":
-            return INF
-        if self.kind == "float64":
-            self.validate(v)
-            return float(v)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise PlexusError("BAD_ELEMENT", f"not an integer element: {v!r}")
+        if self.kind == "min_plus":
+            if v == "inf":
+                return INF
+            if v == INF:  # a JSON number that overflows, such as 1e400
+                raise PlexusError("BAD_ELEMENT", f"not an integer element: {v!r}")
         self.validate(v)
-        return v
+        return float(v) if self.kind == "float64" else v
 
 
 def make_semiring(kind: str, modulus: int | None = None) -> Semiring:

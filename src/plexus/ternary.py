@@ -17,7 +17,7 @@ import random
 
 from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kronecker,
                      random_array, zero_array)
-from .core import IndexSet, PlexusError, Verdict
+from .core import IndexSet, PlexusError, Verdict, trial_range
 from .diagram import Diagram, Hyperedge, Vertex
 from .evaluator import BoundEdge
 from .semiring import Semiring
@@ -155,7 +155,7 @@ def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False, product
             raise PlexusError("CONFORMABILITY", f"the twist of {variant} needs equal tip sizes, got "
                               f"{axes[first].id}:{sizes[first]} and {axes[second].id}:{sizes[second]}")
         axes[second] = axes[first]
-    for t in range(trials):
+    for t in trial_range(trials):
         arrays = [random_array(axes, semiring, rng) for _ in range(5)]
         v = semiheap_check_arrays(*arrays, variant, twist, product)
         if not v:

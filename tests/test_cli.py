@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, JSON error contract,
 and byte-stable output."""
+import hashlib
 import json
 
 import pytest
@@ -176,6 +177,18 @@ def test_eval_bad_element(tmp_path, capsys):
     assert json.loads(err)["error"] == "BAD_ELEMENT"
 
 
+@pytest.mark.parametrize("semiring", ["boolean", "nat64", "int-mod:5", "min-plus"])
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_eval_refuses_bool_and_float_in_integer_kinds(tmp_path, capsys, semiring, bad):
+    broken = json.loads(json.dumps(WS))
+    broken["semiring"] = semiring
+    broken["arrays"]["a"]["entries"] = [1, 0, 0, bad]
+    path = write(tmp_path, broken, "w.json")
+    code, out, err = run(capsys, ["eval", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BAD_ELEMENT"
+
+
 def test_eval_unknown_index_set(tmp_path, capsys):
     broken = json.loads(json.dumps(WS))
     broken["arrays"]["a"]["axes"] = ["I", "Q"]
@@ -333,6 +346,29 @@ def test_enumerate_json(capsys):
     assert rep["symmetric"] == 3
     assert len(rep["classes"]) == 10
     assert sum(c["symmetric"] for c in rep["classes"]) == 3
+
+
+# sha256 of `plexus enumerate` stdout, recorded before the census read
+# classes off one labelling search per edge group: the census must print the
+# same first representatives, in the same order, byte for byte
+ENUMERATE_SHA256 = {
+    ("--variant", "loose"): ("11181673531ac76ea630633f17ee03bae72a8c54920ac84e84ea2f3c30e558e6",
+                             "6c99c365f752454c3328c7df315f6eba7e6c98d5adf60b63ffc6dc081b5b009e"),
+    ("--variant", "tips-only"): ("3d05766c6c5a16122b2c197d9292fac505902639fa2b09fa895e2f0dcb0a88b2",
+                                 "719d91c9720c601156f98997ec7e28f411152311e7741ed82620311caeb75a4a"),
+    ("--variant", "all"): ("f1a1b2b7440a2329b5cad03e36c85ac0f6ed765233b08529aca42bc0f703d90b",
+                           "4fd834c10bae96a5f7841ff37c94371f009e9c540ced84dfc6f1341e953d4488"),
+    ("--edges", "4"): ("79c5bbe7277597dad6abaf1acaa58ba8d9cb8a3fff6dc3e7c3f98acb1b32ae41",
+                       "a52e81b5c4ffb639fee6f23a1e3c1706b185c8e29892c4ee256b1d0b2163ae36"),
+}
+
+
+@pytest.mark.parametrize("args", list(ENUMERATE_SHA256), ids=" ".join)
+def test_enumerate_stdout_is_pinned(capsys, args):
+    for form, want in zip(([], ["--json"]), ENUMERATE_SHA256[args]):
+        code, out, err = run(capsys, ["enumerate", *args, *form])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, form
 
 
 @pytest.mark.parametrize("flag,value,name,least", [

@@ -249,20 +249,22 @@ def test_census_two_edges():
 
 
 def test_census_variants(monkeypatch):
-    # one canonical form per candidate of the groups that hold the least edge
+    # one labelling search per edge group with a marking that passes the
+    # degree rule, plus one per class for its edge-transitivity test
     calls = []
-    monkeypatch.setattr(rewrite, "canonical_form", lambda d: calls.append(d) or canonical_form(d))
-    counts, certificates = {}, {}
+    search = rewrite._labelling_search
+    monkeypatch.setattr(rewrite, "_labelling_search", lambda d: calls.append(d) or search(d))
+    counts, searches = {}, {}
     for variant in ("default", "tips-only", "loose", "all"):
         calls.clear()
         reps, symmetric = enumerate_compositions(3, 3, 3, variant)
         counts[variant] = (len(reps), len(symmetric))
-        certificates[variant] = len(calls)
+        searches[variant] = len(calls)
     assert counts["default"] == (10, 3)
     assert counts["tips-only"][0] == 3
     assert counts["loose"][0] == 10
     assert counts["all"][0] > 10
-    assert certificates == {"default": 168, "tips-only": 48, "loose": 876, "all": 3957}
+    assert searches == {"default": 88, "tips-only": 51, "loose": 148, "all": 224}
 
 
 def test_census_four_edges():

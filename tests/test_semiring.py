@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from plexus import PlexusError, check_semiring_axioms, make_semiring, parse_semiring
+from plexus import IndexSet, PlexusError, check_semiring_axioms, make_array, make_semiring, parse_semiring
 from plexus.semiring import NAT64_MAX
 
 
@@ -69,6 +69,21 @@ def test_validate_rejects_foreign_elements():
         with pytest.raises(PlexusError) as err:
             s.validate(bad)
         assert err.value.code == "BAD_ELEMENT"
+
+
+def test_integer_kinds_refuse_bool_and_float_elements():
+    for s in (make_semiring("boolean"), make_semiring("nat64"), make_semiring("int_mod", 5),
+              make_semiring("min_plus")):
+        for bad in (True, False, 1.0, 0.0):
+            with pytest.raises(PlexusError) as err:
+                s.validate(bad)
+            assert err.value.code == "BAD_ELEMENT", (s, bad)
+    assert make_semiring("min_plus").validate(math.inf) is None
+    # once accepted, this array made `reorder` raise a raw TypeError
+    i2 = IndexSet("I", 2)
+    with pytest.raises(PlexusError) as err:
+        make_array((i2, i2), [1.0, 0, 0, True], make_semiring("boolean"))
+    assert err.value.code == "BAD_ELEMENT"
 
 
 def test_token_spellings():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from plexus import checks
 from plexus import (
     ETA_VARIANTS,
     Array,
@@ -268,6 +269,27 @@ def test_twisted_semiheap_law_draws_both_tips_on_one_index_set():
         semiheap_law_arrays("JKI", MOD5, (3, 2, 3), trials=4, twist=True)
     assert err.value.code == "CONFORMABILITY"
     assert "got J:2 and K:3" in str(err.value)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_semiheap_law_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(PlexusError) as err:
+        semiheap_law_arrays("IJK", BOOL, (2, 2, 2), trials)
+    assert err.value.code == "BAD_REFERENCE"
+    assert f"trials must be at least 1, got {trials}" in str(err.value)
+
+
+@pytest.mark.parametrize("check", [
+    checks.semiheap, checks.units, checks.flatfish, checks.fish_vs_evaluation,
+    checks.rewrite_orders, checks.kronecker_identities, checks.reversal, checks.twist_witness,
+], ids=lambda check: check.__name__)
+@pytest.mark.parametrize("trials", [0, -5])
+def test_registry_trial_loops_refuse_fewer_than_one_trial(check, trials):
+    # without the refusal these would report their law as holding, having drawn nothing
+    with pytest.raises(PlexusError) as err:
+        check(MOD5, (2, 2, 2), trials, random.Random(0))
+    assert err.value.code == "BAD_REFERENCE"
+    assert f"trials must be at least 1, got {trials}" in str(err.value)
 
 
 def test_semiheap_law_rejects_broken_product():
