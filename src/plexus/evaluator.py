@@ -106,31 +106,29 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
     free = _output_order(d, output_order)
     _label_axes(_operands(d, binding))
     vids = d.vertex_ids()
+    slot = {v: n for n, v in enumerate(vids)}
     s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()
-    sizes = [d.vertices[v].index_set.size for v in free]
-    count = 1
-    for n in sizes:
-        count *= n
+
+    def strides(legs):
+        """(assignment slot, row-major stride) of each axis on these legs."""
+        pairs, k = [], 1
+        for v in reversed(legs):
+            pairs.append((slot[v], k))
+            k *= d.vertices[v].index_set.size
+        return pairs, k
+
+    edges = [(be.array.entries, strides(sorted(be.leg_to_axis, key=be.leg_to_axis.get))[0])
+             for be in map(binding.get, d.edges)]
+    out, count = strides(free)
     entries = [s.zero()] * count
     for total in itertools.product(
         *(range(d.vertices[v].index_set.size) for v in vids)
     ):
-        assign = dict(zip(vids, total))
         term = s.one()
-        for eid in d.edges:
-            be = binding[eid]
-            arity = len(be.leg_to_axis)
-            axis_value = [0] * arity
-            for v, t in be.leg_to_axis.items():
-                axis_value[t] = assign[v]
-            off = 0
-            for t in range(arity):
-                off = off * be.array.axes[t].size + axis_value[t]
-            term = mul(term, be.array.entries[off])
-        off = 0
-        for n, v in zip(sizes, free):
-            off = off * n + assign[v]
+        for values, pairs in edges:
+            term = mul(term, values[sum(total[p] * k for p, k in pairs)])
+        off = sum(total[p] * k for p, k in out)
         entries[off] = add(entries[off], term)
     s.check_range(entries)
     axes = tuple(d.vertices[v].index_set for v in free)

@@ -340,13 +340,6 @@ def _connected(edge_sets) -> bool:
     return True
 
 
-def _edge_transitive(d: Diagram) -> bool:
-    autos = motif_automorphisms(d)
-    eids = d.edge_ids()
-    orbit = {a.edge_map[eids[0]] for a in autos}
-    return orbit == set(eids)
-
-
 def _marking_key(skeleton, unmarked):
     """The class of a marking of a skeleton, from the skeleton's labelling search
     (signature, optimal labellings): the signature and the least image of the unmarked
@@ -396,12 +389,17 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
                 continue
             if skeleton is None:  # one labelling search per group, on its unmarked skeleton
                 skeleton = _labelling_search(build_diagram([(n, iset, False) for n in names], legs))
-            key = _marking_key(skeleton, [names[v] for v in unmarked])
+            free = [names[v] for v in unmarked]
+            key = _marking_key(skeleton, free)
             if key in seen:
                 continue
             seen.add(key)
             d = build_diagram([(n, iset, v not in unmarked) for v, n in enumerate(names)], legs)
             reps.append(d)
-            if _edge_transitive(d):
+            # the optimal labellings that attain the key differ by exactly the marked
+            # diagram's automorphisms: symmetric iff they carry the first edge onto every edge
+            images = {frozenset(pos[v] for v in legs[0][1]) for pos in skeleton[1]
+                      if tuple(sorted(pos[v] for v in free)) == key[1]}
+            if len(images) == num_edges:
                 symmetric.append(d)
     return reps, symmetric

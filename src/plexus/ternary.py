@@ -19,7 +19,7 @@ from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kro
                      random_array, zero_array)
 from .core import IndexSet, PlexusError, Verdict, trial_range
 from .diagram import Diagram, Hyperedge, Vertex
-from .evaluator import BoundEdge
+from .evaluator import BoundEdge, evaluate_formula_oracle
 from .semiring import Semiring
 
 # variant name -> (mouth axis position, reversed). The name XYZ reads: tips
@@ -75,13 +75,19 @@ def make_fish_binding(a: Array, b: Array, c: Array, variant: str = "IJK", twist:
     that evaluating it reproduces fish(a, b, c, variant, twist); evaluation
     refuses arrays that do not conform. Returns (diagram, binding)."""
     roles, _, order = _fish_labels(variant, twist)
-    arrays = [(a, b, c)[n] for n in order]
+    return _fish_diagram([((a, b, c)[n], labels) for n, labels in zip(order, roles)])
+
+
+def _fish_diagram(terms):
+    """The fish diagram with the tail, body and head of `terms`, (array,
+    labels over i j p q r k) pairs, bound to its edges: an array's axis n
+    sits on the vertex of its n-th label. Returns (diagram, binding)."""
     # each array on its own labels: one label per axis, else CONFORMABILITY
-    tail, _, head = (_label_axes([(x, labels)]) for x, labels in zip(arrays, roles))
+    tail, _, head = (_label_axes([term]) for term in terms)
     axis = {**tail, **head}  # i j p carry the tail's index sets, q r k the head's
     verts = {vid: Vertex(vid, axis[lab], lab in "pqr") for lab, vid in _FISH_VERTEX.items()}
     edges, binding = {}, {}
-    for n, (legs, x, labels) in enumerate(zip(_FISH_LEGS, arrays, roles)):
+    for n, (legs, (x, labels)) in enumerate(zip(_FISH_LEGS, terms)):
         eid = f"e{n}"
         edges[eid] = Hyperedge(eid, tuple(_FISH_VERTEX[lab] for lab in legs))
         binding[eid] = BoundEdge(x, {_FISH_VERTEX[lab]: labels.index(lab) for lab in legs})
@@ -138,14 +144,13 @@ def fish_sequentializations_check(a: Array, b: Array, c: Array) -> Verdict:
 
 
 def semiheap_law_arrays(variant: str, semiring: Semiring, sizes, trials: int,
-                        seed: int = 0, twist: bool = False, product=None) -> Verdict:
+                        seed: int = 0, twist: bool = False) -> Verdict:
     """Para-associativity ((abc)de) = (a(dcb)e) = (ab(cde)) on seeded random
-    order-3 arrays with the given axis sizes. `product` substitutes another
-    ternary product for the law check (defaults to the fish engine)."""
-    return _semiheap_trials(variant, semiring, sizes, trials, random.Random(seed), twist, product)
+    order-3 arrays with the given axis sizes."""
+    return _semiheap_trials(variant, semiring, sizes, trials, random.Random(seed), twist)
 
 
-def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False, product=None) -> Verdict:
+def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False) -> Verdict:
     """The trial loop of the para-associativity law: five arrays on (I, J, K)
     drawn from `rng` per trial; a failure's witness names its trial."""
     axes = [IndexSet(n, s) for n, s in zip("IJK", sizes, strict=True)]
@@ -157,17 +162,18 @@ def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False, product
         axes[second] = axes[first]
     for t in trial_range(trials):
         arrays = [random_array(axes, semiring, rng) for _ in range(5)]
-        v = semiheap_check_arrays(*arrays, variant, twist, product)
+        v = semiheap_check_arrays(*arrays, variant, twist)
         if not v:
             return Verdict(False, v.law, {"trial": t, **v.witness})
     return Verdict(True, "sh")
 
 
-def semiheap_check_arrays(a, b, c, d, e, variant: str = "IJK", twist: bool = False,
-                          product=None) -> Verdict:
+def semiheap_check_arrays(a, b, c, d, e, variant: str = "IJK", twist: bool = False) -> Verdict:
     """Para-associativity on arrays:
     ((abc)de) = (a(dcb)e) = (ab(cde))."""
-    prod = product or (lambda x, y, z: fish(x, y, z, variant, twist))
+    def prod(x, y, z):
+        return fish(x, y, z, variant, twist)
+
     left = prod(prod(a, b, c), d, e)
     mid = prod(a, prod(d, c, b), e)
     right = prod(a, b, prod(c, d, e))
@@ -266,46 +272,29 @@ def flat_fish_equiv(a: Array, b: Array, c: Array) -> Verdict:
 
 
 def fish_form1(a: Array, b: Array, c: Array) -> Array:
-    """out[i,j,k] = sum a[i,j,p] b[q,r,p] c[q,r,k] (explicit loops)."""
-    return _explicit_form(a, b, c, body_swapped=False, reversed_=False)
+    """out[i,j,k] = sum a[i,j,p] b[q,r,p] c[q,r,k]."""
+    return _form((a, "ijp"), (b, "qrp"), (c, "qrk"))
 
 
 def fish_form2(a: Array, b: Array, c: Array) -> Array:
     """out[i,j,k] = sum a[i,j,p] b[r,q,p] c[q,r,k]."""
-    return _explicit_form(a, b, c, body_swapped=True, reversed_=False)
+    return _form((a, "ijp"), (b, "rqp"), (c, "qrk"))
 
 
 def fish_form3(a: Array, b: Array, c: Array) -> Array:
     """out[i,j,k] = sum c[i,j,p] b[r,q,p] a[q,r,k]."""
-    return _explicit_form(a, b, c, body_swapped=True, reversed_=True)
+    return _form((c, "ijp"), (b, "rqp"), (a, "qrk"))
 
 
 def fish_form4(a: Array, b: Array, c: Array) -> Array:
     """out[i,j,k] = sum c[i,j,p] b[q,r,p] a[q,r,k]."""
-    return _explicit_form(a, b, c, body_swapped=False, reversed_=True)
+    return _form((c, "ijp"), (b, "qrp"), (a, "qrk"))
 
 
-def _explicit_form(a, b, c, body_swapped, reversed_):
-    first, last = (c, a) if reversed_ else (a, c)
-    s = a.semiring
-    ni, nj = first.axes[0].size, first.axes[1].size
-    np_, nq, nr = first.axes[2].size, last.axes[0].size, last.axes[1].size
-    nk = last.axes[2].size
-    add, mul = s.reference_ops()
-    out_axes = (first.axes[0], first.axes[1], last.axes[2])
-    entries = []
-    for i in range(ni):
-        for j in range(nj):
-            for k in range(nk):
-                acc = s.zero()
-                for p in range(np_):
-                    for q in range(nq):
-                        for r in range(nr):
-                            bv = b.entry((r, q, p)) if body_swapped else b.entry((q, r, p))
-                            acc = add(acc, mul(first.entry((i, j, p)), mul(bv, last.entry((q, r, k)))))
-                entries.append(acc)
-    s.check_range(entries)
-    return Array(out_axes, entries, s)
+def _form(*terms):
+    """A form's sum of products, evaluated by the formula oracle: the free
+    vertices i j k, in natural order, are the output axes."""
+    return evaluate_formula_oracle(*_fish_diagram(terms))
 
 
 class TernaryTable:
@@ -315,13 +304,18 @@ class TernaryTable:
     __slots__ = ("n", "table", "labels", "kind")
 
     def __init__(self, n: int, table, labels=None, kind: str = "custom"):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise PlexusError("BAD_TABLE", f"carrier size must be an integer, got {n!r}")
         if n < 1:
             raise PlexusError("BAD_TABLE", "carrier must be nonempty")
         table = tuple(table)
         if len(table) != n ** 3:
             raise PlexusError("BAD_TABLE", f"expected {n ** 3} table entries, got {len(table)}")
-        if any(not (0 <= x < n) for x in table):
-            raise PlexusError("BAD_TABLE", "table value out of carrier range")
+        for x in table:  # ints only, as for semiring elements: never a bool or a float
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise PlexusError("BAD_TABLE", f"table entry must be an integer, got {x!r}")
+            if not 0 <= x < n:
+                raise PlexusError("BAD_TABLE", "table value out of carrier range")
         self.n = n
         self.table = table
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))

@@ -6,8 +6,14 @@ import itertools
 
 import pytest
 
-from plexus import IndexSet, build_diagram, canonical_form, enumerate_compositions
-from plexus.rewrite import ENUMERATION_VARIANTS, _connected, _edge_transitive
+from plexus import IndexSet, build_diagram, canonical_form, enumerate_compositions, motif_automorphisms
+from plexus.rewrite import ENUMERATION_VARIANTS, _connected
+
+
+def edge_transitive(d):
+    """The automorphism group moves the first edge onto every edge."""
+    eids = d.edge_ids()
+    return {a.edge_map[eids[0]] for a in motif_automorphisms(d)} == set(eids)
 
 
 def ref_enumerate_compositions(num_edges, edge_order, free_vertices, variant="default", size=2):
@@ -44,7 +50,7 @@ def ref_enumerate_compositions(num_edges, edge_order, free_vertices, variant="de
                 continue
             seen.add(cert)
             reps.append(d)
-            if _edge_transitive(d):
+            if edge_transitive(d):
                 symmetric.append(d)
     return reps, symmetric
 

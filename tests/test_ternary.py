@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from plexus import checks
+from plexus import checks, ternary
 from plexus import (
     ETA_VARIANTS,
     Array,
@@ -26,6 +26,7 @@ from plexus import (
     fish,
     fish_form1,
     fish_form2,
+    fish_form3,
     fish_form4,
     fish_output_order,
     fish_sequentializations_check,
@@ -40,6 +41,7 @@ from plexus import (
     make_fish_binding,
     make_semiring,
     make_ternary_table,
+    parse_semiring,
     random_array,
     relation_semiheap,
     reverse_table,
@@ -128,6 +130,36 @@ def test_twist_matches_swapped_body_form():
         a, b, c = (random_array(axes, MOD5, rng) for _ in range(3))
         assert fish(a, b, c, "IJK", twist=True) == fish_form2(a, b, c)
         assert fish(a, b, c, "JIK") == fish_form4(a, b, c)
+
+
+@pytest.mark.parametrize("semiring", ["boolean", "int-mod:7", "nat64", "min-plus"])
+def test_forms_equal_the_engine_on_unequal_index_sets(semiring):
+    # six index sets of unequal sizes: a form that read an axis off the wrong
+    # argument, or swapped the body's tips, would refuse or disagree
+    s = parse_semiring(semiring)
+    I, J, P, Q, R, K = (IndexSet(n, k) for n, k in zip("IJPQRK", (2, 3, 2, 3, 1, 2)))
+    rng = random.Random(18)
+    forms = ((fish_form1, "IJK", False), (fish_form2, "IJK", True),
+             (fish_form3, "JIK", True), (fish_form4, "JIK", False))
+    for form, variant, twist in forms:
+        for _ in range(3):
+            tail, head = random_array((I, J, P), s, rng), random_array((Q, R, K), s, rng)
+            body = random_array((R, Q, P) if twist else (Q, R, P), s, rng)
+            args = (head, body, tail) if variant == "JIK" else (tail, body, head)
+            got = form(*args)
+            assert got.axes == (I, J, K)
+            assert got == fish(*args, variant, twist)
+
+
+@pytest.mark.parametrize("body_axes", [(IndexSet("I", 3),) * 3, (I2, J3, I2)])
+def test_forms_refuse_a_body_on_other_index_sets(body_axes):
+    rng = random.Random(19)
+    a, c = (random_array((I2, I2, I2), MOD5, rng) for _ in range(2))
+    b = random_array(body_axes, MOD5, rng)
+    for product in (fish_form1, fish_form2, fish_form3, fish_form4, fish):
+        with pytest.raises(PlexusError) as err:
+            product(a, b, c)
+        assert err.value.code == "CONFORMABILITY"
 
 
 def test_sequentializations_check():
@@ -292,9 +324,9 @@ def test_registry_trial_loops_refuse_fewer_than_one_trial(check, trials):
     assert f"trials must be at least 1, got {trials}" in str(err.value)
 
 
-def test_semiheap_law_rejects_broken_product():
-    bad = lambda x, y, z: fish(x, y, x)
-    v = semiheap_law_arrays("IJK", MOD5, (2, 2, 2), trials=15, seed=4, product=bad)
+def test_semiheap_law_rejects_broken_product(monkeypatch):
+    monkeypatch.setattr(ternary, "fish", lambda x, y, z, variant, twist: fish(x, y, x, variant, twist))
+    v = semiheap_law_arrays("IJK", MOD5, (2, 2, 2), trials=15, seed=4)
     assert not v.ok
 
 
@@ -465,6 +497,18 @@ def test_ternary_table_validation():
         TernaryTable(2, [0] * 7 + [5])
     with pytest.raises(PlexusError):
         TernaryTable(2, [0] * 8, labels=["only-one"])
+
+
+@pytest.mark.parametrize("n, table", [
+    (2, [0.5] * 8),  # was accepted, and check_semiheap then raised a raw TypeError
+    (2, ["0"] * 8),  # raised a raw TypeError at construction
+    (2, [True] + [0] * 7),  # passed as 1
+    (2.0, [0] * 8),
+])
+def test_ternary_table_refuses_entries_that_are_not_integers(n, table):
+    with pytest.raises(PlexusError) as err:
+        TernaryTable(n, table)
+    assert err.value.code == "BAD_TABLE"
 
 
 def test_heapoid_delta_alone():
