@@ -33,9 +33,10 @@ class Hyperedge:
 
 class Diagram:
     """Immutable marked hypergraph. Its natural-id vertex and edge orders are
-    computed once; `rank` maps each vertex id to its place in that order."""
+    computed once; `rank` maps each vertex id to its place in that order, and
+    `incidence` maps each vertex id to its incident edge ids in natural order."""
 
-    __slots__ = ("vertices", "edges", "rank", "_eids")
+    __slots__ = ("vertices", "edges", "rank", "incidence", "_eids")
 
     def __init__(self, vertices: dict, edges: dict):
         object.__setattr__(self, "vertices", dict(vertices))
@@ -44,13 +45,20 @@ class Diagram:
         vids = sorted(self.vertices, key=natural_key)
         object.__setattr__(self, "rank", {v: t for t, v in enumerate(vids)})  # in natural order
         object.__setattr__(self, "_eids", tuple(sorted(self.edges, key=natural_key)))
+        incidence = {v: [] for v in vids}
+        for eid in self._eids:
+            for v in self.edges[eid].legs:
+                incidence[v].append(eid)
+        for v in self.vertices:
+            if not incidence[v]:
+                raise PlexusError("INVALID_DIAGRAM", f"isolated vertex {v}")
+        object.__setattr__(self, "incidence", {v: tuple(es) for v, es in incidence.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
 
     def _validate(self):
         seen_leg_sets = set()
-        incident = {v: 0 for v in self.vertices}
         for e in self.edges.values():
             if len(e.legs) == 0:
                 raise PlexusError("INVALID_DIAGRAM", f"edge {e.id} has no legs")
@@ -59,14 +67,10 @@ class Diagram:
             for v in e.legs:
                 if v not in self.vertices:
                     raise PlexusError("INVALID_DIAGRAM", f"edge {e.id} references unknown vertex {v}")
-                incident[v] += 1
             key = frozenset(e.legs)
             if key in seen_leg_sets:
                 raise PlexusError("INVALID_DIAGRAM", f"duplicate edge on legs {sorted(e.legs)}")
             seen_leg_sets.add(key)
-        for v, deg in incident.items():
-            if deg == 0:
-                raise PlexusError("INVALID_DIAGRAM", f"isolated vertex {v}")
 
     def vertex_ids(self):
         return list(self.rank)
@@ -81,10 +85,10 @@ class Diagram:
         return [v for v in self.rank if self.vertices[v].marked]
 
     def incident_edges(self, vertex_id: str):
-        return [e for e in self._eids if vertex_id in self.edges[e].legs]
+        return list(self.incidence.get(vertex_id, ()))
 
     def degree(self, vertex_id: str) -> int:
-        return sum(1 for e in self.edges.values() if vertex_id in e.legs)
+        return len(self.incidence.get(vertex_id, ()))
 
     def __repr__(self):
         vs = ", ".join(
@@ -163,24 +167,20 @@ def _refine_colors(d: Diagram):
     vertex also sees, per incident edge, the arity and the co-leg colors."""
     vids = d.vertex_ids()
     keys = {v: (d.vertices[v].marked, d.vertices[v].index_set.size) for v in vids}
-    order = sorted(set(keys.values()))
-    color = {v: order.index(keys[v]) for v in vids}
-    nclasses = len(order)
+    nclasses = 0
     while True:
+        order = {k: t for t, k in enumerate(sorted(set(keys.values())))}
+        color = {v: order[keys[v]] for v in vids}
+        if len(order) == nclasses:
+            return color
+        nclasses = len(order)
         keys = {}
         for v in vids:
             sig = []
-            for e in d.edges.values():
-                if v in e.legs:
-                    co = sorted(color[w] for w in e.legs if w != v)
-                    sig.append((len(e.legs), tuple(co)))
+            for eid in d.incidence[v]:
+                legs = d.edges[eid].legs
+                sig.append((len(legs), tuple(sorted(color[w] for w in legs if w != v))))
             keys[v] = (color[v], tuple(sorted(sig)))
-        order = sorted(set(keys.values()))
-        new_color = {v: order.index(keys[v]) for v in vids}
-        if len(order) == nclasses:
-            return new_color
-        nclasses = len(order)
-        color = new_color
 
 
 def _labelling_search(d: Diagram):

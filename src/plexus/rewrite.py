@@ -52,34 +52,38 @@ class Match:
 
 
 def _compatible_vertex(pattern, host, pv, hv):
+    """Same cardinality; a marked motif vertex only on a marked host vertex of its degree.
+    That is locality, exactly: the match preserves incidence and is injective on edges,
+    so the host edges at hv inside it are the images of the motif edges at pv."""
     pvx, hvx = pattern.vertices[pv], host.vertices[hv]
-    return pvx.index_set.size == hvx.index_set.size and (hvx.marked or not pvx.marked)
+    return pvx.index_set.size == hvx.index_set.size and (
+        not pvx.marked or (hvx.marked and len(host.incidence[hv]) == len(pattern.incidence[pv])))
 
 
-def _find_raw(host: Diagram, pattern: Diagram):
+def _find_raw(host: Diagram, pattern: Diagram, through=None):
+    """Every raw match; given a host edge id `through`, those whose image holds it, each
+    once, from the one motif edge it maps onto that edge. Each later motif edge meets an
+    earlier one (a motif is connected): its candidates are the host edges at a leg's image."""
     pedges = pattern.edge_ids()
+    first = list(host.edges) if through is None else [through]
     results = []
 
-    def backtrack(k, vmap, emap):
-        if k == len(pedges):
-            image = set(emap.values())
-            for pv, hv in vmap.items():
-                if pattern.vertices[pv].marked:
-                    for he, hedge in host.edges.items():
-                        if hv in hedge.legs and he not in image:
-                            return
+    def backtrack(order, k, vmap, emap):
+        if k == len(order):
             results.append(Match(dict(vmap), dict(emap)))
             return
-        pe = pedges[k]
+        pe = order[k]
         plegs = pattern.edges[pe].legs
+        mapped = [pv for pv in plegs if pv in vmap]
         taken = set(vmap.values())
-        for he, hedge in host.edges.items():
-            if he in emap.values() or len(hedge.legs) != len(plegs):
+        for he in host.incidence[vmap[mapped[0]]] if mapped else first:
+            hlegs = host.edges[he].legs
+            if he in emap.values() or len(hlegs) != len(plegs):
                 continue
-            if any(pv in vmap and vmap[pv] not in hedge.legs for pv in plegs):
+            if any(vmap[pv] not in hlegs for pv in mapped):
                 continue
             free_plegs = [pv for pv in plegs if pv not in vmap]
-            avail = [hv for hv in hedge.legs if hv not in taken]
+            avail = [hv for hv in hlegs if hv not in taken]
             if len(avail) != len(free_plegs):
                 continue
             for perm in itertools.permutations(avail):
@@ -89,12 +93,17 @@ def _find_raw(host: Diagram, pattern: Diagram):
                 ):
                     vmap.update(zip(free_plegs, perm))
                     emap[pe] = he
-                    backtrack(k + 1, vmap, emap)
+                    backtrack(order, k + 1, vmap, emap)
                     del emap[pe]
                     for pv in free_plegs:
                         del vmap[pv]
 
-    backtrack(0, {}, {})
+    for start in pedges if through is not None else pedges[:1]:
+        order = [start]
+        for _ in pedges[1:]:
+            order.append(next(pe for pe in pedges if pe not in order and any(
+                q in order for v in pattern.edges[pe].legs for q in pattern.incidence[v])))
+        backtrack(order, 0, {}, {})
     return results
 
 
@@ -115,10 +124,15 @@ def find_matches(host: Diagram, motif: Motif):
     order) is smallest. Two raw matches share an orbit iff they cover the
     same host edges and give each covered host vertex a preimage of the same
     mark."""
-    pattern, rank = motif.pattern, host.rank
+    return _representatives(host, motif.pattern, _find_raw(host, motif.pattern))
+
+
+def _representatives(host: Diagram, pattern: Diagram, raw):
+    """`find_matches`' orbit step: the least of each orbit's raw matches, sorted."""
+    rank = host.rank
     vids = pattern.vertex_ids()
     best = {}
-    for m in _find_raw(host, pattern):
+    for m in raw:
         key = tuple(rank[m.vertex_map[v]] for v in vids)
         orbit = (frozenset(m.edge_map.values()),
                  frozenset((hv, pattern.vertices[pv].marked) for pv, hv in m.vertex_map.items()))
@@ -127,30 +141,42 @@ def find_matches(host: Diagram, motif: Motif):
     return [m for _, m in sorted(best.values(), key=lambda km: km[0])]
 
 
-def _replacement(host: Diagram, motif: Motif, match: Match):
-    pattern = motif.pattern
-    free_images = sorted((match.vertex_map[pv] for pv in pattern.free_vertices()), key=host.rank.get)
-    label = "(" + "".join(
-        host.edges[match.edge_map[pe]].label for pe in pattern.edge_ids()
-    ) + ")"
-    return fresh_id("r", host.edges), tuple(free_images), label
+def _carried_matches(matches, match, child: Diagram, new_eid, motif: Motif):
+    """`find_matches(child, motif)` from `matches` = find_matches(parent, motif), where
+    `child` is the parent rewritten at `match` and `new_eid` is its new edge. Exact:
+    - a parent match sharing no edge with `match` is a child match: its marked images keep
+      their degrees, as all their edges lie inside it (locality) and none is a leg of the
+      new edge, whose legs all lie on removed edges;
+    - a child match avoiding the new edge is a parent match: a marked image on a removed
+      edge would be a leg of the new edge, outside the match, or would be dropped;
+    - the child's ranks are the parent's restricted, so each surviving orbit keeps its
+      least representative, and one sort gives `find_matches`' order."""
+    removed = set(match.edge_map.values())
+    kept = [m for m in matches if removed.isdisjoint(m.edge_map.values())]
+    return _representatives(child, motif.pattern, kept + _find_raw(child, motif.pattern, new_eid))
 
 
 def apply_rewrite(host: Diagram, match: Match, motif: Motif) -> Diagram:
     """Remove the matched edges, drop vertices left isolated, add one edge on
     the images of the motif's free vertices with the bracketed label."""
-    d, _ = _apply(host, motif, match)
-    return d
+    vertices, edges, _ = _rewritten(host, motif, match)
+    return Diagram(vertices, edges)
 
 
-def _apply(host: Diagram, motif: Motif, match: Match):
-    new_eid, legs, label = _replacement(host, motif, match)
+def _rewritten(host: Diagram, motif: Motif, match: Match):
+    """The vertices and edges of `apply_rewrite`'s diagram, and the new edge id."""
+    pattern = motif.pattern
+    legs = tuple(sorted((match.vertex_map[pv] for pv in pattern.free_vertices()), key=host.rank.get))
+    label = "(" + "".join(
+        host.edges[match.edge_map[pe]].label for pe in pattern.edge_ids()
+    ) + ")"
+    new_eid = fresh_id("r", host.edges)
     matched = set(match.edge_map.values())
     edges = {eid: e for eid, e in host.edges.items() if eid not in matched}
     edges[new_eid] = Hyperedge(new_eid, legs, label)
     used = {v for e in edges.values() for v in e.legs}
     vertices = {vid: vx for vid, vx in host.vertices.items() if vid in used}
-    return Diagram(vertices, edges), new_eid
+    return vertices, edges, new_eid
 
 
 def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif):
@@ -169,7 +195,8 @@ def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif
     sub_binding = {eid: binding[eid] for eid in matched}
     out_order = sorted((v for v in sub_vertices if v not in marked_images), key=host.rank.get)
     collapsed = evaluate(sub_d, sub_binding, output_order=out_order)
-    new_d, new_eid = _apply(host, motif, match)
+    vertices, edges, new_eid = _rewritten(host, motif, match)
+    new_d = Diagram(vertices, edges)
     new_binding = {eid: binding[eid] for eid in new_d.edges if eid != new_eid}
     new_binding[new_eid] = BoundEdge(collapsed, {v: t for t, v in enumerate(out_order)})
     return new_d, new_binding, new_eid
@@ -178,10 +205,13 @@ def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif
 def state_key(d: Diagram):
     """Concrete unlabeled state: vertex ids with marks and cardinalities plus
     the multiset of edge leg-sets. Edge ids and labels are ignored."""
-    vsig = tuple(
-        sorted((v, d.vertices[v].marked, d.vertices[v].index_set.size) for v in d.vertices)
-    )
-    esig = tuple(sorted(tuple(sorted(e.legs, key=d.rank.get)) for e in d.edges.values()))
+    return _state_key(d.vertices, d.edges, d.rank)
+
+
+def _state_key(vertices: dict, edges: dict, rank: dict):
+    """`state_key` of `Diagram(vertices, edges)`, not built; `rank` may be a parent's."""
+    vsig = tuple(sorted((v, x.marked, x.index_set.size) for v, x in vertices.items()))
+    esig = tuple(sorted(tuple(sorted(e.legs, key=rank.get)) for e in edges.values()))
     return (vsig, esig)
 
 
@@ -205,21 +235,22 @@ class RewriteGraph:
 
 
 def _walk(start, key, successors, max_states: int = 1000):
-    """Breadth-first walk expanding each distinct `key` once; `successors` yields (state,
-    label) pairs. Returns the graph and each key's count of rewrite sequences from `start`."""
+    """Breadth-first walk expanding each distinct `key` once; `successors` yields (key, label,
+    build) triples, and `build()` makes the state, once per new key. Returns the graph and
+    each key's count of rewrite sequences from `start`."""
     k0 = key(start)
-    states, paths, transitions = {k0: start}, {k0: 1}, []
+    states, paths, keys, transitions = {k0: start}, {k0: 1}, {k0: k0}, []
     frontier = deque([k0])
     while frontier:
         k = frontier.popleft()
-        for s2, label in successors(states[k]):
-            k2 = key(s2)
-            transitions.append((k, k2, label))
+        for k2, label, build in successors(states[k]):
             if k2 not in states:
-                states[k2], paths[k2] = s2, 0
+                states[k2], paths[k2], keys[k2] = build(), 0, k2
                 if len(states) > max_states:
                     raise PlexusError("REWRITE_EXPLOSION", f"more than {max_states} states")
                 frontier.append(k2)
+            k2 = keys[k2]  # one key object per state, however many transitions reach it
+            transitions.append((k, k2, label))
             # exact: each rewrite by one motif removes k-1 edges and its marked vertices,
             # so all of a state's predecessors lie one level up and are expanded before it
             paths[k2] += paths[k]
@@ -227,16 +258,23 @@ def _walk(start, key, successors, max_states: int = 1000):
 
 
 def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGraph:
-    """Breadth-first exploration of every rewrite order."""
-    initial_matches = find_matches(host, motif)
+    """Breadth-first exploration of every rewrite order. Each state's matches are carried
+    from the state that first reaches it, and a state is built only when its key is new."""
 
-    def successors(d):  # the walk expands its start state once
-        for m in initial_matches if d is host else find_matches(d, motif):
-            d2, new_eid = _apply(d, motif, m)
-            yield d2, d2.edges[new_eid].label
+    def successors(state):
+        d, matches = state
+        for m in matches:
+            vertices, edges, new_eid = _rewritten(d, motif, m)
 
-    g = _walk(host, state_key, successors, max_states)[0]
-    g.initial_matches = initial_matches
+            def build(vertices=vertices, edges=edges, new_eid=new_eid, m=m):
+                d2 = Diagram(vertices, edges)
+                return d2, _carried_matches(matches, m, d2, new_eid, motif)
+
+            yield _state_key(vertices, edges, d.rank), edges[new_eid].label, build
+
+    g = _walk((host, find_matches(host, motif)), lambda state: state_key(state[0]), successors, max_states)[0]
+    g.initial_matches = g.states[g.initial][1]
+    g.states = {k: d for k, (d, _) in g.states.items()}
     return g
 
 
@@ -274,18 +312,21 @@ def semantic_confluence_binding(host: Diagram, binding: dict, motif: Motif) -> d
     state (`finals`) with evaluating the host directly."""
     direct = evaluate(host, binding)
 
-    def successors(state):
-        for m in find_matches(state[0], motif):
-            yield apply_rewrite_bound(*state, m, motif)[:2], None
+    def successors(state):  # the key needs each collapsed array, so each transition is built
+        d, b, matches = state
+        for m in matches:
+            d2, b2, new_eid = apply_rewrite_bound(d, b, m, motif)
+            yield key((d2, b2)), None, lambda d2=d2, b2=b2, m=m, e=new_eid: (
+                d2, b2, _carried_matches(matches, m, d2, e, motif))
 
     def key(state):  # exact: vertex ids fix index sets; matching and evaluation ignore edge ids
         return state_key(state[0]), frozenset(
             (frozenset(be.leg_to_axis.items()), be.array.entries) for be in state[1].values())
 
-    g, paths = _walk((host, binding), key, successors)
+    g, paths = _walk((host, binding, find_matches(host, motif)), key, successors)
     if not g.terminals:
         raise PlexusError("INVALID_MOTIF", "no rewrite sequence ends: the motif rewrites a state into itself")
-    finals = [evaluate(*g.states[k]) for k in g.terminals]
+    finals = [evaluate(d, b) for d, b, _ in map(g.states.get, g.terminals)]
     ok = all(f == direct for f in finals)
     return {"ok": ok, "sequences": sum(paths[k] for k in g.terminals), "direct": direct, "finals": finals}
 

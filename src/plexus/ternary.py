@@ -556,7 +556,8 @@ def check_reverse_semiheap(t: TernaryTable) -> Verdict:
 
 def check_homomorphism(t1: TernaryTable, t2: TernaryTable, phi) -> Verdict:
     """phi carries the first operation onto the second."""
-    if t1.n != len(phi) or t2.n <= max(phi):
+    # images are elements of carrier 2, as table entries are: never a bool or a float
+    if t1.n != len(phi) or not all(type(x) is int and 0 <= x < t2.n for x in phi):
         raise PlexusError("BAD_TABLE", "phi must map carrier 1 into carrier 2")
     for a, b, c in itertools.product(range(t1.n), repeat=3):
         if phi[t1.op(a, b, c)] != t2.op(phi[a], phi[b], phi[c]):

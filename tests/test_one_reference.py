@@ -1,8 +1,10 @@
-"""Structural guard on the source tree: one contraction kernel and one
-explicit reference evaluator. The semiring's per-kind `dot` step is read
-only by the kernel's pair contraction, and the unchecked `reference_ops`
-pair only by the formula oracle, so no second sum-of-products loop can
-grow elsewhere unnoticed."""
+"""Structural guard on the source tree: one contraction kernel, one
+explicit reference evaluator and one rewrite walk. The semiring's per-kind
+`dot` step is read only by the kernel's pair contraction, and the unchecked
+`reference_ops` pair only by the formula oracle, so no second
+sum-of-products loop can grow elsewhere unnoticed. A `deque` frontier lives
+only in the rewrite walk, and only the full and the carried match searches
+call the raw matcher, so no second multiway loop can grow either."""
 import ast
 from pathlib import Path
 
@@ -11,22 +13,32 @@ import plexus
 SOURCE = Path(plexus.__file__).parent
 
 
-def attribute_readers(attr):
+def readers(found):
     """The top-level definitions, as `module.name`, over every module of the
-    package, whose bodies read the attribute `attr` (a read outside any
-    definition counts as the module's)."""
-    readers = set()
+    package, whose bodies hold a node for which `found` is true (a node
+    outside any definition counts as the module's)."""
+    owners = set()
     for path in sorted(SOURCE.glob("*.py")):
 
         def visit(node, owner):
             for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
-                    readers.add(owner)
+                if found(child):
+                    owners.add(owner)
                 top = owner == path.stem and isinstance(child, (ast.FunctionDef, ast.ClassDef))
                 visit(child, f"{owner}.{child.name}" if top else owner)
 
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    return readers
+    return owners
+
+
+def attribute_readers(attr):
+    """The definitions that read the attribute `attr`."""
+    return readers(lambda n: isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load))
+
+
+def name_readers(name):
+    """The definitions that read `name`, bare or as an attribute."""
+    return readers(lambda n: isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)) | attribute_readers(name)
 
 
 def test_reference_ops_are_read_only_by_the_formula_oracle():
@@ -35,3 +47,11 @@ def test_reference_ops_are_read_only_by_the_formula_oracle():
 
 def test_the_dot_step_is_read_only_by_the_kernel():
     assert attribute_readers("dot") == {"arrays._contract_pair"}
+
+
+def test_the_rewrite_walk_is_the_only_breadth_first_loop():
+    assert name_readers("deque") == {"rewrite._walk"}
+
+
+def test_only_the_match_searches_call_the_raw_matcher():
+    assert name_readers("_find_raw") == {"rewrite.find_matches", "rewrite._carried_matches"}

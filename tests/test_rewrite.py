@@ -136,13 +136,17 @@ def test_check_concurrency_counts():
 
 
 def test_check_concurrency_matches_each_state_once(monkeypatch):
-    # the overlap test reads the initial matches off the walk
+    # the overlap test reads the initial matches off the walk; the host is searched
+    # whole, and every later state once, only around its new edge
     calls = []
-    monkeypatch.setattr(rewrite, "find_matches", lambda d, m: calls.append(d) or find_matches(d, m))
+    raw = rewrite._find_raw
+    monkeypatch.setattr(rewrite, "_find_raw", lambda d, p, through=None: calls.append((d, through)) or raw(d, p, through))
     host = standard_diagram("chain", n=8)
     report = check_concurrency(host, vee_motif())
     assert len(calls) == report["states"] == 128
-    assert calls[0] is host
+    assert calls[0] == (host, None)
+    assert all(through is not None for _, through in calls[1:])
+    assert len({id(d) for d, _ in calls}) == 128
     assert report["initial_matches"] == 7 and not report["overlapping"]
 
 

@@ -470,6 +470,15 @@ def test_homomorphism_between_two_element_heaps():
     assert err.value.code == "BAD_TABLE"
 
 
+@pytest.mark.parametrize("image", [-1, 2, 0.5, True], ids=["negative", "past-the-end", "float", "bool"])
+def test_homomorphism_refuses_an_image_outside_the_carrier(image):
+    # -1 would wrap through negative indexing, 0.5 index nothing, True pass as 1
+    constant = TernaryTable(2, [0] * 8)
+    with pytest.raises(PlexusError) as err:
+        check_homomorphism(constant, constant, [0, image])
+    assert err.value.code == "BAD_TABLE"
+
+
 def test_isotropy_biinvariance():
     assert check_isotropy_biinvariance(2, 2).ok
     assert check_isotropy_biinvariance(3, 3).ok
