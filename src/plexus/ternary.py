@@ -245,7 +245,10 @@ def unit_pair_via_basis(e: Array, e_prime: Array, variant: str = "JKI",
     indicators: right means (a e e') = a, left means (e e' a) = a. The
     product is linear in each slot, so the basis settles all arrays. All
     indicators are stacked on one basis label and multiplied in one kernel
-    call; a witness is the first indicator, in row-major order, that fails."""
+    call; a witness is the first indicator, in row-major order, that fails.
+    A side other than right or left is refused with BAD_REFERENCE."""
+    if side not in ("right", "left"):
+        raise PlexusError("BAD_REFERENCE", f"unknown unit side {side!r}: expected 'right' or 'left'")
     axes, s, m = e.axes, e.semiring, len(e.entries)
     basis = IndexSet("basis", m)
     stacked = Array((basis, *axes), kronecker(2, basis, s).entries, s)
@@ -452,31 +455,35 @@ def check_semiheap(t: TernaryTable) -> Verdict:
     """Para-associativity over all quintuples:
     ((abc)de) = (a(dcb)e) = (ab(cde)). As maps of e the three sides are the
     rows (abc,d) and (a,dcb) of the table and row (a,b) after row (c,d),
-    where row (x,y) is e -> (x y e). Rows get interned ids, so a quadruple
-    compares ids; only a failing one is scanned over e for its witness."""
+    where row (x,y) is e -> (x y e). Rows get interned ids, so a triple
+    (a,b,c) compares three lists of row ids over d at once: row (abc,d)
+    over d, row a read through the column (d c b) over d, and the cached
+    composites of row (a,b) after each row (c,d). Only a failing triple is
+    scanned over d and e for its witness."""
     n, T = t.n, t.table
     rng = range(n)
     ids = {}
     row = [ids.setdefault(T[k:k + n], len(ids)) for k in range(0, n ** 3, n)]
-    rows, after = list(ids), {}
+    rows = list(ids)
     R = [row[x * n:(x + 1) * n] for x in rng]  # R[x][y]: id of row (x,y)
+    column = [[T[(d * n + c) * n + b] for d in rng] for c in rng for b in rng]  # column[c*n+b][d] = (d c b)
+    after, rights = {}, {}
     for a, b, c in itertools.product(rng, repeat=3):
-        abc = T[(a * n + b) * n + c]
-        Ra, Rabc, Rc, ab = R[a], R[abc], R[c], R[a][b]
-        for d in rng:
-            cd, dcb = Rc[d], T[(d * n + c) * n + b]
-            right = after.get((ab, cd))
-            if right is None:  # -1: a composite that is no row equals no left side
-                right = after[ab, cd] = ids.get(tuple(rows[ab][x] for x in rows[cd]), -1)
-            left = Rabc[d]
-            if left == Ra[dcb] and left == right:
-                continue
-            for e in rng:
-                x = T[(abc * n + d) * n + e]
-                if x != T[(a * n + dcb) * n + e]:
-                    return Verdict(False, "sh-mid", (a, b, c, d, e))
-                if x != T[(a * n + b) * n + T[(c * n + d) * n + e]]:
-                    return Verdict(False, "sh-right", (a, b, c, d, e))
+        ab, abc = R[a][b], T[(a * n + b) * n + c]
+        right = rights.get((ab, c))
+        if right is None:  # row (a,b) after each row (c,d), composed once per pair of row ids
+            for cd in R[c]:
+                if (ab, cd) not in after:  # -1: a composite that is no row equals no left side
+                    after[ab, cd] = ids.get(tuple(map(rows[ab].__getitem__, rows[cd])), -1)
+            right = rights[ab, c] = [after[ab, cd] for cd in R[c]]
+        if R[abc] == right == list(map(R[a].__getitem__, column[c * n + b])):
+            continue
+        for d, e in itertools.product(rng, repeat=2):
+            x = T[(abc * n + d) * n + e]
+            if x != T[(a * n + T[(d * n + c) * n + b]) * n + e]:
+                return Verdict(False, "sh-mid", (a, b, c, d, e))
+            if x != T[(a * n + b) * n + T[(c * n + d) * n + e]]:
+                return Verdict(False, "sh-right", (a, b, c, d, e))
     return Verdict(True, "sh")
 
 
@@ -602,10 +609,14 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
 
     The carrier shares one constellation and one semiring, else it is
     refused up front with the kernel's CONFORMABILITY or SEMIRING_MISMATCH.
-    The products (a b c) of one a over every b, c are one kernel call, so a
-    nat64 or float64 OVERFLOW anywhere in that block is raised even where an
-    earlier product of the block is missing from the carrier. Products are
-    looked up by their entries; the first of equal carrier arrays wins."""
+    A product (a b c) reads its body and head only through their composite,
+    the body contracted with the head over the tips. The closure is two
+    kernel steps: every composite in one call, interned by its entries, then
+    each tail against the stack of distinct composites. Every product is
+    computed before the first lookup, so a nat64 or float64 OVERFLOW
+    anywhere in the closure is raised even where an earlier product is
+    missing from the carrier. Products are looked up by their entries; the
+    first of equal carrier arrays wins."""
     n = len(carrier)
     if n == 0:
         raise PlexusError("BAD_TABLE", "empty carrier")
@@ -621,25 +632,36 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
     else:  # float64 equality is approximate: scan for the first match
         def find(r):
             return next((k for k, x in enumerate(carrier) if all(map(s.eq, x.entries, r))), None)
-    table = []
-    for a in carrier:  # the block of (a b c) over all b, c, one kernel call
-        block = _fish_kernel(((a, ""), (stacked, "B"), (stacked, "C")), variant, twist, "BC")
-        for off in range(0, n * n * m, m):
-            idx = find(block.entries[off:off + m])
-            if idx is None:
-                return {
-                    "closed": Verdict(False, "closure", Array(block.axes[2:], block.entries[off:off + m], s)),
-                    "table": None,
-                    "sh": None,
-                    "semiheapoid": False,
-                    "unit_pairs": [],
-                    "co_unit_pairs": [],
-                    "biunit_pairs": [],
-                    "heapoid": False,
-                    "malcev": False,
-                    "fish_category": False,
-                }
-            table.append(idx)
+    (tail, body, head), out, order = _fish_labels(variant, twist)
+    # The kernel's range check needs no exception here: each body array is
+    # also a tail, and a composite entry above 2^64 - 1, or not finite, makes
+    # the product with its body array as the tail overflow too.
+    pairs = einsum([(stacked, ["B", *body]), (stacked, ["H", *head])], ["B", "H", "p", "k"])
+    w = len(pairs.entries) // (n * n)
+    ids = {}
+    which = [ids.setdefault(pairs.entries[o:o + w], len(ids)) for o in range(0, n * n * w, w)]
+    composites = Array((IndexSet("composite", len(ids)), *pairs.axes[2:]), [v for c in ids for v in c], s)
+    found = []  # found[x][d]: index of the product of tail x and composite d, None if missing
+    for x in carrier:  # one tail at a time: one block of products in memory
+        block = einsum([(x, tail), (composites, ["D", "p", "k"])], ["D", *out])
+        found.append([find(block.entries[o:o + m]) for o in range(0, len(block.entries), m)])
+    table = [found[abc[order[0]]][which[abc[1] * n + abc[order[2]]]]
+             for abc in itertools.product(range(n), repeat=3)]
+    if None in table:  # the witness: the first missing product in (a, b, c) order, as `fish` gives it
+        k = table.index(None)
+        a, b, c = carrier[k // (n * n)], carrier[k // n % n], carrier[k % n]
+        return {
+            "closed": Verdict(False, "closure", fish(a, b, c, variant, twist)),
+            "table": None,
+            "sh": None,
+            "semiheapoid": False,
+            "unit_pairs": [],
+            "co_unit_pairs": [],
+            "biunit_pairs": [],
+            "heapoid": False,
+            "malcev": False,
+            "fish_category": False,
+        }
     tt = TernaryTable(n, table, kind="fish-carrier")
     sh = check_semiheap(tt)
     unit_pairs = [

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from plexus import ternary
 from plexus import (
     ETA_VARIANTS,
     Array,
@@ -115,6 +116,10 @@ def carriers(s, rng):
     yield permutation_carrier((IndexSet("I", 2), IndexSet("J", 2), IndexSet("K", 1)), s)
     yield permutation_carrier((IndexSet("I", 2), IndexSet("J", 1), IndexSet("K", 2)), s)
     yield permutation_carrier((I2, I2, IndexSet("K", 1)), s)
+    # five of the six permutations of three points: at most six distinct
+    # body-head composites among 25 pairs, so lookups go through interning,
+    # and the missing sixth makes the carrier open
+    yield permutation_carrier((IndexSet("I", 3), IndexSet("J", 3), IndexSet("K", 1)), s)[:-1]
     for n in (1, 2, 3):
         x = [random_array((I2,) * 3, s, rng) for _ in range(n)]
         yield x
@@ -199,3 +204,46 @@ def test_heapoid_raises_an_overflow_anywhere_in_the_block(name, big):
     with pytest.raises(PlexusError) as err:
         heapoid_check([x, y])
     assert err.value.code == "OVERFLOW"
+
+
+@pytest.mark.parametrize("name,big", [("nat64", 2 ** 27), ("float64", 1e110)])
+@pytest.mark.parametrize("variant", ["IJK", "JIK"])  # forward, and reversed (c is the tail)
+def test_heapoid_raises_an_overflow_after_the_first_missing_product(name, big, variant):
+    # (x x x) = 8x is missing and comes first; (y y y) = 8 big^3 is the only
+    # product that overflows, and it lies in a later block whichever of a or
+    # c is the tail. Every product is computed before the first lookup.
+    s = parse_semiring(name)
+    x, y = Array((I2,) * 3, [s.one()] * 8, s), Array((I2,) * 3, [big] * 8, s)
+    assert not loop_heapoid([x, y], variant, False)["closed"].ok
+    with pytest.raises(PlexusError) as err:
+        heapoid_check([x, y], variant)
+    assert err.value.code == "OVERFLOW"
+
+
+def test_heapoid_closure_multiplies_each_distinct_composite_once(monkeypatch):
+    # Under JKI the body-head composites of the 24 permutation arrays are
+    # the 24 permutation matrices b^-1 c. The closure is one call for all
+    # 576 (b, c) composites and one call per tail against the 24 distinct
+    # ones; one call per first argument made 24 blocks of 9,216 entries.
+    carrier = permutation_carrier((IndexSet("I", 4), I2, IndexSet("K", 2)), parse_semiring("boolean"))
+    calls, kernel = [], ternary.einsum
+
+    def counting(operands, out):
+        calls.append((operands, kernel(operands, out)))
+        return calls[-1][1]
+
+    class Closed(Exception):
+        pass
+
+    def closed(t):  # the closure ends where its table reaches the semiheap check
+        raise Closed
+
+    monkeypatch.setattr(ternary, "einsum", counting)
+    monkeypatch.setattr(ternary, "check_semiheap", closed)
+    with pytest.raises(Closed):
+        heapoid_check(carrier, "JKI")
+    (_, composites), *products = calls
+    assert composites.sizes == (24, 24, 4, 4)
+    assert len(products) == 24
+    assert all(operands[1][0].sizes == (24, 4, 4) for operands, _ in products)
+    assert sum(len(out.entries) for _, out in calls) == 9216 + 9216

@@ -12,6 +12,7 @@ from plexus import (
     IndexSet,
     PlexusError,
     TernaryTable,
+    Verdict,
     bijection_heap,
     biunit_pair_check,
     biunit_transport,
@@ -47,6 +48,7 @@ from plexus import (
     reverse_table,
     semiheap_check_arrays,
     semiheap_law_arrays,
+    unit_pair_via_basis,
     vector_heap,
     zero_array,
 )
@@ -559,3 +561,14 @@ def test_heapoid_rejects_empty_carrier():
     with pytest.raises(PlexusError) as err:
         heapoid_check([])
     assert err.value.code == "BAD_TABLE"
+
+
+@pytest.mark.parametrize("side", ["rihgt", "Right", "", "both"])
+def test_unit_pair_via_basis_refuses_an_unknown_side(side):
+    # a misspelt side used to run the left check under the law "<side>-unit"
+    t, _ = fish_unit_arrays(I2, BOOL)
+    assert unit_pair_via_basis(t, t, "IJK", "right") == Verdict(True, "right-unit")
+    assert unit_pair_via_basis(t, t, "IJK", "left").law == "left-unit"
+    with pytest.raises(PlexusError) as err:
+        unit_pair_via_basis(t, t, "IJK", side)
+    assert err.value.code == "BAD_REFERENCE"
