@@ -143,8 +143,11 @@ def _cmd_export_dot(args):
     d, _ = _load_host(args.file, args.diagram)
     text = to_dot(d)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise PlexusError("WRITE_ERROR", f"cannot write {args.out!r}: {err.strerror or err}") from None
     else:
         print(text)
     return 0

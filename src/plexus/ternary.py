@@ -13,6 +13,7 @@ which axis is the mouth and whether the arguments read forward or reversed;
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kronecker,
@@ -59,15 +60,8 @@ def _fish_labels(variant: str, twist: bool):
 def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False) -> Array:
     """Ternary product of three order-3 arrays; the kernel refuses arrays of
     another order or that do not conform."""
-    return _fish_kernel(((a, ""), (b, ""), (c, "")), variant, twist)
-
-
-def _fish_kernel(args, variant, twist, batch=""):
-    """The fish as one kernel call on (array, batch labels) pairs in (a, b, c)
-    order: an argument's leading axes, under its batch labels, are stacks of
-    arguments, and the output leads with the `batch` axes."""
     roles, out, order = _fish_labels(variant, twist)
-    return einsum([(args[n][0], [*args[n][1], *labels]) for n, labels in zip(order, roles)], [*batch, *out])
+    return einsum([((a, b, c)[n], labels) for n, labels in zip(order, roles)], out)
 
 
 def make_fish_binding(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False):
@@ -187,22 +181,12 @@ def semiheap_check_arrays(a, b, c, d, e, variant: str = "IJK", twist: bool = Fal
 def biunit_pair_check(e: Array, e_prime: Array) -> dict:
     """Check the two biunit equations for arrays on axes (I, J, K):
     Q1: sum over p of e[p,i,j]*e'[p,k,l] = [i=k][j=l]
-    Q2: sum over q,r of e[i,q,r]*e'[j,q,r] = [i=j]."""
+    Q2: sum over q,r of e[i,q,r]*e'[j,q,r] = [i=j].
+    They are the left and right unit law of JKI; a witness is a basis position."""
     if e.order != 3 or e_prime.order != 3 or e.axes != e_prime.axes:
         raise PlexusError("CONFORMABILITY", "biunit check needs two arrays on the same three axes")
-    s = e.semiring
-
-    def identity_check(law, e_labels, e_prime_labels, out):
-        """The product is 1 where the index pairs (out[0], out[1]), ...
-        agree and 0 elsewhere; the witness is its first wrong entry."""
-        got = einsum([(e, e_labels), (e_prime, e_prime_labels)], out)
-        for idx, x in zip(itertools.product(*(range(ax.size) for ax in got.axes)), got.entries):
-            if not s.eq(x, s.one() if idx[0::2] == idx[1::2] else s.zero()):
-                return Verdict(False, law, {**dict(sorted(zip(out, idx))), "got": x})
-        return Verdict(True, law)
-
-    q1 = identity_check("Q1", "pij", "pkl", "ikjl")
-    q2 = identity_check("Q2", "iqr", "jqr", "ij")
+    q1 = _unit_law(e, e_prime, "JKI", "left", False, "Q1")
+    q2 = _unit_law(e, e_prime, "JKI", "right", False, "Q2")
     return {"Q1": q1, "Q2": q2, "ok": q1.ok and q2.ok}
 
 
@@ -241,24 +225,35 @@ def indicator_array(axes, position, semiring: Semiring) -> Array:
 
 def unit_pair_via_basis(e: Array, e_prime: Array, variant: str = "JKI",
                         side: str = "right", twist: bool = False) -> Verdict:
-    """Quantify a unit identity over every array by checking it on the basis
-    indicators: right means (a e e') = a, left means (e e' a) = a. The
-    product is linear in each slot, so the basis settles all arrays. All
-    indicators are stacked on one basis label and multiplied in one kernel
-    call; a witness is the first indicator, in row-major order, that fails.
-    A side other than right or left is refused with BAD_REFERENCE."""
+    """Quantify a unit identity over every array: right means (a e e') = a,
+    left means (e e' a) = a. The product is linear in each slot, so the
+    basis indicators settle all arrays; a witness is the first that fails,
+    in row-major order. A side other than right or left is BAD_REFERENCE."""
     if side not in ("right", "left"):
         raise PlexusError("BAD_REFERENCE", f"unknown unit side {side!r}: expected 'right' or 'left'")
-    axes, s, m = e.axes, e.semiring, len(e.entries)
-    basis = IndexSet("basis", m)
-    stacked = Array((basis, *axes), kronecker(2, basis, s).entries, s)
-    args = [(stacked, "X"), (e, ""), (e_prime, "")]
-    got = _fish_kernel(args if side == "right" else args[1:] + args[:1], variant, twist, "X")
-    for k, pos in enumerate(itertools.product(*(range(ax.size) for ax in axes))):
-        block = slice(k * m, (k + 1) * m)
-        if got.axes[1:] != axes or not all(map(s.eq, got.entries[block], stacked.entries[block])):
-            return Verdict(False, f"{side}-unit", {"basis": pos})
-    return Verdict(True, f"{side}-unit")
+    return _unit_law(e, e_prime, variant, side, twist, f"{side}-unit")
+
+
+def _unit_law(e, e_prime, variant, side, twist, law) -> Verdict:
+    """The one unit law, (a e e') = a (right) or (e e' a) = a (left) for
+    every a on e's axes: a's moved axes, whose labels are not the output's,
+    pass through the composite of e and e' in their roles, so the law holds
+    iff each moved pair carries one index set and the composite is the
+    identity. The witness is the first failing indicator: the first bad row."""
+    roles, out, order = _fish_labels(variant, twist)
+    own = order[0 if side == "right" else 2]  # a's role; the order is its own inverse
+    args = (e, e, e_prime) if side == "right" else (e, e_prime, e)  # e stands in for a: same axes
+    terms = [(args[n], labels) for n, labels in zip(order, roles)]
+    axis = _label_axes(terms)
+    moved = [t for t, (x, y) in enumerate(zip(roles[own], out)) if x != y]
+    rows, cols = [roles[own][t] for t in moved], [out[t] for t in moved]
+    got = einsum([term for n, term in enumerate(terms) if n != own], rows + cols).entries
+    s, m, square = e.semiring, len(moved), all(axis[x] == axis[y] for x, y in zip(rows, cols))
+    for idx, x in zip(itertools.product(*(range(axis[lab].size) for lab in rows + cols)), got):
+        if not square or not s.eq(x, s.one() if idx[:m] == idx[m:] else s.zero()):
+            first = dict(zip(moved, idx))  # the row's coordinates
+            return Verdict(False, law, {"basis": tuple(first.get(t, 0) for t in range(len(out)))})
+    return Verdict(True, law)
 
 
 def flat_fish_equiv(a: Array, b: Array, c: Array) -> Verdict:
@@ -307,18 +302,14 @@ class TernaryTable:
     __slots__ = ("n", "table", "labels", "kind")
 
     def __init__(self, n: int, table, labels=None, kind: str = "custom"):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise PlexusError("BAD_TABLE", f"carrier size must be an integer, got {n!r}")
-        if n < 1:
-            raise PlexusError("BAD_TABLE", "carrier must be nonempty")
+        if not _int_in(n, 1, math.inf):
+            raise PlexusError("BAD_TABLE", f"carrier size must be a positive integer, got {n!r}")
         table = tuple(table)
         if len(table) != n ** 3:
             raise PlexusError("BAD_TABLE", f"expected {n ** 3} table entries, got {len(table)}")
-        for x in table:  # ints only, as for semiring elements: never a bool or a float
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise PlexusError("BAD_TABLE", f"table entry must be an integer, got {x!r}")
-            if not 0 <= x < n:
-                raise PlexusError("BAD_TABLE", "table value out of carrier range")
+        for x in table:
+            if not _int_in(x, 0, n - 1):
+                raise PlexusError("BAD_TABLE", f"table entry must be an integer in 0..{n - 1}, got {x!r}")
         self.n = n
         self.table = table
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
@@ -331,6 +322,19 @@ class TernaryTable:
 
     def __repr__(self):
         return f"TernaryTable(n={self.n}, kind={self.kind!r})"
+
+
+def _int_in(x, lo, hi) -> bool:
+    """The one rule for table entries, carrier sizes and elements: an int
+    with lo <= x <= hi, as for semiring elements never a bool or a float."""
+    return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
+
+
+def _refuse_outside(t: TernaryTable, *elements):
+    """BAD_TABLE unless every one of `elements` is an element of t's carrier."""
+    for x in elements:
+        if not _int_in(x, 0, t.n - 1):
+            raise PlexusError("BAD_TABLE", f"{x!r} is not an element of the {t.n}-element carrier")
 
 
 def _tabulate(elements, op, kind: str, labels=None) -> TernaryTable:
@@ -348,6 +352,8 @@ def group_heap(mult) -> TernaryTable:
     rows = [list(r) for r in mult]
     if any(len(r) != n for r in rows):
         raise PlexusError("BAD_TABLE", "multiplication table must be square")
+    if not all(_int_in(x, 0, n - 1) for r in rows for x in r):
+        raise PlexusError("BAD_TABLE", f"multiplication table entries must be integers in 0..{n - 1}")
     identity = None
     for e in range(n):
         if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
@@ -374,8 +380,9 @@ def relation_semiheap(p: int, q: int) -> TernaryTable:
     """Semiheap of all relations between a p-set and a q-set, encoded as
     bitmasks (bit x*q+y is the pair (x, y)):
     (R1 R2 R3) = {(x, w) : exists y, z with (x,y) in R3, (z,y) in R2, (z,w) in R1}."""
-    if p < 1 or q < 1 or p * q > 4:
-        raise PlexusError("BAD_TABLE", "relation carrier supported up to 4 pairs")
+    if not (_int_in(p, 1, 4) and _int_in(q, 1, 4)) or p * q > 4:
+        raise PlexusError("BAD_TABLE", f"relation carrier supported for integers p, q >= 1 with p*q <= 4, "
+                          f"got {p!r} and {q!r}")
     n = 1 << (p * q)
 
     def op(r1, r2, r3):
@@ -418,8 +425,8 @@ def _bijection_product(f, g, h):
 
 def bijection_heap(n: int) -> TernaryTable:
     """Heap of bijections on an n-set: (f g h)(x) = f(g_inverse(h(x)))."""
-    if n < 1 or n > 3:
-        raise PlexusError("BAD_TABLE", "bijection carrier supported up to 3 points")
+    if not _int_in(n, 1, 3):
+        raise PlexusError("BAD_TABLE", f"bijection carrier supported for 1 to 3 points, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     labels = ["".join(map(str, f)) for f in perms]
     return _tabulate(perms, _bijection_product, "bijection-heap", labels)
@@ -427,8 +434,8 @@ def bijection_heap(n: int) -> TernaryTable:
 
 def vector_heap(m: int, dim: int) -> TernaryTable:
     """Heap of (Z_m)^dim: (u v w) = u - v + w componentwise mod m."""
-    if m < 1 or dim < 1:
-        raise PlexusError("BAD_TABLE", "need m >= 1 and dim >= 1")
+    if not (_int_in(m, 1, math.inf) and _int_in(dim, 1, math.inf)):
+        raise PlexusError("BAD_TABLE", f"need integers m >= 1 and dim >= 1, got {m!r} and {dim!r}")
     elems = list(itertools.product(range(m), repeat=dim))
     labels = ["".join(map(str, v)) for v in elems]
     return _tabulate(elems, lambda u, v, w: tuple((a - b + c) % m for a, b, c in zip(u, v, w)),
@@ -514,7 +521,9 @@ def find_biunits(t: TernaryTable) -> list:
 
 def involuted_monoid(t: TernaryTable, e: int):
     """From a semiheap with biunit e: a*b = (a e b), a~ = (e a e). Verifies
-    the monoid laws and the involution laws. Returns (mult, inv, verdict)."""
+    the monoid laws and the involution laws. Returns (mult, inv, verdict).
+    An e outside the carrier is refused with BAD_TABLE."""
+    _refuse_outside(t, e)
     n = t.n
     mult = [[t.op(a, e, b) for b in range(n)] for a in range(n)]
     inv = [t.op(e, a, e) for a in range(n)]
@@ -535,7 +544,9 @@ def involuted_monoid(t: TernaryTable, e: int):
 
 def biunit_transport(t: TernaryTable, e: int, e2: int):
     """phi(a) = (a e e2) maps the monoid at e isomorphically onto the monoid
-    at e2, with phi(e) = e2. Returns (phi, verdict)."""
+    at e2, with phi(e) = e2. Returns (phi, verdict). An e or e2 outside
+    the carrier is refused with BAD_TABLE."""
+    _refuse_outside(t, e, e2)
     n = t.n
     phi = [t.op(a, e, e2) for a in range(n)]
     if sorted(phi) != list(range(n)):
@@ -564,7 +575,7 @@ def check_reverse_semiheap(t: TernaryTable) -> Verdict:
 def check_homomorphism(t1: TernaryTable, t2: TernaryTable, phi) -> Verdict:
     """phi carries the first operation onto the second."""
     # images are elements of carrier 2, as table entries are: never a bool or a float
-    if t1.n != len(phi) or not all(type(x) is int and 0 <= x < t2.n for x in phi):
+    if t1.n != len(phi) or not all(_int_in(x, 0, t2.n - 1) for x in phi):
         raise PlexusError("BAD_TABLE", "phi must map carrier 1 into carrier 2")
     for a, b, c in itertools.product(range(t1.n), repeat=3):
         if phi[t1.op(a, b, c)] != t2.op(phi[a], phi[b], phi[c]):
@@ -580,8 +591,8 @@ def check_isotropy_biinvariance(A_size: int, B_size: int) -> Verdict:
     if A_size != B_size:
         raise PlexusError("BAD_TABLE", "bijections need equal source and target sizes")
     n = A_size
-    if n < 1 or n > 3:
-        raise PlexusError("BAD_TABLE", "isotropy check supported up to 3 points")
+    if not _int_in(n, 1, 3):
+        raise PlexusError("BAD_TABLE", f"isotropy check supported for 1 to 3 points, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     for f, g, h in itertools.product(perms, repeat=3):
         base = _bijection_product(f, g, h)

@@ -400,6 +400,16 @@ def test_export_dot(tmp_path, capsys):
     assert "fillcolor=black" in target.read_text()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_export_dot_refuses_an_out_path_it_cannot_write(where, tmp_path, capsys):
+    # these raised FileNotFoundError and IsADirectoryError: exit 1, a traceback
+    target = tmp_path / "no" / "such" / "vee.dot" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, ["export-dot", "vee", "--out", str(target)])
+    assert (code, out) == (2, "")
+    report = json.loads(err)
+    assert report["error"] == "WRITE_ERROR" and str(target) in report["message"]
+
+
 @pytest.mark.parametrize("name", STANDARD_NAMES)
 def test_export_dot_every_standard_name(name, capsys):
     code, out, err = run(capsys, ["export-dot", name])

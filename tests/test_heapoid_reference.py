@@ -1,7 +1,8 @@
-"""`heapoid_check` and `check_semiheap` against the plain loops they
-replace: the closure as one `fish` call and one linear scan per triple, the
-basis check as one `fish` call per indicator, and para-associativity as a
-five-deep loop over quintuples. The loops are kept here as references."""
+"""`heapoid_check`, `unit_pair_via_basis` and `check_semiheap` against the
+plain loops they replace: the closure as one `fish` call and one linear scan
+per triple, the basis check as one `fish` call per indicator, and
+para-associativity as a five-deep loop over quintuples. The loops are kept
+here as references."""
 import itertools
 import random
 
@@ -25,7 +26,9 @@ from plexus import (
     parse_semiring,
     random_array,
     relation_semiheap,
+    reorder,
     reverse_table,
+    unit_pair_via_basis,
     vector_heap,
 )
 from plexus.core import Verdict
@@ -137,6 +140,75 @@ def test_heapoid_check_matches_the_loop_closure(s):
             assert got == want, (variant, twist, carrier)
             seen.add(want if isinstance(want, str) else want["closed"].ok)
     assert seen == {True, False, "CONFORMABILITY"}  # closed, open and refused carriers
+
+
+def unit_candidates(s, rng):
+    """(e, e') pairs for the unit law: the fish units, permutation arrays
+    with the size-4 axis at each position, random arrays, and pairs whose
+    constellations differ."""
+    t, u = fish_unit_arrays(I2, s)
+    yield from itertools.product((t, u, kronecker(3, I2, s)), repeat=2)
+    perms = permutation_carrier((IndexSet("I", 4), I2, IndexSet("K", 2)), s)[::7]
+    for sigma in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):  # axis 0 of each permutation array goes to sigma[0]
+        moved = [reorder(x, sigma) for x in perms]
+        yield from itertools.product(moved[:2], moved[1:3])
+        yield moved[0], random_array(moved[0].axes, s, rng)
+    for axes in ((I2,) * 3, (I2, IndexSet("J", 3), I2)):
+        for _ in range(3):
+            yield random_array(axes, s, rng), random_array(axes, s, rng)
+    J2 = IndexSet("J", 2)
+    yield random_array((I2,) * 3, s, rng), random_array((J2, I2, I2), s, rng)
+    yield random_array((I2, J2, I2), s, rng), random_array((I2, I2, J2), s, rng)
+    yield t, perms[0]
+    # the mouth of e' on another index set: the composite reads as the
+    # identity matrix, but the product leaves a's constellation
+    yield t, Array((I2, I2, J2), t.entries, s)
+    yield u, Array((J2, I2, I2), t.entries, s)
+
+
+@pytest.mark.parametrize("s", SEMIRINGS, ids=lambda s: s.name)
+def test_unit_pair_via_basis_matches_the_indicator_loop(s):
+    def outcome(check):
+        try:
+            v = check()
+        except PlexusError as err:
+            return err.code
+        return v.ok, v.law, v.witness
+
+    seen = set()
+    for e, e_prime in unit_candidates(s, random.Random(3)):
+        for (variant, twist), side in itertools.product(PAIRS, ("right", "left")):
+            want = outcome(lambda: loop_unit(e, e_prime, variant, side, twist))
+            got = outcome(lambda: unit_pair_via_basis(e, e_prime, variant, side, twist))
+            assert got == want, (variant, twist, side, e, e_prime)
+            seen.add(want if isinstance(want, str) else want[0])
+    assert seen == {True, False, "CONFORMABILITY"}  # units, failures and refused pairs
+
+
+def test_each_unit_check_is_one_composite(monkeypatch):
+    # Under JKI the 24 permutation arrays are 24 biunit pairs; each of the 48
+    # checks contracts e with e' alone, a 4 x 4 composite (16 entries) on
+    # either side, and no operand stacks basis indicators.
+    carrier = permutation_carrier((IndexSet("I", 4), I2, IndexSet("K", 2)), parse_semiring("boolean"))
+    calls, units, kernel, check = [], [], ternary.einsum, ternary.unit_pair_via_basis
+
+    def counting(operands, out):
+        calls.append((operands, kernel(operands, out)))
+        return calls[-1][1]
+
+    def unit(*args):
+        start = len(calls)
+        verdict = check(*args)
+        units.append(calls[start:])
+        return verdict
+
+    monkeypatch.setattr(ternary, "einsum", counting)
+    monkeypatch.setattr(ternary, "unit_pair_via_basis", unit)
+    assert len(heapoid_check(carrier, "JKI")["biunit_pairs"]) == 24
+    assert len(units) == 48
+    for (operands, out), in units:
+        assert len(operands) == 2 and len(out.entries) == 16
+        assert {ax.id for x, _ in operands for ax in x.axes} <= {"I", "J", "K"}
 
 
 def random_tables(rng):

@@ -1,10 +1,13 @@
 """Structural guard on the source tree: one contraction kernel, one
-explicit reference evaluator and one rewrite walk. The semiring's per-kind
-`dot` step is read only by the kernel's pair contraction, and the unchecked
-`reference_ops` pair only by the formula oracle, so no second
-sum-of-products loop can grow elsewhere unnoticed. A `deque` frontier lives
-only in the rewrite walk, and only the full and the carried match searches
-call the raw matcher, so no second multiway loop can grow either."""
+explicit reference evaluator, one rewrite walk and one unit law. The
+semiring's per-kind `dot` step is read only by the kernel's pair
+contraction, and the unchecked `reference_ops` pair only by the formula
+oracle, so no second sum-of-products loop can grow elsewhere unnoticed. A
+`deque` frontier lives only in the rewrite walk, and only the full and the
+carried match searches call the raw matcher, so no second multiway loop can
+grow either. The unit law (a pair is a unit iff its composite is the
+identity) is read only by the basis check and the biunit equations, and no
+batched fish kernel is left to stack basis indicators again."""
 import ast
 from pathlib import Path
 
@@ -55,3 +58,11 @@ def test_the_rewrite_walk_is_the_only_breadth_first_loop():
 
 def test_only_the_match_searches_call_the_raw_matcher():
     assert name_readers("_find_raw") == {"rewrite.find_matches", "rewrite._carried_matches"}
+
+
+def test_the_unit_law_is_read_only_by_the_two_unit_checks():
+    assert name_readers("_unit_law") == {"ternary.unit_pair_via_basis", "ternary.biunit_pair_check"}
+
+
+def test_no_definition_reads_a_batched_fish_kernel():
+    assert name_readers("_fish_kernel") == set()

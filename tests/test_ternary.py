@@ -393,6 +393,69 @@ def test_delta_three_is_not_a_biunit():
     res = biunit_pair_check(t, t)
     assert not res["Q1"].ok
     assert not res["ok"]
+    # Q1 is the left unit law of JKI: (delta delta a) keeps only a's
+    # diagonal tips, so the first failing indicator is (0, 0, 1); Q2 holds
+    assert res["Q1"] == Verdict(False, "Q1", {"basis": (0, 0, 1)})
+    assert res["Q2"] == Verdict(True, "Q2")
+
+
+def loop_q1_q2(e, e2):
+    """The two biunit equations spelled out, one sum per entry:
+    Q1: sum over p of e[p,i,j]*e'[p,k,l] = [i=k][j=l],
+    Q2: sum over q,r of e[i,q,r]*e'[j,q,r] = [i=j]."""
+    s = e.semiring
+    I, J, K = (range(ax.size) for ax in e.axes)
+
+    def total(terms):
+        acc = s.zero()
+        for x in terms:
+            acc = s.add(acc, x)
+        return acc
+
+    def holds(got, same):
+        return s.eq(got, s.one() if same else s.zero())
+
+    q1 = all(holds(total(s.mul(e.entry((p, i, j)), e2.entry((p, k, l))) for p in I), (i, j) == (k, l))
+             for i, j, k, l in itertools.product(J, K, J, K))
+    q2 = all(holds(total(s.mul(e.entry((i, q, r)), e2.entry((j, q, r))) for q in J for r in K), i == j)
+             for i, j in itertools.product(I, I))
+    return q1, q2
+
+
+@pytest.mark.parametrize("name", ["boolean", "int-mod:3", "nat64", "min-plus", "float64"])
+def test_biunit_pair_check_matches_the_literal_equations(name):
+    # the check reads Q1 and Q2 as the left and right unit law of JKI; a
+    # failing equation's witness is a basis position
+    s = parse_semiring(name)
+    rng = random.Random(17)
+    I4 = IndexSet("I", 4)
+    perms = [Array((I4, I2, K2), [s.one() if sigma[p] == q * 2 + r else s.zero()
+                                  for p in range(4) for q in range(2) for r in range(2)], s)
+             for sigma in itertools.permutations(range(4))][::5]
+    pairs = [(x, y) for x in perms for y in perms[:2]]
+    pairs += [(kronecker(3, I2, s),) * 2] + [(x, x) for x in fish_unit_arrays(I2, s)]
+    for axes in ((I2,) * 3, (I2, J3, K2), (I4, I2, K2)):
+        pairs += [(random_array(axes, s, rng), random_array(axes, s, rng)) for _ in range(4)]
+        x = Array(axes, [rng.choice((s.zero(), s.one())) for _ in zero_array(axes, s).entries], s)
+        pairs.append((x, x))
+
+    def matching(axes, hits):  # one `one` per (p, q, r) in hits
+        return Array(axes, [s.one() if idx in hits else s.zero()
+                            for idx in itertools.product(*(range(ax.size) for ax in axes))], s)
+
+    wide = matching((I2, I2, K2), {(0, 0, 0), (1, 1, 1)})  # orthonormal rows only: Q2 holds
+    tall = matching((I4, IndexSet("J", 1), K2), {(0, 0, 0), (3, 0, 1)})  # orthonormal columns only: Q1 holds
+    pairs += [(wide, wide), (tall, tall)]
+    seen = set()
+    for e, e2 in pairs:
+        res = biunit_pair_check(e, e2)
+        want = loop_q1_q2(e, e2)
+        assert (res["Q1"].ok, res["Q2"].ok) == want and res["ok"] == all(want)
+        for law in ("Q1", "Q2"):
+            v = res[law]
+            assert v.law == law and (v.ok or len(v.witness["basis"]) == 3)
+        seen.add(want)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_biunit_search_requires_boolean():
@@ -478,6 +541,49 @@ def test_homomorphism_refuses_an_image_outside_the_carrier(image):
     constant = TernaryTable(2, [0] * 8)
     with pytest.raises(PlexusError) as err:
         check_homomorphism(constant, constant, [0, image])
+    assert err.value.code == "BAD_TABLE"
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: involuted_monoid(t, -1),
+    lambda t: involuted_monoid(t, 3),
+    lambda t: involuted_monoid(t, True),
+    lambda t: involuted_monoid(t, 1.0),
+    lambda t: biunit_transport(t, 0, 5),
+    lambda t: biunit_transport(t, -1, 0),
+    lambda t: biunit_transport(t, 0, 2.0),
+], ids=["monoid-negative", "monoid-past-the-end", "monoid-bool", "monoid-float",
+        "transport-past-the-end", "transport-negative", "transport-float"])
+def test_biunit_constructions_refuse_an_element_outside_the_carrier(call):
+    # -1 read wrapped table entries, 3 raised IndexError, and 5 gave a
+    # made-up unit-image verdict
+    t = vector_heap(3, 1)
+    assert involuted_monoid(t, 2)[2].ok and biunit_transport(t, 0, 2)[1].ok
+    with pytest.raises(PlexusError) as err:
+        call(t)
+    assert err.value.code == "BAD_TABLE"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_heap([[0, 1, 2], [1, 2, 0], [2, 0, 7]]),
+    lambda: group_heap([[0, 1], [1, 0.0]]),
+    lambda: group_heap([[0, 1], [1, False]]),
+    lambda: relation_semiheap(2.0, 2),
+    lambda: relation_semiheap(1, True),
+    lambda: bijection_heap(2.0),
+    lambda: bijection_heap(True),
+    lambda: vector_heap(2.5, 1),
+    lambda: vector_heap(True, True),
+    lambda: check_isotropy_biinvariance(2.0, 2.0),
+    lambda: check_isotropy_biinvariance(True, True),
+], ids=["group-out-of-range", "group-float", "group-bool", "relation-float", "relation-bool",
+        "bijection-float", "bijection-bool", "vector-float", "vector-bool", "isotropy-float",
+        "isotropy-bool"])
+def test_table_builders_refuse_sizes_and_entries_that_are_not_integers(build):
+    # as table entries: an int in range, never a bool or a float; these
+    # raised IndexError or TypeError, or were accepted as 1 and 0
+    with pytest.raises(PlexusError) as err:
+        build()
     assert err.value.code == "BAD_TABLE"
 
 
