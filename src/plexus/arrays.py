@@ -85,8 +85,9 @@ def make_array(axes: Sequence[IndexSet], entries: Sequence, semiring: Semiring) 
     expected = _entry_count(axes)
     if len(entries) != expected:
         raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}")
-    for x in entries:
-        semiring.validate(x)
+    if not semiring.holds_ints(entries):
+        for x in entries:
+            semiring.validate(x)
     return Array(axes, entries, semiring)
 
 

@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 a checked law failed (counterexample JSON on
 stdout), 2 input or usage error (structured JSON on stderr). All randomness
 flows through --seed, so output is byte-identical for identical inputs.
+Each command imports only the modules it runs, when it runs.
 """
 from __future__ import annotations
 
@@ -12,22 +13,15 @@ import os
 import random
 import sys
 
-from .checks import SUITES, run_selftest
-from .core import PlexusError, trial_range
-from .diagram import STANDARD_NAMES, standard_diagram, to_dot
-from .evaluator import default_binding, evaluate
-from .rewrite import (
-    Motif,
-    check_concurrency,
-    enumerate_compositions,
-    semantic_confluence,
-)
-from .semiring import parse_semiring
-from .ternary import ETA_VARIANTS, fish
-from .workspace import array_to_json, load_bindings, load_diagram, load_workspace
+from .core import ETA_VARIANTS, PlexusError, trial_range
+
+# sorted(checks.SUITES), stated here so that building the parser does not
+# load the law checks
+SUITE_NAMES = ("biunit", "flatfish", "heap", "heapoid", "isotropy", "semiheap", "units")
 
 
 def _bind_by_label(ws, d):
+    from .evaluator import default_binding
     arrays = {}
     for eid, e in d.edges.items():
         if e.label not in ws.arrays:
@@ -49,16 +43,21 @@ def _sole(mapping, kind, name=None):
     return next(iter(mapping.values()))
 
 
-def _load_array_arg(token):
+def _load_array_arg(token, loaded):
     """An array argument is a workspace file, or file:name to pick one of
-    several arrays."""
+    several arrays. `loaded` maps each path already read to its workspace."""
+    from .workspace import load_workspace
     path, name = token, None
     if ":" in token and not os.path.exists(token):
         path, name = token.rsplit(":", 1)
-    return _sole(load_workspace(path).arrays, "array", name)
+    if path not in loaded:
+        loaded[path] = load_workspace(path)
+    return _sole(loaded[path].arrays, "array", name)
 
 
 def _load_host(token, diagram_name):
+    from .diagram import STANDARD_NAMES, standard_diagram
+    from .workspace import load_workspace
     if os.path.exists(token):
         ws = load_workspace(token)
         return _sole(ws.diagrams, "diagram", diagram_name), ws
@@ -72,6 +71,8 @@ def _load_host(token, diagram_name):
 
 
 def _cmd_eval(args):
+    from .evaluator import default_binding, evaluate
+    from .workspace import array_to_json, load_bindings, load_diagram, load_workspace
     if args.bindings:
         d, isets = load_diagram(args.file)
         _, named = load_bindings(args.bindings, isets)
@@ -93,13 +94,18 @@ def _cmd_eval(args):
 
 
 def _cmd_fish(args):
-    a, b, c = (_load_array_arg(t) for t in (args.a, args.b, args.c))
+    from .ternary import fish
+    from .workspace import array_to_json
+    loaded = {}
+    a, b, c = (_load_array_arg(t, loaded) for t in (args.a, args.b, args.c))
     result = fish(a, b, c, args.variant, args.twist)
     print(json.dumps(array_to_json(result)))
     return 0
 
 
 def _cmd_rewrite(args):
+    from .rewrite import Motif, check_concurrency, semantic_confluence
+    from .semiring import parse_semiring
     host, _ = _load_host(args.host, args.diagram)
     motif_d, _ = _load_host(args.motif, None)
     motif = Motif(motif_d)
@@ -120,6 +126,7 @@ def _cmd_rewrite(args):
 
 
 def _cmd_enumerate(args):
+    from .rewrite import enumerate_compositions
     reps, symmetric = enumerate_compositions(
         args.edges, args.order, args.free, args.variant, size=args.size
     )
@@ -140,6 +147,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_export_dot(args):
+    from .diagram import to_dot
     d, _ = _load_host(args.file, args.diagram)
     text = to_dot(d)
     if args.out:
@@ -169,6 +177,8 @@ def _parse_sizes(text):
 
 
 def _cmd_laws(args):
+    from .checks import SUITES
+    from .semiring import parse_semiring
     trial_range(args.trials)  # refuse a bad count before any suite runs
     semiring = parse_semiring(args.semiring)
     sizes = _parse_sizes(args.sizes)
@@ -186,6 +196,7 @@ def _cmd_laws(args):
 
 
 def _cmd_selftest(args):
+    from .checks import run_selftest
     ok, lines = run_selftest(args.seed)
     if args.json:
         print(json.dumps({"ok": ok, "lines": lines}))
@@ -240,7 +251,7 @@ def build_parser():
     pd.set_defaults(fn=_cmd_export_dot)
 
     pl = sub.add_parser("laws", help="law suites with counterexample reporting")
-    pl.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
+    pl.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
     pl.add_argument("--semiring", default="boolean")
     pl.add_argument("--sizes", default="2,2,2")
     pl.add_argument("--variant", default="IJK", choices=sorted(ETA_VARIANTS))

@@ -1,9 +1,11 @@
-"""Shared plumbing: index sets, error type, verdicts, id ordering."""
+"""Shared plumbing: error type, records, index sets, verdicts, the fish
+variant table, id ordering."""
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import re
-from dataclasses import dataclass
 
 
 class PlexusError(Exception):
@@ -21,28 +23,80 @@ class PlexusError(Exception):
         return f"[{self.code}] {base}"
 
 
-@dataclass(frozen=True)
-class IndexSet:
+def int_in(x, lo, hi) -> bool:
+    """The one rule for index set sizes, table entries, carrier sizes and
+    table elements: an int with lo <= x <= hi, as for semiring elements
+    never a bool or a float."""
+    return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
+
+
+class Record:
+    """Base of the immutable records: a subclass names its fields in
+    `__slots__` and sets them in `__init__` with `object.__setattr__`. As
+    for a frozen dataclass, records are equal iff of one class with equal
+    fields, hash as their field tuple, and list their fields in the repr."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = operator.attrgetter(*cls.__slots__)
+        cls._astuple = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class IndexSet(Record):
     """A named finite index set. Conformability compares both name and size."""
 
-    id: str
-    size: int
+    __slots__ = ("id", "size")
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise PlexusError("BAD_INDEX_SET", f"index set {self.id!r} needs size >= 1, got {self.size}")
+    def __init__(self, id: str, size: int):
+        if not int_in(size, 1, math.inf):
+            raise PlexusError("BAD_INDEX_SET", f"index set {id!r} needs an integer size >= 1, got {size!r}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "size", size)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a law check; `witness` carries the first counterexample."""
 
-    ok: bool
-    law: str = ""
-    witness: object = None
+    __slots__ = ("ok", "law", "witness")
+
+    def __init__(self, ok: bool, law: str = "", witness: object = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# fish variant name -> (mouth axis position, reversed). The name XYZ reads:
+# tips on axes X and Y, mouth on axis Z; reversed variants swap tail and head.
+ETA_VARIANTS = {
+    "IJK": (2, False),
+    "JIK": (2, True),
+    "KIJ": (1, False),
+    "IKJ": (1, True),
+    "JKI": (0, False),
+    "KJI": (0, True),
+}
 
 
 _SPLIT_DIGITS = re.compile(r"(\d+)")

@@ -7,28 +7,29 @@ during evaluation; unmarked ("free") vertices become output axes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import IndexSet, PlexusError, natural_key
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    index_set: IndexSet
-    marked: bool = False
+from .core import IndexSet, PlexusError, Record, natural_key
 
 
-@dataclass(frozen=True)
-class Hyperedge:
-    id: str
-    legs: tuple
-    label: str = ""
+class Vertex(Record):
+    __slots__ = ("id", "index_set", "marked")
 
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(self, "label", self.id)
+    def __init__(self, id: str, index_set: IndexSet, marked: bool = False):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "index_set", index_set)
+        object.__setattr__(self, "marked", marked)
+
+
+class Hyperedge(Record):
+    """An edge; its label defaults to its id."""
+
+    __slots__ = ("id", "legs", "label")
+
+    def __init__(self, id: str, legs: tuple, label: str = ""):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "label", label or id)
 
 
 class Diagram:

@@ -8,19 +8,20 @@ offset arithmetic, so the two can cross-check each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .arrays import Array, _label_axes, einsum, kronecker
-from .core import PlexusError, fresh_id, natural_key
+from .core import PlexusError, Record, fresh_id, natural_key
 from .diagram import Diagram, Hyperedge, Vertex
 
 
-@dataclass(frozen=True)
-class BoundEdge:
+class BoundEdge(Record):
     """One edge's array plus the leg -> axis bijection (twists live here)."""
 
-    array: Array
-    leg_to_axis: dict
+    __slots__ = ("array", "leg_to_axis")
+
+    def __init__(self, array: Array, leg_to_axis: dict):
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "leg_to_axis", leg_to_axis)
 
 
 def default_binding(d: Diagram, arrays: dict) -> dict:

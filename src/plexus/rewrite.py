@@ -14,27 +14,24 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
 
-from .core import IndexSet, PlexusError, fresh_id, trial_range
+from .core import IndexSet, PlexusError, Record, fresh_id, trial_range
 from .arrays import random_array
 from .diagram import Diagram, Hyperedge, Vertex, _labelling_search, build_diagram, standard_diagram
 from .evaluator import BoundEdge, default_binding, evaluate
 
 
-@dataclass(frozen=True)
-class Motif:
+class Motif(Record):
     """Pattern diagram; a replacement label lists its edges in natural id order."""
 
-    pattern: Diagram
+    __slots__ = ("pattern",)
 
-    def __post_init__(self):
-        if not self.pattern.free_vertices():
+    def __init__(self, pattern: Diagram):
+        if not pattern.free_vertices():
             raise PlexusError("INVALID_MOTIF", "motif needs at least one free vertex")
-        if len(self.pattern.edges) > 1 and not _connected(
-            [e.legs for e in self.pattern.edges.values()]
-        ):
+        if len(pattern.edges) > 1 and not _connected([e.legs for e in pattern.edges.values()]):
             raise PlexusError("INVALID_MOTIF", "motif must be connected")
+        object.__setattr__(self, "pattern", pattern)
 
 
 def vee_motif(size: int = 2) -> Motif:
@@ -45,10 +42,12 @@ def fish_motif(size: int = 2) -> Motif:
     return Motif(standard_diagram("fish", size=size))
 
 
-@dataclass(frozen=True)
-class Match:
-    vertex_map: dict
-    edge_map: dict
+class Match(Record):
+    __slots__ = ("vertex_map", "edge_map")
+
+    def __init__(self, vertex_map: dict, edge_map: dict):
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "edge_map", edge_map)
 
 
 def _compatible_vertex(pattern, host, pv, hv):

@@ -8,9 +8,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
-from .core import PlexusError, Verdict
+from .core import PlexusError, Record, Verdict
 
 NAT64_MAX = 2**64 - 1
 INF = math.inf
@@ -19,10 +18,12 @@ FLOAT64_MAX = sys.float_info.max
 KINDS = ("boolean", "nat64", "int_mod", "min_plus", "float64")
 
 
-@dataclass(frozen=True)
-class Semiring:
-    kind: str
-    modulus: int = 0
+class Semiring(Record):
+    __slots__ = ("kind", "modulus")
+
+    def __init__(self, kind: str, modulus: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
 
     # -- carrier ---------------------------------------------------------
 
@@ -67,6 +68,14 @@ class Semiring:
                 raise PlexusError("BAD_ELEMENT", f"int_mod({self.modulus}) element out of range: {x!r}")
         elif x < 0:
             raise PlexusError("BAD_ELEMENT", f"min_plus element must be a natural or inf, got {x!r}")
+
+    def holds_ints(self, xs) -> bool:
+        """True if this is boolean, nat64 or int_mod and `xs` is a nonempty
+        sequence of ints (never a bool) in its carrier, found in one pass of
+        type, min and max. False says nothing: check each x then."""
+        top = {"boolean": 1, "nat64": NAT64_MAX, "int_mod": self.modulus - 1}.get(self.kind)
+        return (top is not None and len(xs) > 0 and set(map(type, xs)) == {int}
+                and 0 <= min(xs) and max(xs) <= top)
 
     def elements(self):
         """Full carrier for the finite kinds; error otherwise."""
@@ -179,6 +188,10 @@ class Semiring:
                 raise PlexusError("BAD_ELEMENT", f"not an integer element: {v!r}")
         self.validate(v)
         return float(v) if self.kind == "float64" else v
+
+    def entries_from_json(self, values: list) -> list:
+        """[element_from_json(v) for v in values], a list of ints in range taken whole."""
+        return values if self.holds_ints(values) else [self.element_from_json(v) for v in values]
 
 
 def make_semiring(kind: str, modulus: int | None = None) -> Semiring:

@@ -18,22 +18,10 @@ import random
 
 from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kronecker,
                      random_array, zero_array)
-from .core import IndexSet, PlexusError, Verdict, trial_range
+from .core import ETA_VARIANTS, IndexSet, PlexusError, Verdict, int_in, trial_range
 from .diagram import Diagram, Hyperedge, Vertex
 from .evaluator import BoundEdge, evaluate_formula_oracle
 from .semiring import Semiring
-
-# variant name -> (mouth axis position, reversed). The name XYZ reads: tips
-# on axes X and Y, mouth on axis Z; reversed variants swap tail and head.
-ETA_VARIANTS = {
-    "IJK": (2, False),
-    "JIK": (2, True),
-    "KIJ": (1, False),
-    "IKJ": (1, True),
-    "JKI": (0, False),
-    "KJI": (0, True),
-}
-
 
 # the fish diagram's vertex v<n> is index n of "ijpqrk"; its edges e0, e1,
 # e2 are the tail, body and head, with these legs
@@ -302,17 +290,17 @@ class TernaryTable:
     __slots__ = ("n", "table", "labels", "kind")
 
     def __init__(self, n: int, table, labels=None, kind: str = "custom"):
-        if not _int_in(n, 1, math.inf):
+        if not int_in(n, 1, math.inf):
             raise PlexusError("BAD_TABLE", f"carrier size must be a positive integer, got {n!r}")
-        table = tuple(table)
+        table = _sequence(table, "table")
         if len(table) != n ** 3:
             raise PlexusError("BAD_TABLE", f"expected {n ** 3} table entries, got {len(table)}")
         for x in table:
-            if not _int_in(x, 0, n - 1):
+            if not int_in(x, 0, n - 1):
                 raise PlexusError("BAD_TABLE", f"table entry must be an integer in 0..{n - 1}, got {x!r}")
         self.n = n
         self.table = table
-        self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
+        self.labels = _sequence(labels, "labels") if labels else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise PlexusError("BAD_TABLE", "need one label per element")
         self.kind = kind
@@ -324,16 +312,18 @@ class TernaryTable:
         return f"TernaryTable(n={self.n}, kind={self.kind!r})"
 
 
-def _int_in(x, lo, hi) -> bool:
-    """The one rule for table entries, carrier sizes and elements: an int
-    with lo <= x <= hi, as for semiring elements never a bool or a float."""
-    return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
+def _sequence(x, what) -> tuple:
+    """tuple(x), or BAD_TABLE if x is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise PlexusError("BAD_TABLE", f"{what} must be a sequence, got {x!r}") from None
 
 
 def _refuse_outside(t: TernaryTable, *elements):
     """BAD_TABLE unless every one of `elements` is an element of t's carrier."""
     for x in elements:
-        if not _int_in(x, 0, t.n - 1):
+        if not int_in(x, 0, t.n - 1):
             raise PlexusError("BAD_TABLE", f"{x!r} is not an element of the {t.n}-element carrier")
 
 
@@ -348,11 +338,11 @@ def _tabulate(elements, op, kind: str, labels=None) -> TernaryTable:
 def group_heap(mult) -> TernaryTable:
     """Heap of a finite group given by its multiplication table:
     (a b c) = a * inverse(b) * c."""
-    n = len(mult)
-    rows = [list(r) for r in mult]
+    rows = [_sequence(r, "multiplication table row") for r in _sequence(mult, "multiplication table")]
+    n = len(rows)
     if any(len(r) != n for r in rows):
         raise PlexusError("BAD_TABLE", "multiplication table must be square")
-    if not all(_int_in(x, 0, n - 1) for r in rows for x in r):
+    if not all(int_in(x, 0, n - 1) for r in rows for x in r):
         raise PlexusError("BAD_TABLE", f"multiplication table entries must be integers in 0..{n - 1}")
     identity = None
     for e in range(n):
@@ -380,7 +370,7 @@ def relation_semiheap(p: int, q: int) -> TernaryTable:
     """Semiheap of all relations between a p-set and a q-set, encoded as
     bitmasks (bit x*q+y is the pair (x, y)):
     (R1 R2 R3) = {(x, w) : exists y, z with (x,y) in R3, (z,y) in R2, (z,w) in R1}."""
-    if not (_int_in(p, 1, 4) and _int_in(q, 1, 4)) or p * q > 4:
+    if not (int_in(p, 1, 4) and int_in(q, 1, 4)) or p * q > 4:
         raise PlexusError("BAD_TABLE", f"relation carrier supported for integers p, q >= 1 with p*q <= 4, "
                           f"got {p!r} and {q!r}")
     n = 1 << (p * q)
@@ -425,7 +415,7 @@ def _bijection_product(f, g, h):
 
 def bijection_heap(n: int) -> TernaryTable:
     """Heap of bijections on an n-set: (f g h)(x) = f(g_inverse(h(x)))."""
-    if not _int_in(n, 1, 3):
+    if not int_in(n, 1, 3):
         raise PlexusError("BAD_TABLE", f"bijection carrier supported for 1 to 3 points, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     labels = ["".join(map(str, f)) for f in perms]
@@ -433,9 +423,12 @@ def bijection_heap(n: int) -> TernaryTable:
 
 
 def vector_heap(m: int, dim: int) -> TernaryTable:
-    """Heap of (Z_m)^dim: (u v w) = u - v + w componentwise mod m."""
-    if not (_int_in(m, 1, math.inf) and _int_in(dim, 1, math.inf)):
-        raise PlexusError("BAD_TABLE", f"need integers m >= 1 and dim >= 1, got {m!r} and {dim!r}")
+    """Heap of (Z_m)^dim: (u v w) = u - v + w componentwise mod m. The
+    carrier may hold at most 64 elements (262,144 table entries), and dim
+    be at most 6; a larger one is refused before anything is built."""
+    if not (int_in(m, 1, 64) and int_in(dim, 1, 6)) or m ** dim > 64:
+        raise PlexusError("BAD_TABLE", f"vector carrier supported for integers m >= 1 and 1 <= dim <= 6 "
+                          f"with m**dim <= 64, got {m!r} and {dim!r}")
     elems = list(itertools.product(range(m), repeat=dim))
     labels = ["".join(map(str, v)) for v in elems]
     return _tabulate(elems, lambda u, v, w: tuple((a - b + c) % m for a, b, c in zip(u, v, w)),
@@ -446,16 +439,20 @@ def make_ternary_table(kind: str, *args) -> TernaryTable:
     """Dispatcher for the example tables: group_heap(mult_table),
     relation_semiheap(p, q), bijection_heap(n), vector_heap(m, dim),
     custom(n, table)."""
-    builders = {
-        "group_heap": group_heap,
-        "relation_semiheap": relation_semiheap,
-        "bijection_heap": bijection_heap,
-        "vector_heap": vector_heap,
-        "custom": TernaryTable,
+    builders = {  # kind -> (builder, least and most argument counts)
+        "group_heap": (group_heap, 1, 1),
+        "relation_semiheap": (relation_semiheap, 2, 2),
+        "bijection_heap": (bijection_heap, 1, 1),
+        "vector_heap": (vector_heap, 2, 2),
+        "custom": (TernaryTable, 2, 4),
     }
     if kind not in builders:
         raise PlexusError("UNKNOWN_KIND", f"unknown ternary table kind {kind!r}")
-    return builders[kind](*args)
+    build, least, most = builders[kind]
+    if not least <= len(args) <= most:
+        counts = str(least) if least == most else f"{least} to {most}"
+        raise PlexusError("BAD_REFERENCE", f"{kind} takes {counts} arguments, got {len(args)}")
+    return build(*args)
 
 
 def check_semiheap(t: TernaryTable) -> Verdict:
@@ -575,7 +572,7 @@ def check_reverse_semiheap(t: TernaryTable) -> Verdict:
 def check_homomorphism(t1: TernaryTable, t2: TernaryTable, phi) -> Verdict:
     """phi carries the first operation onto the second."""
     # images are elements of carrier 2, as table entries are: never a bool or a float
-    if t1.n != len(phi) or not all(_int_in(x, 0, t2.n - 1) for x in phi):
+    if t1.n != len(phi) or not all(int_in(x, 0, t2.n - 1) for x in phi):
         raise PlexusError("BAD_TABLE", "phi must map carrier 1 into carrier 2")
     for a, b, c in itertools.product(range(t1.n), repeat=3):
         if phi[t1.op(a, b, c)] != t2.op(phi[a], phi[b], phi[c]):
@@ -591,7 +588,7 @@ def check_isotropy_biinvariance(A_size: int, B_size: int) -> Verdict:
     if A_size != B_size:
         raise PlexusError("BAD_TABLE", "bijections need equal source and target sizes")
     n = A_size
-    if not _int_in(n, 1, 3):
+    if not int_in(n, 1, 3):
         raise PlexusError("BAD_TABLE", f"isotropy check supported for 1 to 3 points, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     for f, g, h in itertools.product(perms, repeat=3):

@@ -23,20 +23,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .arrays import Array
-from .core import IndexSet, PlexusError
+from .core import IndexSet, PlexusError, Record, int_in
 from .diagram import Diagram, Hyperedge, Vertex
 from .semiring import Semiring, parse_semiring
 
 
-@dataclass
-class Workspace:
-    semiring: Semiring
-    index_sets: dict = field(default_factory=dict)
-    arrays: dict = field(default_factory=dict)
-    diagrams: dict = field(default_factory=dict)
+class Workspace(Record):
+    __slots__ = ("semiring", "index_sets", "arrays", "diagrams")
+
+    def __init__(self, semiring: Semiring, index_sets=None, arrays=None, diagrams=None):
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "index_sets", {} if index_sets is None else index_sets)
+        object.__setattr__(self, "arrays", {} if arrays is None else arrays)
+        object.__setattr__(self, "diagrams", {} if diagrams is None else diagrams)
 
 
 def _require(cond: bool, code: str, message: str, location: str):
@@ -48,12 +49,8 @@ def _parse_index_sets(raw_sets, loc: str) -> dict:
     _require(isinstance(raw_sets, dict), "PARSE_ERROR", "'index_sets' must be an object", loc)
     index_sets = {}
     for name, size in raw_sets.items():
-        _require(
-            isinstance(size, int) and not isinstance(size, bool) and size >= 1,
-            "PARSE_ERROR",
-            f"index set {name!r} needs a positive integer size",
-            f"{loc}.{name}",
-        )
+        _require(int_in(size, 1, math.inf), "PARSE_ERROR",
+                 f"index set {name!r} needs a positive integer size", f"{loc}.{name}")
         index_sets[name] = IndexSet(name, size)
     return index_sets
 
@@ -98,7 +95,7 @@ def _load_array(name, spec, index_sets, semiring) -> Array:
         axes.append(index_sets[ax])
     _require(isinstance(spec["entries"], list), "PARSE_ERROR", "'entries' must be a list", loc)
     try:
-        entries = [semiring.element_from_json(x) for x in spec["entries"]]
+        entries = semiring.entries_from_json(spec["entries"])
     except PlexusError as err:
         raise PlexusError(err.code, str(err).split("] ", 1)[-1], loc)
     expected = math.prod(ax.size for ax in axes)

@@ -79,6 +79,14 @@ def test_immutability():
         a.entries = [1, 1]
 
 
+@pytest.mark.parametrize("size", [0, -1, "2", True, 2.5])
+def test_index_set_size_must_be_a_positive_int(size):
+    # "2" raised a raw TypeError, and True and 2.5 were accepted
+    with pytest.raises(PlexusError) as err:
+        IndexSet("I", size)
+    assert err.value.code == "BAD_INDEX_SET"
+
+
 def test_equality_is_axiswise_and_pointwise():
     a = make_array((I2,), [1, 0], BOOL)
     assert a == make_array((I2,), [1, 0], BOOL)

@@ -2,12 +2,16 @@
 and byte-stable output."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import plexus
 from plexus import IndexSet, fish, make_array, make_semiring
 from plexus import checks
-from plexus.cli import _fail_law, run_command
+from plexus.cli import SUITE_NAMES, _fail_law, run_command
 from plexus.core import Verdict
 from plexus.diagram import STANDARD_NAMES, standard_diagram, to_dot
 
@@ -601,3 +605,90 @@ def test_laws_all_stops_at_the_first_boolean_only_suite(capsys):
         "units ok: 20 trials, sizes (2, 2, 2), semiring int-mod:5\n"
     )
     assert json.loads(err)["error"] == "UNSUPPORTED"
+
+
+# sha256 of `--help` stdout at 80 columns, recorded while the parser still
+# read its choices from `checks.SUITES` and `ternary.ETA_VARIANTS`
+HELP_SHA256 = {
+    "": "67d0e9a24906362d7ec36420610c7127cd8a81802eed0b94e76573867c041025",
+    "eval": "b24368590ca7d1eaa8f6d4e0fb6b15de2cdbc9a1a1c81be12afead194dfad972",
+    "fish": "00f3e4d0cee2ca44c60dc1727af3530c0b2d5be3096ad622e3cc447cae329e14",
+    "rewrite": "3c41b25e7b7bb6934fa2d7c6cc7b426a34c4519e172aee25cc974db05348a428",
+    "enumerate": "4f7afa39f9bdcf5003bb4d3f740718d3aa19b779bd628522997c17811fdf6bd3",
+    "export-dot": "398114dc2980ddf62cf61b819748b4c263ccdc797efb980a904c43727772f13c",
+    "laws": "6948f4535d5b590226e9ae141f46d989262ccc4e17879bd966587d16a25461c0",
+    "selftest": "259ecd98bbf4797f1904a4c9af9ad49c2e8574c659a56278fc136e26fa9f8022",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_stdout_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run_command([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_suite_choices_are_the_registry_suites():
+    assert SUITE_NAMES == tuple(sorted(checks.SUITES))
+
+
+SRC = os.path.dirname(os.path.dirname(plexus.__file__))
+
+
+def child(code, *argv):
+    """Run `code` in a fresh interpreter that imports plexus from SRC."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *code, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_prints_no_warning():
+    proc = child(["-m", "plexus.cli"], "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: plexus")
+
+
+# the start line perfbench gives each `plexus` child, reporting the modules it loaded
+START = ("import json, sys; from plexus.cli import main; code = main(); "
+         "sys.stderr.write(json.dumps(sorted(sys.modules))); sys.exit(code)")
+
+
+def loaded_by(*argv):
+    proc = child(["-c", START], *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr))
+
+
+def test_a_command_loads_only_the_modules_it_runs(tmp_path):
+    path = write(tmp_path, WS, "w.json")
+    held = loaded_by("eval", path)
+    assert {"plexus.evaluator", "plexus.workspace"} <= held
+    assert not held & {"dataclasses", "plexus.ternary", "plexus.rewrite", "plexus.checks"}
+    cube = {"semiring": "boolean", "index_sets": {"I": 2},
+            "arrays": {"a": {"axes": ["I", "I", "I"], "entries": [1, 0, 0, 1, 0, 1, 1, 0]}}}
+    path = write(tmp_path, cube, "f.json")
+    held = loaded_by("fish", path, path, path)
+    assert "plexus.ternary" in held
+    assert not held & {"plexus.rewrite", "plexus.checks"}
+
+
+def test_building_the_parser_loads_no_law_or_rewrite_code():
+    proc = child(["-c", "import json, sys; from plexus.cli import build_parser; build_parser(); "
+                        "print(json.dumps(sorted(sys.modules)))"])
+    assert not set(json.loads(proc.stdout)) & {"plexus.ternary", "plexus.rewrite", "plexus.checks"}
+
+
+def test_fish_reads_each_workspace_file_once(tmp_path, capsys, monkeypatch):
+    from plexus import workspace
+
+    cube = {"semiring": "int-mod:5", "index_sets": {"I": 2},
+            "arrays": {n: {"axes": ["I", "I", "I"], "entries": [(k * 3 + m) % 5 for k in range(8)]}
+                       for m, n in enumerate("abc")}}
+    path = write(tmp_path, cube, "f.json")
+    read, load = [], workspace.load_workspace
+    monkeypatch.setattr(workspace, "load_workspace", lambda p: read.append(p) or load(p))
+    code, out, _ = run(capsys, ["fish", f"{path}:a", f"{path}:b", f"{path}:c"])
+    assert code == 0 and read == [path]
+    a, b, c = (make_array((IndexSet("I", 2),) * 3, cube["arrays"][n]["entries"], MOD5) for n in "abc")
+    assert json.loads(out)["entries"] == list(fish(a, b, c).entries)

@@ -2,6 +2,7 @@
 ternary tables, and carrier closure reports."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -585,6 +586,31 @@ def test_table_builders_refuse_sizes_and_entries_that_are_not_integers(build):
     with pytest.raises(PlexusError) as err:
         build()
     assert err.value.code == "BAD_TABLE"
+
+
+@pytest.mark.parametrize("build, code", [
+    (lambda: group_heap(5), "BAD_TABLE"),
+    (lambda: group_heap([1, 2]), "BAD_TABLE"),
+    (lambda: TernaryTable(1, 5), "BAD_TABLE"),
+    (lambda: TernaryTable(2, [0] * 8, labels=5), "BAD_TABLE"),
+    (lambda: make_ternary_table("vector_heap", 2), "BAD_REFERENCE"),
+], ids=["group-not-a-table", "group-rows-not-sequences", "table-not-a-sequence", "labels-not-a-sequence",
+        "dispatch-missing-argument"])
+def test_table_constructors_refuse_arguments_of_the_wrong_shape(build, code):
+    # these raised a raw TypeError
+    with pytest.raises(PlexusError) as err:
+        build()
+    assert err.value.code == code
+
+
+def test_vector_heap_refuses_a_large_carrier_before_building_it():
+    assert vector_heap(4, 3).n == 64  # the cap itself is allowed
+    for m, dim in ((6, 3), (65, 1), (2, 7), (1, 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(PlexusError) as err:
+            vector_heap(m, dim)
+        assert err.value.code == "BAD_TABLE"
+        assert time.perf_counter() - start < 0.1
 
 
 def test_isotropy_biinvariance():
