@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Sequence
 
-from .core import IndexSet, PlexusError
+from .core import IndexSet, PlexusError, int_in
 from .semiring import Semiring
 
 
@@ -146,21 +147,20 @@ def slice_axes(a: Array, assignment: dict) -> Array:
     return Array([a.axes[p] for p in keep], [a.entries[base + o] for o in grid], a.semiring)
 
 
-def _entrywise(op, a: Array, b: Array) -> Array:
-    """Combine entries at equal positions; both arrays carry the same axes."""
+def entrywise_add(a: Array, b: Array) -> Array:
+    """Add entries at equal positions; both arrays carry the same axes."""
     labels = range(a.order)
     _label_axes([(a, labels), (b, labels)])
-    entries = [op(x, y) for x, y in zip(a.entries, b.entries)]
+    entries = list(map(a.semiring.add, a.entries, b.entries))
     a.semiring.check_range(entries)
     return Array(a.axes, entries, a.semiring)
 
 
-def entrywise_add(a: Array, b: Array) -> Array:
-    return _entrywise(a.semiring.add, a, b)
-
-
 def entrywise_mul(a: Array, b: Array) -> Array:
-    return _entrywise(a.semiring.mul, a, b)
+    """Multiply entries at equal positions: the kernel product keeping every
+    label. As from `contract`, a float64 -0.0 entry comes out as 0.0."""
+    labels = range(a.order)
+    return einsum([(a, labels), (b, labels)], labels)
 
 
 def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]):
@@ -336,7 +336,7 @@ def full_array(axes: Sequence[IndexSet], semiring: Semiring) -> Array:
 
 def kronecker(n: int, index_set: IndexSet, semiring: Semiring) -> Array:
     """The order-n identity array: 1 where all n indices agree, else 0."""
-    if n < 1:
+    if not int_in(n, 1, math.inf):
         raise PlexusError("BAD_AXIS", "kronecker order must be >= 1")
     axes = (index_set,) * n
     out = [semiring.zero()] * _entry_count(axes)
@@ -359,7 +359,7 @@ def diagonal_extension(a: Array, axis: int, copies: int = 1) -> Array:
     diagonal; unary contraction of any added axis recovers `a`."""
     if not (0 <= axis < a.order):
         raise PlexusError("BAD_AXIS", f"axis {axis} out of range")
-    if copies < 1:
+    if not int_in(copies, 1, math.inf):
         raise PlexusError("BAD_AXIS", "copies must be >= 1")
     n = a.order
     added = list(range(n, n + copies))

@@ -110,10 +110,10 @@ def natural_key(s: str):
 
 
 def trial_range(trials: int) -> range:
-    """range(trials), refusing fewer than one trial: a law check that draws
-    no array would pass without testing anything."""
-    if trials < 1:
-        raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {trials}")
+    """range(trials), refusing a count that is not an int of at least 1: a
+    law check that draws no array would pass without testing anything."""
+    if not int_in(trials, 1, math.inf):
+        raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {trials!r}")
     return range(trials)
 
 

@@ -7,9 +7,10 @@ during evaluation; unmarked ("free") vertices become output axes.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable
 
-from .core import IndexSet, PlexusError, Record, natural_key
+from .core import IndexSet, PlexusError, Record, int_in, natural_key
 
 
 class Vertex(Record):
@@ -148,7 +149,7 @@ def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
     shape). fish / long_fish are the one- and two-body ternary motifs."""
     iset = IndexSet("I", size)
     if name == "chain":
-        if n is None or n < 1:
+        if not int_in(n, 1, math.inf):
             raise PlexusError("BAD_REFERENCE", "chain needs a positive edge count")
         vertices = [(f"v{t}", iset, 0 < t < n) for t in range(n + 1)]
         edges = [(f"e{t}", (f"v{t}", f"v{t + 1}")) for t in range(n)]

@@ -12,10 +12,11 @@ the replacement edge. Matches are reported up to motif automorphism.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
-from .core import IndexSet, PlexusError, Record, fresh_id, trial_range
+from .core import IndexSet, PlexusError, Record, fresh_id, int_in, trial_range
 from .arrays import random_array
 from .diagram import Diagram, Hyperedge, Vertex, _labelling_search, build_diagram, standard_diagram
 from .evaluator import BoundEdge, default_binding, evaluate
@@ -401,8 +402,8 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
         raise PlexusError("BAD_REFERENCE", f"unknown enumeration variant {variant!r}")
     for name, value, least in (("num_edges", num_edges, 1), ("edge_order", edge_order, 1),
                                ("free_vertices", free_vertices, 0)):
-        if value < least:
-            raise PlexusError("BAD_REFERENCE", f"{name} must be at least {least}, got {value}")
+        if not int_in(value, least, math.inf):
+            raise PlexusError("BAD_REFERENCE", f"{name} must be at least {least}, got {value!r}")
     marked_min, unmarked_exact = ENUMERATION_VARIANTS[variant]
     iset = IndexSet("I", size)
     reps, symmetric, seen = [], [], set()

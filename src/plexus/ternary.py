@@ -19,14 +19,16 @@ import random
 from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kronecker,
                      random_array, zero_array)
 from .core import ETA_VARIANTS, IndexSet, PlexusError, Verdict, int_in, trial_range
-from .diagram import Diagram, Hyperedge, Vertex
+from .diagram import Diagram, Vertex, standard_diagram
 from .evaluator import BoundEdge, evaluate_formula_oracle
 from .semiring import Semiring
 
+_BOOLEAN = Semiring("boolean")  # the entries of relation and bijection matrices
+
 # the fish diagram's vertex v<n> is index n of "ijpqrk"; its edges e0, e1,
-# e2 are the tail, body and head, with these legs
+# e2 are the tail, body and head, on the legs ijp, qrp and qrk
+_FISH = standard_diagram("fish")
 _FISH_VERTEX = {lab: f"v{n}" for n, lab in enumerate("ijpqrk")}
-_FISH_LEGS = ("ijp", "qrp", "qrk")
 
 
 def _fish_labels(variant: str, twist: bool):
@@ -67,13 +69,11 @@ def _fish_diagram(terms):
     # each array on its own labels: one label per axis, else CONFORMABILITY
     tail, _, head = (_label_axes([term]) for term in terms)
     axis = {**tail, **head}  # i j p carry the tail's index sets, q r k the head's
-    verts = {vid: Vertex(vid, axis[lab], lab in "pqr") for lab, vid in _FISH_VERTEX.items()}
-    edges, binding = {}, {}
-    for n, (legs, (x, labels)) in enumerate(zip(_FISH_LEGS, terms)):
-        eid = f"e{n}"
-        edges[eid] = Hyperedge(eid, tuple(_FISH_VERTEX[lab] for lab in legs))
-        binding[eid] = BoundEdge(x, {_FISH_VERTEX[lab]: labels.index(lab) for lab in legs})
-    return Diagram(verts, edges), binding
+    label = {vid: lab for lab, vid in _FISH_VERTEX.items()}
+    verts = {vid: Vertex(vid, axis[label[vid]], v.marked) for vid, v in _FISH.vertices.items()}
+    binding = {eid: BoundEdge(x, {vid: labels.index(label[vid]) for vid in _FISH.edges[eid].legs})
+               for eid, (x, labels) in zip(("e0", "e1", "e2"), terms)}
+    return Diagram(verts, _FISH.edges), binding
 
 
 def fish_output_order(variant: str) -> list:
@@ -135,6 +135,8 @@ def semiheap_law_arrays(variant: str, semiring: Semiring, sizes, trials: int,
 def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False) -> Verdict:
     """The trial loop of the para-associativity law: five arrays on (I, J, K)
     drawn from `rng` per trial; a failure's witness names its trial."""
+    if not isinstance(sizes, (tuple, list)) or len(sizes) != 3:
+        raise PlexusError("BAD_REFERENCE", f"sizes must be three index set sizes, got {sizes!r}")
     axes = [IndexSet(n, s) for n, s in zip("IJK", sizes, strict=True)]
     if twist:  # the twist swaps the body's tips: draw both on the first tip's index set
         first, second = (_fish_labels(variant, False)[1].index(tip) for tip in "ij")
@@ -369,32 +371,15 @@ def group_heap(mult) -> TernaryTable:
 def relation_semiheap(p: int, q: int) -> TernaryTable:
     """Semiheap of all relations between a p-set and a q-set, encoded as
     bitmasks (bit x*q+y is the pair (x, y)):
-    (R1 R2 R3) = {(x, w) : exists y, z with (x,y) in R3, (z,y) in R2, (z,w) in R1}."""
+    (R1 R2 R3) = {(x, w) : exists y, z with (x,y) in R3, (z,y) in R2, (z,w) in R1},
+    the JKI fish product c . b^T . a of their matrices on (P, Q, U:1)."""
     if not (int_in(p, 1, 4) and int_in(q, 1, 4)) or p * q > 4:
         raise PlexusError("BAD_TABLE", f"relation carrier supported for integers p, q >= 1 with p*q <= 4, "
                           f"got {p!r} and {q!r}")
-    n = 1 << (p * q)
-
-    def op(r1, r2, r3):
-        out = 0
-        for x in range(p):
-            for w in range(q):
-                hit = False
-                for y in range(q):
-                    if not (r3 >> (x * q + y)) & 1:
-                        continue
-                    for z in range(p):
-                        if (r2 >> (z * q + y)) & 1 and (r1 >> (z * q + w)) & 1:
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    out |= 1 << (x * q + w)
-        return out
-
+    n, axes = 1 << (p * q), (IndexSet("P", p), IndexSet("Q", q), IndexSet("U", 1))
+    carrier = [Array(axes, [(r >> k) & 1 for k in range(p * q)], _BOOLEAN) for r in range(n)]
     labels = [format(r, f"0{p * q}b") for r in range(n)]
-    return _tabulate(range(n), op, "relation-semiheap", labels)
+    return TernaryTable(n, _closure(carrier, "JKI"), labels, "relation-semiheap")
 
 
 def _perm_compose(f, g):
@@ -414,12 +399,15 @@ def _bijection_product(f, g, h):
 
 
 def bijection_heap(n: int) -> TernaryTable:
-    """Heap of bijections on an n-set: (f g h)(x) = f(g_inverse(h(x)))."""
+    """Heap of bijections on an n-set: (f g h)(x) = f(g_inverse(h(x))), the
+    JKI fish product of their graphs on (N, N, U:1), [x, y] = [y = f(x)]."""
     if not int_in(n, 1, 3):
         raise PlexusError("BAD_TABLE", f"bijection carrier supported for 1 to 3 points, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
+    axes = (IndexSet("N", n), IndexSet("N", n), IndexSet("U", 1))
+    carrier = [Array(axes, [int(y == f[x]) for x in range(n) for y in range(n)], _BOOLEAN) for f in perms]
     labels = ["".join(map(str, f)) for f in perms]
-    return _tabulate(perms, _bijection_product, "bijection-heap", labels)
+    return TernaryTable(len(perms), _closure(carrier, "JKI"), labels, "bijection-heap")
 
 
 def vector_heap(m: int, dim: int) -> TernaryTable:
@@ -507,13 +495,20 @@ def check_heap(t: TernaryTable) -> dict:
     return {"sh": sh, "h": h, "m": m, "ok": sh.ok and h.ok and m.ok}
 
 
+def _unit_pairs(t: TernaryTable):
+    """The pairs (i, j) with (a i j) = a for every a, and the pairs with
+    (i j a) = a for every a, each in (i, j) order. Over a, (a i j) is the
+    table's column i*n+j, of stride n*n, and (i j a) its row i*n+j."""
+    n, T, ids = t.n, t.table, tuple(range(t.n))
+    pairs = list(itertools.product(range(n), repeat=2))
+    return ([(i, j) for i, j in pairs if T[i * n + j::n * n] == ids],
+            [(i, j) for i, j in pairs if T[(i * n + j) * n:(i * n + j + 1) * n] == ids])
+
+
 def find_biunits(t: TernaryTable) -> list:
     """Elements e with (e e a) = a = (a e e) for every a."""
-    return [
-        e
-        for e in range(t.n)
-        if all(t.op(e, e, a) == a and t.op(a, e, e) == a for a in range(t.n))
-    ]
+    unit, co_unit = _unit_pairs(t)
+    return [e for e, f in unit if e == f and (e, e) in co_unit]
 
 
 def involuted_monoid(t: TernaryTable, e: int):
@@ -571,6 +566,7 @@ def check_reverse_semiheap(t: TernaryTable) -> Verdict:
 
 def check_homomorphism(t1: TernaryTable, t2: TernaryTable, phi) -> Verdict:
     """phi carries the first operation onto the second."""
+    phi = _sequence(phi, "phi")
     # images are elements of carrier 2, as table entries are: never a bool or a float
     if t1.n != len(phi) or not all(int_in(x, 0, t2.n - 1) for x in phi):
         raise PlexusError("BAD_TABLE", "phi must map carrier 1 into carrier 2")
@@ -606,30 +602,17 @@ def check_isotropy_biinvariance(A_size: int, B_size: int) -> Verdict:
     return Verdict(True, "isotropy-biinvariance")
 
 
-def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
-    """Close a finite list of arrays under the fish product and report:
-    semiheapoid (closure plus the semiheap law on the closure table), biunit
-    pairs quantified over every array on the constellation (checked on basis
-    indicators; the product is linear in each slot, so the basis suffices),
-    heapoid (every element in some biunit pair), Malcev (every element pairs
-    with itself), and whether the tridentity and extended partial identity
-    are present and neutral (fish category units).
-
-    The carrier shares one constellation and one semiring, else it is
-    refused up front with the kernel's CONFORMABILITY or SEMIRING_MISMATCH.
-    A product (a b c) reads its body and head only through their composite,
-    the body contracted with the head over the tips. The closure is two
+def _closure(carrier, variant: str, twist: bool = False) -> list:
+    """The fish table of a list of arrays on one constellation and semiring:
+    entry (a*n + b)*n + c is the position of (a b c) in the list, looked up
+    by its entries (the first of equal arrays wins), or None if missing.
+    A product reads its body and head only through their composite, the
+    body contracted with the head over the tips, so the closure is two
     kernel steps: every composite in one call, interned by its entries, then
     each tail against the stack of distinct composites. Every product is
     computed before the first lookup, so a nat64 or float64 OVERFLOW
-    anywhere in the closure is raised even where an earlier product is
-    missing from the carrier. Products are looked up by their entries; the
-    first of equal carrier arrays wins."""
+    anywhere is raised even where an earlier product is missing."""
     n = len(carrier)
-    if n == 0:
-        raise PlexusError("BAD_TABLE", "empty carrier")
-    # one constellation and semiring for all, else the kernel's own error
-    _label_axes([(x, "ijk") for x in carrier])
     axes, s, m = carrier[0].axes, carrier[0].semiring, len(carrier[0].entries)
     stacked = Array((IndexSet("carrier", n), *axes), [v for x in carrier for v in x.entries], s)
     if s.exact:
@@ -653,9 +636,33 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
     for x in carrier:  # one tail at a time: one block of products in memory
         block = einsum([(x, tail), (composites, ["D", "p", "k"])], ["D", *out])
         found.append([find(block.entries[o:o + m]) for o in range(0, len(block.entries), m)])
-    table = [found[abc[order[0]]][which[abc[1] * n + abc[order[2]]]]
-             for abc in itertools.product(range(n), repeat=3)]
-    if None in table:  # the witness: the first missing product in (a, b, c) order, as `fish` gives it
+    return [found[abc[order[0]]][which[abc[1] * n + abc[order[2]]]]
+            for abc in itertools.product(range(n), repeat=3)]
+
+
+def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
+    """Close a finite list of arrays under the fish product and report:
+    semiheapoid (closure plus the semiheap law on the closure table), biunit
+    pairs quantified over every array on the constellation (checked on basis
+    indicators; the product is linear in each slot, so the basis suffices),
+    heapoid (every element in some biunit pair), Malcev (every element pairs
+    with itself), and whether the tridentity and extended partial identity
+    are present and neutral (fish category units).
+
+    A carrier that is not a nonempty sequence of arrays is BAD_TABLE. It
+    shares one constellation and one semiring, else it is refused up front
+    with the kernel's CONFORMABILITY or SEMIRING_MISMATCH. The table comes
+    from `_closure`; an open carrier's witness is its first missing product
+    in (a, b, c) order, as `fish` gives it."""
+    carrier = _sequence(carrier, "carrier")
+    if not carrier:
+        raise PlexusError("BAD_TABLE", "empty carrier")
+    if not all(isinstance(x, Array) for x in carrier):
+        raise PlexusError("BAD_TABLE", "carrier elements must be arrays")
+    # one constellation and semiring for all, else the kernel's own error
+    _label_axes([(x, "ijk") for x in carrier])
+    n, table = len(carrier), _closure(carrier, variant, twist)
+    if None in table:
         k = table.index(None)
         a, b, c = carrier[k // (n * n)], carrier[k // n % n], carrier[k % n]
         return {
@@ -672,18 +679,7 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
         }
     tt = TernaryTable(n, table, kind="fish-carrier")
     sh = check_semiheap(tt)
-    unit_pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if all(tt.op(k, i, j) == k for k in range(n))
-    ]
-    co_unit_pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if all(tt.op(i, j, k) == k for k in range(n))
-    ]
+    unit_pairs, co_unit_pairs = _unit_pairs(tt)
     # neutrality on the carrier is necessary for neutrality on every array,
     # so only those candidates need the basis-level verification
     biunit_pairs = []
@@ -697,9 +693,9 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
     heapoid = all(any(p[0] == i for p in biunit_pairs) for i in range(n))
     malcev = all((i, i) in biunit_pairs for i in range(n))
     fish_category = False
-    if len(set(axes)) == 1:
-        t, u = fish_unit_arrays(axes[2], s)
-        if find(t.entries) is not None and find(u.entries) is not None:
+    if len(set(carrier[0].axes)) == 1:
+        t, u = fish_unit_arrays(carrier[0].axes[2], carrier[0].semiring)
+        if t in carrier and u in carrier:
             fish_category = all(
                 unit_pair_via_basis(mid, top, variant, "right", twist).ok
                 for mid, top in ((t, t), (u, t), (t, u))

@@ -1,8 +1,10 @@
-"""`heapoid_check`, `unit_pair_via_basis` and `check_semiheap` against the
-plain loops they replace: the closure as one `fish` call and one linear scan
-per triple, the basis check as one `fish` call per indicator, and
-para-associativity as a five-deep loop over quintuples. The loops are kept
-here as references."""
+"""`heapoid_check`, `unit_pair_via_basis`, `check_semiheap` and the
+relation and bijection heaps against the plain loops they replace: the
+closure as one `fish` call and one linear scan per triple, the basis check
+as one `fish` call per indicator, para-associativity as a five-deep loop
+over quintuples, and the two heap tables as the relational product and the
+composite of bijections, one triple at a time. The loops are kept here as
+references."""
 import itertools
 import random
 
@@ -17,6 +19,7 @@ from plexus import (
     TernaryTable,
     bijection_heap,
     check_semiheap,
+    find_biunits,
     fish,
     fish_unit_arrays,
     group_heap,
@@ -252,6 +255,15 @@ def test_check_semiheap_matches_the_quintuple_loop_on_shipped_tables(name):
         assert check_semiheap(table) == loop_semiheap(table)
 
 
+def test_find_biunits_matches_the_diagonal_loop():
+    found = set()
+    for t in [*random_tables(random.Random(9)), *(build() for build in SHIPPED.values())]:
+        want = [e for e in range(t.n) if all(t.op(e, e, a) == a == t.op(a, e, e) for a in range(t.n))]
+        assert find_biunits(t) == want, t.table
+        found.add(len(want))
+    assert {0, 1, 2} < found  # tables with none, one and several biunits
+
+
 def test_heapoid_refuses_a_mixed_carrier_up_front():
     # the loop returned "not closed" at the first triple, (x x x) = 8x; the
     # stacked carrier is refused before any product
@@ -319,3 +331,58 @@ def test_heapoid_closure_multiplies_each_distinct_composite_once(monkeypatch):
     assert len(products) == 24
     assert all(operands[1][0].sizes == (24, 4, 4) for operands, _ in products)
     assert sum(len(out.entries) for _, out in calls) == 9216 + 9216
+
+
+def loop_table(elements, op):
+    """The table of op on a list of distinct elements, one triple at a time."""
+    index = {x: k for k, x in enumerate(elements)}
+    return [index[op(x, y, z)] for x in elements for y in elements for z in elements]
+
+
+def loop_relation_semiheap(p, q):
+    """(R1 R2 R3) = {(x, w) : (x,y) in R3, (z,y) in R2, (z,w) in R1 for some y, z}
+    on bitmasks, bit x*q+y being the pair (x, y)."""
+    def op(r1, r2, r3):
+        out = 0
+        for x in range(p):
+            for w in range(q):
+                hit = False
+                for y in range(q):
+                    if not (r3 >> (x * q + y)) & 1:
+                        continue
+                    for z in range(p):
+                        if (r2 >> (z * q + y)) & 1 and (r1 >> (z * q + w)) & 1:
+                            hit = True
+                            break
+                    if hit:
+                        break
+                if hit:
+                    out |= 1 << (x * q + w)
+        return out
+
+    n = 1 << (p * q)
+    return n, loop_table(range(n), op), [format(r, f"0{p * q}b") for r in range(n)], "relation-semiheap"
+
+
+def loop_bijection_heap(n):
+    """(f g h)(x) = f(g_inverse(h(x))) on the sorted permutations."""
+    def op(f, g, h):
+        inverse = {y: x for x, y in enumerate(g)}
+        return tuple(f[inverse[h[x]]] for x in range(n))
+
+    perms = sorted(itertools.permutations(range(n)))
+    return len(perms), loop_table(perms, op), ["".join(map(str, f)) for f in perms], "bijection-heap"
+
+
+def as_tuple(t):
+    return t.n, list(t.table), list(t.labels), t.kind
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 5) for q in range(1, 5) if p * q <= 4])
+def test_relation_semiheap_matches_the_relational_loop(p, q):
+    assert as_tuple(relation_semiheap(p, q)) == loop_relation_semiheap(p, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bijection_heap_matches_the_composite_of_bijections(n):
+    assert as_tuple(bijection_heap(n)) == loop_bijection_heap(n)

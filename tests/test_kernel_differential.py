@@ -1,8 +1,11 @@
 """Differential tests: every product that runs on the contraction kernel
 (`evaluate`, `fish`, `contract`, `self_contract`, `tensor_product`,
 `multiplicative_incidence`, `diagonal_extension`) against the independent
-formula oracle, on hypothesis-drawn shapes over the exact semirings.
-Examples are derandomized and bounded, so runs repeat exactly."""
+formula oracle, on hypothesis-drawn shapes over the exact semirings, and
+`entrywise_mul` against the per-entry `Semiring.mul` on seeded draws over
+all five kinds. Examples are derandomized and bounded, so runs repeat
+exactly."""
+import math
 import random
 
 import pytest
@@ -13,13 +16,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 from plexus import (  # noqa: E402
     ETA_VARIANTS,
+    Array,
     BoundEdge,
     Diagram,
     Hyperedge,
     IndexSet,
+    PlexusError,
     Vertex,
     contract,
     diagonal_extension,
+    entrywise_mul,
     evaluate,
     evaluate_formula_oracle,
     fish,
@@ -174,3 +180,51 @@ def test_self_contract_and_diagonal_extension_match_oracle(data):
     edges = [(a, legs), (kronecker(copies + 1, shared, s), [legs[i], *added])]
     out = legs[: i + 1] + added + legs[i + 1:]
     _same(diagonal_extension(a, i, copies), _oracle(edges, set(), out, s))
+
+
+# per kind, entries that reach its edge cases: nat64 products past 2^64 - 1,
+# min-plus inf, float64 signed zeros and products that overflow to inf
+EDGE_ENTRIES = {
+    "boolean": (0, 1),
+    "nat64": (0, 1, 2, 7, 2**32 - 1, 2**32, 2**33, 2**64 - 1),
+    "int-mod:5": (0, 1, 2, 3, 4),
+    "min-plus": (0, 1, 2, 5, math.inf),
+    "float64": (0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 3.0e-7, 1e154, -1e155, 1e200),
+}
+
+
+def _per_entry_mul(a, b):
+    """The entries of a * b one `Semiring.mul` at a time, or the error code."""
+    s = a.semiring
+    try:
+        entries = [s.mul(x, y) for x, y in zip(a.entries, b.entries)]
+        s.check_range(entries)
+    except PlexusError as err:
+        return err.code
+    return entries
+
+
+def test_entrywise_mul_matches_the_per_entry_product():
+    rng = random.Random(11)
+    seen = set()
+    for k in range(1000):
+        name = list(EDGE_ENTRIES)[k % 5]
+        s, pool = parse_semiring(name), EDGE_ENTRIES[name]
+        axes = [IndexSet(f"S{t}", rng.randint(1, 3)) for t in range(rng.randint(0, 3))]
+        count = math.prod(ax.size for ax in axes)
+        a, b = (Array(axes, [rng.choice(pool) for _ in range(count)], s) for _ in range(2))
+        want = _per_entry_mul(a, b)
+        try:
+            got = entrywise_mul(a, b)
+        except PlexusError as err:
+            assert err.code == want, (name, a, b)
+            seen.add((name, err.code))
+            continue
+        assert got.axes == a.axes and got.semiring == s
+        assert [type(x) for x in got.entries] == [type(x) for x in want]
+        assert all(map(s.eq, got.entries, want)), (name, a, b)
+        if name != "float64":
+            assert list(got.entries) == want
+        seen.add((name, math.inf in want))
+    # nat64 and float64 overflowed, and min-plus products reached inf
+    assert {("nat64", "OVERFLOW"), ("float64", "OVERFLOW"), ("min-plus", True)} <= seen

@@ -7,7 +7,11 @@ oracle, so no second sum-of-products loop can grow elsewhere unnoticed. A
 carried match searches call the raw matcher, so no second multiway loop can
 grow either. The unit law (a pair is a unit iff its composite is the
 identity) is read only by the basis check and the biunit equations, and no
-batched fish kernel is left to stack basis indicators again."""
+batched fish kernel is left to stack basis indicators again. `Semiring.mul`
+is read only by the semiring itself and its axiom check, so no product
+multiplies one entry at a time beside the kernel; and the one fish closure
+is read only by `heapoid_check` and the relation and bijection heaps, so
+no second closure loop or hand-written relational product can grow."""
 import ast
 from pathlib import Path
 
@@ -66,3 +70,12 @@ def test_the_unit_law_is_read_only_by_the_two_unit_checks():
 
 def test_no_definition_reads_a_batched_fish_kernel():
     assert name_readers("_fish_kernel") == set()
+
+
+def test_the_per_entry_product_is_read_only_by_the_semiring():
+    assert attribute_readers("mul") == {"semiring.Semiring", "semiring.check_semiring_axioms"}
+
+
+def test_the_fish_closure_is_read_only_by_the_heapoid_check_and_the_dagger_heaps():
+    assert name_readers("_closure") == {"ternary.heapoid_check", "ternary.relation_semiheap",
+                                        "ternary.bijection_heap"}

@@ -22,6 +22,8 @@ from plexus import (
     check_isotropy_biinvariance,
     check_reverse_semiheap,
     check_semiheap,
+    diagonal_extension,
+    enumerate_compositions,
     evaluate,
     find_biunit_pairs,
     find_biunits,
@@ -49,10 +51,14 @@ from plexus import (
     reverse_table,
     semiheap_check_arrays,
     semiheap_law_arrays,
+    semantic_confluence,
+    standard_diagram,
     unit_pair_via_basis,
     vector_heap,
+    vee_motif,
     zero_array,
 )
+from plexus.core import trial_range
 
 BOOL = make_semiring("boolean")
 MOD5 = make_semiring("int_mod", 5)
@@ -327,6 +333,36 @@ def test_registry_trial_loops_refuse_fewer_than_one_trial(check, trials):
     assert f"trials must be at least 1, got {trials}" in str(err.value)
 
 
+A222 = Array((I2,) * 3, [0] * 8, MOD5)
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: trial_range(2.0), "BAD_REFERENCE"),
+    (lambda: trial_range("3"), "BAD_REFERENCE"),
+    (lambda: trial_range(True), "BAD_REFERENCE"),  # ran one trial
+    (lambda: semiheap_law_arrays("IJK", MOD5, (2, 2, 2), 2.0), "BAD_REFERENCE"),
+    (lambda: checks.units(MOD5, (2, 2, 2), "3", random.Random(0)), "BAD_REFERENCE"),
+    (lambda: semantic_confluence(standard_diagram("chain", n=3), vee_motif(), MOD5, 2.0), "BAD_REFERENCE"),
+    (lambda: enumerate_compositions("3"), "BAD_REFERENCE"),
+    (lambda: enumerate_compositions(2.5), "BAD_REFERENCE"),
+    (lambda: enumerate_compositions(3, True), "BAD_REFERENCE"),  # returned ([], [])
+    (lambda: standard_diagram("chain", n=2.5), "BAD_REFERENCE"),
+    (lambda: standard_diagram("chain", n=True), "BAD_REFERENCE"),  # returned chain(1)
+    (lambda: kronecker(2.0, I2, MOD5), "BAD_AXIS"),
+    (lambda: kronecker("2", I2, MOD5), "BAD_AXIS"),
+    (lambda: diagonal_extension(A222, 0, 1.5), "BAD_AXIS"),
+    (lambda: semiheap_law_arrays("IJK", MOD5, (2, 2), 2), "BAD_REFERENCE"),
+    (lambda: semiheap_law_arrays("IJK", MOD5, 2, 2), "BAD_REFERENCE"),
+], ids=["trials-float", "trials-str", "trials-bool", "law-trials-float", "registry-trials-str",
+        "confluence-trials-float", "census-str", "census-float", "census-bool", "chain-float", "chain-bool",
+        "kronecker-float", "kronecker-str", "copies-float", "sizes-two", "sizes-not-a-sequence"])
+def test_counts_that_are_not_ints_are_refused(call, code):
+    # each raised a raw TypeError or ValueError, or took a bool as a count
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert err.value.code == code
+
+
 def test_semiheap_law_rejects_broken_product(monkeypatch):
     monkeypatch.setattr(ternary, "fish", lambda x, y, z, variant, twist: fish(x, y, x, variant, twist))
     v = semiheap_law_arrays("IJK", MOD5, (2, 2, 2), trials=15, seed=4)
@@ -594,8 +630,11 @@ def test_table_builders_refuse_sizes_and_entries_that_are_not_integers(build):
     (lambda: TernaryTable(1, 5), "BAD_TABLE"),
     (lambda: TernaryTable(2, [0] * 8, labels=5), "BAD_TABLE"),
     (lambda: make_ternary_table("vector_heap", 2), "BAD_REFERENCE"),
+    (lambda: heapoid_check(5), "BAD_TABLE"),
+    (lambda: heapoid_check([1]), "BAD_TABLE"),
+    (lambda: check_homomorphism(group_heap([[0]]), group_heap([[0]]), 5), "BAD_TABLE"),
 ], ids=["group-not-a-table", "group-rows-not-sequences", "table-not-a-sequence", "labels-not-a-sequence",
-        "dispatch-missing-argument"])
+        "dispatch-missing-argument", "carrier-not-a-sequence", "carrier-not-arrays", "phi-not-a-sequence"])
 def test_table_constructors_refuse_arguments_of_the_wrong_shape(build, code):
     # these raised a raw TypeError
     with pytest.raises(PlexusError) as err:
