@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Sequence
 
-from .core import IndexSet, PlexusError, int_in
+from .core import IndexSet, PlexusError, require_int
 from .semiring import Semiring
 
 
@@ -86,7 +85,7 @@ def make_array(axes: Sequence[IndexSet], entries: Sequence, semiring: Semiring) 
     expected = _entry_count(axes)
     if len(entries) != expected:
         raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}")
-    if not semiring.holds_ints(entries):
+    if semiring.as_ints(entries) is None:
         for x in entries:
             semiring.validate(x)
     return Array(axes, entries, semiring)
@@ -96,6 +95,7 @@ def reorder(a: Array, sigma: Sequence[int]) -> Array:
     """Axis t of `a` becomes axis sigma[t] of the result:
     entry(result, sigma applied to idx) = entry(a, idx)."""
     n = a.order
+    _require_positions(sigma)
     if sorted(sigma) != list(range(n)):
         raise PlexusError("BAD_PERMUTATION", f"{sigma!r} is not a permutation of 0..{n - 1}")
     out = [None] * n
@@ -108,6 +108,7 @@ def flatten(a: Array, group: Sequence[int]) -> Array:
     """Replace the grouped axes by one composite axis (row-major over the
     group order), placed where the first grouped axis was."""
     group = tuple(group)
+    _require_positions(group)
     n = a.order
     if len(set(group)) != len(group) or any(not (0 <= g < n) for g in group):
         raise PlexusError("BAD_AXIS", f"invalid axis group {group!r}")
@@ -125,6 +126,7 @@ def flatten(a: Array, group: Sequence[int]) -> Array:
 
 def broaden(a: Array, new_axis: IndexSet, position: int) -> Array:
     """Insert a redundant axis: every section along it is a copy of `a`."""
+    require_int(position, "BAD_AXIS", "axis position")
     if not (0 <= position <= a.order):
         raise PlexusError("BAD_AXIS", f"broaden position {position} out of range")
     n = a.order
@@ -136,8 +138,10 @@ def slice_axes(a: Array, assignment: dict) -> Array:
     """Fix some axes to values (currying). Fixing all axes gives the 0-array
     holding that entry."""
     for pos, val in assignment.items():
+        require_int(pos, "BAD_AXIS", "axis position")
         if not (0 <= pos < a.order):
             raise PlexusError("BAD_AXIS", f"slice axis {pos} out of range")
+        require_int(val, "BAD_INDEX", "slice value")
         if not (0 <= val < a.axes[pos].size):
             raise PlexusError("BAD_INDEX", f"slice value {val} out of range for axis {pos}")
     strides = _strides(range(a.order), a.sizes)
@@ -163,9 +167,17 @@ def entrywise_mul(a: Array, b: Array) -> Array:
     return einsum([(a, labels), (b, labels)], labels)
 
 
+def _require_positions(positions):
+    """BAD_AXIS unless every axis position is an int: checked once per call,
+    before any position is read."""
+    for p in positions:
+        require_int(p, "BAD_AXIS", "axis position")
+
+
 def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]):
     if len(arrays) != len(shared_axes) or not arrays:
         raise PlexusError("BAD_AXIS", "need one shared axis per array")
+    _require_positions(shared_axes)
     for a, pos in zip(arrays, shared_axes):
         if not (0 <= pos < a.order):
             raise PlexusError("BAD_AXIS", f"shared axis {pos} out of range")
@@ -213,6 +225,7 @@ def contract(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
 
 def unary_contract(a: Array, axis: int) -> Array:
     """Sum one axis out (boolean 2-arrays: relation projections)."""
+    require_int(axis, "BAD_AXIS", "axis position")
     if not (0 <= axis < a.order):
         raise PlexusError("BAD_AXIS", f"axis {axis} out of range")
     return einsum([(a, range(a.order))], [p for p in range(a.order) if p != axis])
@@ -220,6 +233,7 @@ def unary_contract(a: Array, axis: int) -> Array:
 
 def self_contract(a: Array, axis_i: int, axis_j: int) -> Array:
     """Trace-style contraction of two axes of `a` over the same index set."""
+    _require_positions((axis_i, axis_j))
     if axis_i == axis_j or not (0 <= axis_i < a.order) or not (0 <= axis_j < a.order):
         raise PlexusError("BAD_AXIS", f"bad self-contraction axes ({axis_i}, {axis_j})")
     labels = [axis_i if p == axis_j else p for p in range(a.order)]
@@ -336,7 +350,8 @@ def full_array(axes: Sequence[IndexSet], semiring: Semiring) -> Array:
 
 def kronecker(n: int, index_set: IndexSet, semiring: Semiring) -> Array:
     """The order-n identity array: 1 where all n indices agree, else 0."""
-    if not int_in(n, 1, math.inf):
+    require_int(n, "BAD_AXIS", "kronecker order")
+    if n < 1:
         raise PlexusError("BAD_AXIS", "kronecker order must be >= 1")
     axes = (index_set,) * n
     out = [semiring.zero()] * _entry_count(axes)
@@ -357,9 +372,11 @@ def random_array(axes: Sequence[IndexSet], semiring: Semiring, rng) -> Array:
 def diagonal_extension(a: Array, axis: int, copies: int = 1) -> Array:
     """Duplicate one axis into copies+1 adjacent axes, entries on the joint
     diagonal; unary contraction of any added axis recovers `a`."""
+    require_int(axis, "BAD_AXIS", "axis position")
     if not (0 <= axis < a.order):
         raise PlexusError("BAD_AXIS", f"axis {axis} out of range")
-    if not int_in(copies, 1, math.inf):
+    require_int(copies, "BAD_AXIS", "copies")
+    if copies < 1:
         raise PlexusError("BAD_AXIS", "copies must be >= 1")
     n = a.order
     added = list(range(n, n + copies))

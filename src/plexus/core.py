@@ -30,6 +30,13 @@ def int_in(x, lo, hi) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
 
 
+def require_int(x, code: str, what: str) -> None:
+    """Refuse x with `code` unless it is an int (never a bool or a float
+    such as 1.0, by `int_in`); the message names `what` and x's repr."""
+    if not int_in(x, -math.inf, math.inf):
+        raise PlexusError(code, f"{what} must be an integer, got {x!r}")
+
+
 class Record:
     """Base of the immutable records: a subclass names its fields in
     `__slots__` and sets them in `__init__` with `object.__setattr__`. As

@@ -10,7 +10,7 @@ import itertools
 import math
 from typing import Iterable
 
-from .core import IndexSet, PlexusError, Record, int_in, natural_key
+from .core import IndexSet, PlexusError, Record, int_in, natural_key, require_int
 
 
 class Vertex(Record):
@@ -149,6 +149,8 @@ def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
     shape). fish / long_fish are the one- and two-body ternary motifs."""
     iset = IndexSet("I", size)
     if name == "chain":
+        if n is not None:  # no count at all keeps the message below
+            require_int(n, "BAD_REFERENCE", "chain edge count")
         if not int_in(n, 1, math.inf):
             raise PlexusError("BAD_REFERENCE", "chain needs a positive edge count")
         vertices = [(f"v{t}", iset, 0 < t < n) for t in range(n + 1)]

@@ -69,13 +69,23 @@ class Semiring(Record):
         elif x < 0:
             raise PlexusError("BAD_ELEMENT", f"min_plus element must be a natural or inf, got {x!r}")
 
-    def holds_ints(self, xs) -> bool:
-        """True if this is boolean, nat64 or int_mod and `xs` is a nonempty
-        sequence of ints (never a bool) in its carrier, found in one pass of
-        type, min and max. False says nothing: check each x then."""
-        top = {"boolean": 1, "nat64": NAT64_MAX, "int_mod": self.modulus - 1}.get(self.kind)
-        return (top is not None and len(xs) > 0 and set(map(type, xs)) == {int}
-                and 0 <= min(xs) and max(xs) <= top)
+    def as_ints(self, xs, inf=INF):
+        """xs, with each entry equal to `inf` read as INF, if it is a
+        nonempty sequence of elements this kind holds as ints, found in one
+        pass of type, min and max: ints (never a bool) in the carrier of
+        boolean, nat64 or int_mod, or for min_plus ints >= 0 and infinity as
+        `xs` spells it (INF in an array, "inf" in JSON). None says nothing:
+        check each x then."""
+        top = {"boolean": 1, "nat64": NAT64_MAX, "int_mod": self.modulus - 1, "min_plus": INF}.get(self.kind)
+        if top is None or len(xs) == 0:
+            return None
+        ints = list(map(type, xs)).count(int)
+        if ints != len(xs):
+            if top != INF or ints + operator.countOf(xs, inf) != len(xs):
+                return None
+            if inf != INF:  # every entry that is not an int spells infinity
+                xs = [x if x.__class__ is int else INF for x in xs]
+        return xs if 0 <= min(xs) and max(xs) <= top else None
 
     def elements(self):
         """Full carrier for the finite kinds; error otherwise."""
@@ -190,8 +200,10 @@ class Semiring(Record):
         return float(v) if self.kind == "float64" else v
 
     def entries_from_json(self, values: list) -> list:
-        """[element_from_json(v) for v in values], a list of ints in range taken whole."""
-        return values if self.holds_ints(values) else [self.element_from_json(v) for v in values]
+        """[element_from_json(v) for v in values]: a list this kind holds as
+        ints, min-plus "inf" included, is taken in one pass."""
+        entries = self.as_ints(values, "inf")
+        return [self.element_from_json(v) for v in values] if entries is None else entries
 
 
 def make_semiring(kind: str, modulus: int | None = None) -> Semiring:

@@ -105,19 +105,21 @@ def fish_units_check(a: Array) -> Verdict:
 
 
 def fish_sequentializations_check(a: Array, b: Array, c: Array) -> Verdict:
-    """Cross-check the four explicit sequential forms of the product for
-    regular arrays against the variant engine: form 1 is straight IJK, form 2
-    its twist, form 4 straight JIK, form 3 its twist, and swapping tail and
-    head arguments exchanges 1 with 4 and 2 with 3."""
+    """Cross-check the four explicit sequential forms of the product, each
+    evaluated once on regular arrays, against the variant engine: form 1 is
+    straight IJK, form 2 its twist, form 4 straight JIK, form 3 its twist.
+    Swapping tail and head exchanges 1 with 4 and 2 with 3, so the relabel
+    laws test the engine's reversal: IJK on (c, b, a) is form 4, its twist 3."""
     if any(x.order != 3 for x in (a, b, c)) or len(set(a.axes + b.axes + c.axes)) != 1:
         raise PlexusError("CONFORMABILITY", "sequentializations need regular arrays on one index set")
+    form1, form2, form3, form4 = (form(a, b, c) for form in (fish_form1, fish_form2, fish_form3, fish_form4))
     checks = (
-        ("form1-engine", fish_form1(a, b, c), fish(a, b, c, "IJK", twist=False)),
-        ("form2-engine", fish_form2(a, b, c), fish(a, b, c, "IJK", twist=True)),
-        ("form3-engine", fish_form3(a, b, c), fish(a, b, c, "JIK", twist=True)),
-        ("form4-engine", fish_form4(a, b, c), fish(a, b, c, "JIK", twist=False)),
-        ("relabel-1-4", fish_form1(c, b, a), fish_form4(a, b, c)),
-        ("relabel-2-3", fish_form2(c, b, a), fish_form3(a, b, c)),
+        ("form1-engine", form1, fish(a, b, c, "IJK", twist=False)),
+        ("form2-engine", form2, fish(a, b, c, "IJK", twist=True)),
+        ("form3-engine", form3, fish(a, b, c, "JIK", twist=True)),
+        ("form4-engine", form4, fish(a, b, c, "JIK", twist=False)),
+        ("relabel-1-4", fish(c, b, a, "IJK", twist=False), form4),
+        ("relabel-2-3", fish(c, b, a, "IJK", twist=True), form3),
     )
     for law, left, right in checks:
         if left != right:
@@ -393,11 +395,6 @@ def _perm_inverse(f):
     return tuple(out)
 
 
-def _bijection_product(f, g, h):
-    """(f g h)(x) = f(g_inverse(h(x)))."""
-    return _perm_compose(f, _perm_compose(_perm_inverse(g), h))
-
-
 def bijection_heap(n: int) -> TernaryTable:
     """Heap of bijections on an n-set: (f g h)(x) = f(g_inverse(h(x))), the
     JKI fish product of their graphs on (N, N, U:1), [x, y] = [y = f(x)]."""
@@ -580,25 +577,28 @@ def check_isotropy_biinvariance(A_size: int, B_size: int) -> Verdict:
     """For bijections f, g, h from a source set to a target set and
     relabelings a (source) and b (target): (f.a, b.g.a, b.h) = (f, g, h),
     and inversion is an isomorphism onto the reversed heap of backward
-    bijections."""
+    bijections. Composition, inverse and (f g h) = f.(g^-1.h) are tabulated
+    once over the indexed bijections; a witness names them as tuples."""
     if A_size != B_size:
         raise PlexusError("BAD_TABLE", "bijections need equal source and target sizes")
     n = A_size
     if not int_in(n, 1, 3):
         raise PlexusError("BAD_TABLE", f"isotropy check supported for 1 to 3 points, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
-    for f, g, h in itertools.product(perms, repeat=3):
-        base = _bijection_product(f, g, h)
-        for a in perms:
-            fa = _perm_compose(f, a)
-            ga = _perm_compose(g, a)
-            for b in perms:
-                if _bijection_product(fa, _perm_compose(b, ga), _perm_compose(b, h)) != base:
-                    return Verdict(False, "biinvariance", (f, g, h, a, b))
-        if _perm_inverse(base) != _bijection_product(
-            _perm_inverse(h), _perm_inverse(g), _perm_inverse(f)
-        ):
-            return Verdict(False, "reverse-iso", (f, g, h))
+    index = {f: k for k, f in enumerate(perms)}
+    ids = range(len(perms))
+    comp = [[index[_perm_compose(f, g)] for g in perms] for f in perms]
+    inv = [index[_perm_inverse(f)] for f in perms]
+    prod = [[[comp[f][comp[inv[g]][h]] for h in ids] for g in ids] for f in ids]
+    for f, g, h in itertools.product(ids, repeat=3):
+        base = prod[f][g][h]
+        for a in ids:
+            fa, ga = comp[f][a], comp[g][a]
+            for b in ids:
+                if prod[fa][comp[b][ga]][comp[b][h]] != base:
+                    return Verdict(False, "biinvariance", tuple(perms[x] for x in (f, g, h, a, b)))
+        if inv[base] != prod[inv[h]][inv[g]][inv[f]]:
+            return Verdict(False, "reverse-iso", (perms[f], perms[g], perms[h]))
     return Verdict(True, "isotropy-biinvariance")
 
 

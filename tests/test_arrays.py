@@ -24,6 +24,7 @@ from plexus import (
     reorder,
     self_contract,
     slice_axes,
+    standard_diagram,
     tensor_product,
     unary_contract,
     zero_array,
@@ -423,3 +424,61 @@ def test_random_array_is_seed_deterministic():
     a = random_array((I2, J3), MOD5, random.Random(42))
     b = random_array((I2, J3), MOD5, random.Random(42))
     assert a == b
+
+
+A3 = zero_array((I2, I2, I2), MOD5)
+
+
+@pytest.mark.parametrize("call, code, bad", [
+    (lambda: diagonal_extension(A3, 1.5), "BAD_AXIS", "1.5"),
+    (lambda: diagonal_extension(A3, "0"), "BAD_AXIS", "'0'"),
+    (lambda: broaden(A3, I2, 1.5), "BAD_AXIS", "1.5"),
+    (lambda: slice_axes(A3, {0.0: 1}), "BAD_AXIS", "0.0"),
+    (lambda: slice_axes(A3, {0: 1.0}), "BAD_INDEX", "1.0"),
+    (lambda: flatten(A3, (0.0, 1)), "BAD_AXIS", "0.0"),
+    (lambda: reorder(A3, [0.0, 1, 2]), "BAD_AXIS", "0.0"),
+    (lambda: unary_contract(A3, 0.0), "BAD_AXIS", "0.0"),
+    (lambda: self_contract(A3, True, 2), "BAD_AXIS", "True"),
+    (lambda: contract([A3, A3], [0.0, 0]), "BAD_AXIS", "0.0"),
+    (lambda: additive_incidence([A3, A3], [0, False]), "BAD_AXIS", "False"),
+    (lambda: multiplicative_incidence([A3, A3], [0, "1"]), "BAD_AXIS", "'1'"),
+], ids=["diagonal-extension-float", "diagonal-extension-str", "broaden", "slice-axis", "slice-value",
+        "flatten", "reorder", "unary-contract", "self-contract-bool", "contract", "additive-incidence-bool",
+        "multiplicative-incidence-str"])
+def test_positions_that_are_not_ints_are_refused(call, code, bad):
+    # the first six raised a raw TypeError; the rest took 0.0 as 0 and True as 1
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert err.value.code == code
+    assert str(err.value).endswith(f"must be an integer, got {bad}")
+
+
+@pytest.mark.parametrize("call, code, message", [
+    (lambda: reorder(A3, [0, 1, 5]), "BAD_PERMUTATION", "[0, 1, 5] is not a permutation of 0..2"),
+    (lambda: slice_axes(A3, {3: 0}), "BAD_AXIS", "slice axis 3 out of range"),
+    (lambda: slice_axes(A3, {0: 2}), "BAD_INDEX", "slice value 2 out of range for axis 0"),
+    (lambda: self_contract(A3, 1, 1), "BAD_AXIS", "bad self-contraction axes (1, 1)"),
+    (lambda: contract([A3, A3], [0, 3]), "BAD_AXIS", "shared axis 3 out of range"),
+], ids=["reorder", "slice-axis", "slice-value", "self-contract", "contract"])
+def test_int_positions_keep_their_refusals(call, code, message):
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert (err.value.code, str(err.value)) == (code, f"[{code}] {message}")
+
+
+@pytest.mark.parametrize("call, code, message", [
+    (lambda: kronecker(2.0, I2, MOD5), "BAD_AXIS", "kronecker order must be an integer, got 2.0"),
+    (lambda: kronecker(0, I2, MOD5), "BAD_AXIS", "kronecker order must be >= 1"),
+    (lambda: diagonal_extension(A3, 0, 1.5), "BAD_AXIS", "copies must be an integer, got 1.5"),
+    (lambda: diagonal_extension(A3, 0, 0), "BAD_AXIS", "copies must be >= 1"),
+    (lambda: standard_diagram("chain", n=2.5), "BAD_REFERENCE", "chain edge count must be an integer, got 2.5"),
+    (lambda: standard_diagram("chain", n=0), "BAD_REFERENCE", "chain needs a positive edge count"),
+    (lambda: standard_diagram("chain"), "BAD_REFERENCE", "chain needs a positive edge count"),
+], ids=["kronecker-float", "kronecker-zero", "copies-float", "copies-zero", "chain-float", "chain-zero",
+        "chain-missing"])
+def test_count_refusals_name_a_value_that_is_not_an_int(call, code, message):
+    # a non-int is named and asked to be an integer; an int below the
+    # bound, or no chain count at all, keeps the documented message
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert str(err.value) == f"[{code}] {message}"

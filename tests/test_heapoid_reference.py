@@ -2,8 +2,9 @@
 relation and bijection heaps against the plain loops they replace: the
 closure as one `fish` call and one linear scan per triple, the basis check
 as one `fish` call per indicator, para-associativity as a five-deep loop
-over quintuples, and the two heap tables as the relational product and the
-composite of bijections, one triple at a time. The loops are kept here as
+over quintuples, the two heap tables as the relational product and the
+composite of bijections, one triple at a time, and the isotropy check as a
+five-deep loop composing permutation tuples. The loops are kept here as
 references."""
 import itertools
 import random
@@ -386,3 +387,62 @@ def test_relation_semiheap_matches_the_relational_loop(p, q):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bijection_heap_matches_the_composite_of_bijections(n):
     assert as_tuple(bijection_heap(n)) == loop_bijection_heap(n)
+
+
+def loop_isotropy(n):
+    """The isotropy check as a five-deep loop over permutation tuples,
+    composing each product afresh through the module's own composition and
+    inverse, as `(f g h) = f.(g^-1.h)`."""
+    compose, inverse = ternary._perm_compose, ternary._perm_inverse
+
+    def product(f, g, h):
+        return compose(f, compose(inverse(g), h))
+
+    perms = sorted(itertools.permutations(range(n)))
+    for f, g, h in itertools.product(perms, repeat=3):
+        base = product(f, g, h)
+        for a in perms:
+            fa = compose(f, a)
+            ga = compose(g, a)
+            for b in perms:
+                if product(fa, compose(b, ga), compose(b, h)) != base:
+                    return False, "biinvariance", (f, g, h, a, b)
+        if inverse(base) != product(inverse(h), inverse(g), inverse(f)):
+            return False, "reverse-iso", (f, g, h)
+    return True, "isotropy-biinvariance", None
+
+
+def isotropy_outcome(n):
+    v = ternary.check_isotropy_biinvariance(n, n)
+    return v.ok, v.law, v.witness
+
+
+COMPOSE, INVERSE = ternary._perm_compose, ternary._perm_inverse
+COMPOSITIONS = {  # (composition, inverse), each returning a permutation tuple
+    "exact": (COMPOSE, INVERSE),
+    "reversed-composition": (lambda f, g: COMPOSE(g, f), INVERSE),
+    "left-argument": (lambda f, g: f, INVERSE),
+    "right-argument": (lambda f, g: g, INVERSE),
+    "identity-inverse": (COMPOSE, lambda f: f),
+    "one-wrong-pair": (lambda f, g: COMPOSE(g, f) if f == (1, 2, 0) and g == (0, 2, 1) else COMPOSE(f, g),
+                       INVERSE),
+    "reversed-result": (lambda f, g: COMPOSE(f, g)[::-1], INVERSE),
+}
+
+
+@pytest.mark.parametrize("name", COMPOSITIONS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isotropy_matches_the_permutation_loop(monkeypatch, name, n):
+    compose, inverse = COMPOSITIONS[name]
+    monkeypatch.setattr(ternary, "_perm_compose", compose)
+    monkeypatch.setattr(ternary, "_perm_inverse", inverse)
+    assert isotropy_outcome(n) == loop_isotropy(n)
+
+
+def test_the_compositions_reach_every_isotropy_verdict(monkeypatch):
+    laws = set()
+    for compose, inverse in COMPOSITIONS.values():
+        monkeypatch.setattr(ternary, "_perm_compose", compose)
+        monkeypatch.setattr(ternary, "_perm_inverse", inverse)
+        laws.add(loop_isotropy(3)[1])
+    assert laws == {"isotropy-biinvariance", "biinvariance", "reverse-iso"}

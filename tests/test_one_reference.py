@@ -11,31 +11,44 @@ batched fish kernel is left to stack basis indicators again. `Semiring.mul`
 is read only by the semiring itself and its axiom check, so no product
 multiplies one entry at a time beside the kernel; and the one fish closure
 is read only by `heapoid_check` and the relation and bijection heaps, so
-no second closure loop or hand-written relational product can grow."""
+no second closure loop or hand-written relational product can grow. The
+isotropy check composes bijections through tables built once, with no
+per-tuple product left to read, and the four sequential forms are read
+only by the sequentialization check, which evaluates each once, and by
+the twist witness, so no repeated form evaluation can grow back."""
 import ast
+import functools
 from pathlib import Path
+
+import pytest
 
 import plexus
 
 SOURCE = Path(plexus.__file__).parent
 
 
-def readers(found):
-    """The top-level definitions, as `module.name`, over every module of the
-    package, whose bodies hold a node for which `found` is true (a node
-    outside any definition counts as the module's)."""
-    owners = set()
+@functools.cache
+def owned_nodes():
+    """Every node of every module of the package, paired with the top-level
+    definition that holds it, as `module.name` (a node outside any
+    definition counts as the module's). The modules are parsed once."""
+    pairs = []
     for path in sorted(SOURCE.glob("*.py")):
 
         def visit(node, owner):
             for child in ast.iter_child_nodes(node):
-                if found(child):
-                    owners.add(owner)
+                pairs.append((child, owner))
                 top = owner == path.stem and isinstance(child, (ast.FunctionDef, ast.ClassDef))
                 visit(child, f"{owner}.{child.name}" if top else owner)
 
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    return owners
+    return pairs
+
+
+def readers(found):
+    """The top-level definitions whose bodies hold a node for which `found`
+    is true."""
+    return {owner for node, owner in owned_nodes() if found(node)}
 
 
 def attribute_readers(attr):
@@ -79,3 +92,17 @@ def test_the_per_entry_product_is_read_only_by_the_semiring():
 def test_the_fish_closure_is_read_only_by_the_heapoid_check_and_the_dagger_heaps():
     assert name_readers("_closure") == {"ternary.heapoid_check", "ternary.relation_semiheap",
                                         "ternary.bijection_heap"}
+
+
+def test_no_definition_reads_a_per_tuple_bijection_product():
+    assert name_readers("_bijection_product") == set()
+
+
+@pytest.mark.parametrize("form, owners", [
+    ("fish_form1", {"ternary.fish_sequentializations_check"}),
+    ("fish_form2", {"ternary.fish_sequentializations_check"}),
+    ("fish_form3", {"ternary.fish_sequentializations_check", "checks.twist_witness"}),
+    ("fish_form4", {"ternary.fish_sequentializations_check", "checks.twist_witness"}),
+])
+def test_the_sequential_forms_are_read_only_by_their_two_checks(form, owners):
+    assert name_readers(form) == owners

@@ -180,6 +180,38 @@ def test_sequentializations_check():
             assert fish_sequentializations_check(a, b, c).ok
 
 
+def test_relabel_laws_test_the_engine_on_swapped_arguments(monkeypatch):
+    # an engine wrong only on (c, b, a) passes the four form laws; the
+    # relabel law 1-4 reads the engine there and must catch it
+    rng = random.Random(17)
+    a, b, c = (random_array((I2, I2, I2), MOD5, rng) for _ in range(3))
+    engine = ternary.fish
+
+    def wrong_on_swapped(x, y, z, variant="IJK", twist=False):
+        out = engine(x, y, z, variant, twist)
+        if x is c and y is b and z is a:
+            return Array(out.axes, [(out.entries[0] + 1) % 5, *out.entries[1:]], MOD5)
+        return out
+
+    monkeypatch.setattr(ternary, "fish", wrong_on_swapped)
+    v = fish_sequentializations_check(a, b, c)
+    assert (v.ok, v.law) == (False, "relabel-1-4")
+
+
+def test_sequentializations_evaluate_each_form_once(monkeypatch):
+    rng = random.Random(17)
+    a, b, c = (random_array((I2, I2, I2), MOD5, rng) for _ in range(3))
+    oracle, calls = ternary.evaluate_formula_oracle, []
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(ternary, "evaluate_formula_oracle", counting)
+    assert fish_sequentializations_check(a, b, c).ok
+    assert len(calls) == 4
+
+
 def test_sequentializations_need_regular_arrays():
     rng = random.Random(18)
     a = random_array((I2, J3, K2), MOD5, rng)
