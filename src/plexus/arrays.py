@@ -44,6 +44,9 @@ class Array:
         return off
 
     def entry(self, idx: Sequence[int]):
+        given, idx = idx, _require_positions(idx, "BAD_INDEX", "index")
+        if idx is None:
+            raise PlexusError("BAD_INDEX", f"an index must be a sequence of integers, got {given!r}")
         if len(idx) != len(self.axes):
             raise PlexusError("BAD_INDEX", f"expected {len(self.axes)} indices, got {len(idx)}")
         for ax, i in zip(self.axes, idx):
@@ -95,21 +98,22 @@ def reorder(a: Array, sigma: Sequence[int]) -> Array:
     """Axis t of `a` becomes axis sigma[t] of the result:
     entry(result, sigma applied to idx) = entry(a, idx)."""
     n = a.order
-    _require_positions(sigma)
-    if sorted(sigma) != list(range(n)):
+    perm = _require_positions(sigma)
+    if perm is None or sorted(perm) != list(range(n)):
         raise PlexusError("BAD_PERMUTATION", f"{sigma!r} is not a permutation of 0..{n - 1}")
     out = [None] * n
     for t in range(n):
-        out[sigma[t]] = t
+        out[perm[t]] = t
     return einsum([(a, range(n))], out)
 
 
 def flatten(a: Array, group: Sequence[int]) -> Array:
     """Replace the grouped axes by one composite axis (row-major over the
     group order), placed where the first grouped axis was."""
-    group = tuple(group)
-    _require_positions(group)
+    given, group = group, _require_positions(group)
     n = a.order
+    if group is None:
+        raise PlexusError("BAD_AXIS", f"invalid axis group {given!r}")
     if len(set(group)) != len(group) or any(not (0 <= g < n) for g in group):
         raise PlexusError("BAD_AXIS", f"invalid axis group {group!r}")
     if not group:
@@ -137,6 +141,8 @@ def broaden(a: Array, new_axis: IndexSet, position: int) -> Array:
 def slice_axes(a: Array, assignment: dict) -> Array:
     """Fix some axes to values (currying). Fixing all axes gives the 0-array
     holding that entry."""
+    if not isinstance(assignment, dict):
+        raise PlexusError("BAD_AXIS", f"a slice assignment maps axis positions to values, got {assignment!r}")
     for pos, val in assignment.items():
         require_int(pos, "BAD_AXIS", "axis position")
         if not (0 <= pos < a.order):
@@ -167,11 +173,17 @@ def entrywise_mul(a: Array, b: Array) -> Array:
     return einsum([(a, labels), (b, labels)], labels)
 
 
-def _require_positions(positions):
-    """BAD_AXIS unless every axis position is an int: checked once per call,
-    before any position is read."""
+def _require_positions(positions, code="BAD_AXIS", what="axis position"):
+    """`positions` as a tuple, refused with `code` naming `what` unless every
+    one is an int: checked once per call, before any position is read. None
+    if `positions` is not a sequence, for the caller to refuse."""
+    try:
+        positions = tuple(positions)
+    except TypeError:
+        return None
     for p in positions:
-        require_int(p, "BAD_AXIS", "axis position")
+        require_int(p, code, what)
+    return positions
 
 
 def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]):

@@ -168,7 +168,8 @@ def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
 
 def _refine_colors(d: Diagram):
     """Color refinement. Initial color: (marked, cardinality). Each round a
-    vertex also sees, per incident edge, the arity and the co-leg colors."""
+    vertex also sees, per incident edge, the arity and the co-leg colors.
+    Returns the color classes in color order, each in natural order."""
     vids = d.vertex_ids()
     keys = {v: (d.vertices[v].marked, d.vertices[v].index_set.size) for v in vids}
     nclasses = 0
@@ -176,7 +177,7 @@ def _refine_colors(d: Diagram):
         order = {k: t for t, k in enumerate(sorted(set(keys.values())))}
         color = {v: order[keys[v]] for v in vids}
         if len(order) == nclasses:
-            return color
+            return [[v for v in vids if color[v] == c] for c in range(nclasses)]
         nclasses = len(order)
         keys = {}
         for v in vids:
@@ -190,34 +191,22 @@ def _refine_colors(d: Diagram):
 def _labelling_search(d: Diagram):
     """The least (vertex, edge) signature over all labellings inside the
     refined color classes (exhaustive, so for small diagrams), and every
-    labelling (vertex -> position) attaining it; two differ by an automorphism."""
-    color = _refine_colors(d)
-    classes = {}
-    for v, c in color.items():
-        classes.setdefault(c, []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]  # each in natural order, as `color` is
+    labelling (vertex -> position) attaining it; two differ by an automorphism.
+    A labelling only permutes each class, whose vertices share the mark and
+    cardinality that lead its color, so the vertex signature is fixed and
+    only the edge signature is minimised."""
+    blocks = _refine_colors(d)
+    vsig = tuple((d.vertices[b[0]].marked, d.vertices[b[0]].index_set.size) for b in blocks for _ in b)
+    legs = [e.legs for e in d.edges.values()]
     best, optimal = None, []
     for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        pos = {}
-        t = 0
-        for block in perms:
-            for v in block:
-                pos[v] = t
-                t += 1
-        vsig = tuple(
-            (d.vertices[v].marked, d.vertices[v].index_set.size)
-            for block in perms
-            for v in block
-        )
-        esig = tuple(
-            sorted(tuple(sorted(pos[w] for w in e.legs)) for e in d.edges.values())
-        )
-        cand = (vsig, esig)
-        if best is None or cand <= best:
-            if cand != best:
-                best, optimal = cand, []
+        pos = {v: t for t, v in enumerate(itertools.chain.from_iterable(perms))}
+        esig = tuple(sorted(tuple(sorted(pos[w] for w in ls)) for ls in legs))
+        if best is None or esig <= best:
+            if esig != best:
+                best, optimal = esig, []
             optimal.append(pos)
-    return best, optimal
+    return (vsig, best), optimal
 
 
 def canonical_form(d: Diagram) -> str:

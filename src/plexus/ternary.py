@@ -186,25 +186,26 @@ def find_biunit_pairs(I: IndexSet, J: IndexSet, K: IndexSet, semiring: Semiring)
     """Exhaustive boolean search for biunit pairs on (I, J, K), capped at 16
     entries. A boolean two-sided inverse of flatten(e) transposed exists only
     when flatten(e) is a permutation matrix, and then e' = e, so the candidates
-    are the bijections sigma: I -> J x K, in ascending bitmask order (sorted by
-    sigma reversed). Survivors are re-verified entrywise."""
+    are the graphs of the bijections sigma: I -> J x K, in ascending bitmask
+    order (sorted by entries reversed); those that pass biunit_pair_check are
+    the pairs (e, e)."""
     if semiring.kind != "boolean":
         raise PlexusError("UNSUPPORTED", "biunit search is implemented for the boolean semiring")
     total = I.size * J.size * K.size
     if total > 16:
         raise PlexusError("UNSUPPORTED", f"search capped at 16 entries, got {total}")
-    cols = J.size * K.size
-    if I.size != cols:
-        return []
-    pairs = []
-    for sigma in sorted(itertools.permutations(range(cols)), key=lambda sg: sg[::-1]):
-        entries = [0] * total
-        for p, col in enumerate(sigma):
-            entries[p * cols + col] = 1
-        e = Array((I, J, K), entries, semiring)
-        if biunit_pair_check(e, e)["ok"]:
-            pairs.append((e, e))
-    return pairs
+    graphs = sorted((e for _, e in _bijection_graphs((I, J, K))), key=lambda e: e.entries[::-1])
+    return [(e, e) for e in graphs if biunit_pair_check(e, e)["ok"]]
+
+
+def _bijection_graphs(axes):
+    """The graphs of the bijections sigma: I -> J x K on axes (I, J, K), as
+    (sigma, boolean array) pairs in sorted sigma order, [i, j, k] = [sigma(i)
+    = j |K| + k]; there are none unless |I| = |J| |K|."""
+    n = axes[1].size * axes[2].size
+    sigmas = itertools.permutations(range(n)) if axes[0].size == n else ()
+    return [(sigma, Array(axes, [int(sigma[p] == q) for p in range(n) for q in range(n)], _BOOLEAN))
+            for sigma in sigmas]
 
 
 def indicator_array(axes, position, semiring: Semiring) -> Array:
@@ -400,11 +401,9 @@ def bijection_heap(n: int) -> TernaryTable:
     JKI fish product of their graphs on (N, N, U:1), [x, y] = [y = f(x)]."""
     if not int_in(n, 1, 3):
         raise PlexusError("BAD_TABLE", f"bijection carrier supported for 1 to 3 points, got {n!r}")
-    perms = sorted(itertools.permutations(range(n)))
-    axes = (IndexSet("N", n), IndexSet("N", n), IndexSet("U", 1))
-    carrier = [Array(axes, [int(y == f[x]) for x in range(n) for y in range(n)], _BOOLEAN) for f in perms]
-    labels = ["".join(map(str, f)) for f in perms]
-    return TernaryTable(len(perms), _closure(carrier, "JKI"), labels, "bijection-heap")
+    graphs = _bijection_graphs((IndexSet("N", n), IndexSet("N", n), IndexSet("U", 1)))
+    labels = ["".join(map(str, f)) for f, _ in graphs]
+    return TernaryTable(len(graphs), _closure([g for _, g in graphs], "JKI"), labels, "bijection-heap")
 
 
 def vector_heap(m: int, dim: int) -> TernaryTable:

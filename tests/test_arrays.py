@@ -442,11 +442,13 @@ A3 = zero_array((I2, I2, I2), MOD5)
     (lambda: contract([A3, A3], [0.0, 0]), "BAD_AXIS", "0.0"),
     (lambda: additive_incidence([A3, A3], [0, False]), "BAD_AXIS", "False"),
     (lambda: multiplicative_incidence([A3, A3], [0, "1"]), "BAD_AXIS", "'1'"),
+    (lambda: A3.entry((0.0, 1, 0)), "BAD_INDEX", "0.0"),
+    (lambda: A3.entry((True, 1, 0)), "BAD_INDEX", "True"),
 ], ids=["diagonal-extension-float", "diagonal-extension-str", "broaden", "slice-axis", "slice-value",
         "flatten", "reorder", "unary-contract", "self-contract-bool", "contract", "additive-incidence-bool",
-        "multiplicative-incidence-str"])
+        "multiplicative-incidence-str", "entry-float", "entry-bool"])
 def test_positions_that_are_not_ints_are_refused(call, code, bad):
-    # the first six raised a raw TypeError; the rest took 0.0 as 0 and True as 1
+    # each raised a raw TypeError, or took 0.0 as 0 and True as 1
     with pytest.raises(PlexusError) as err:
         call()
     assert err.value.code == code
@@ -459,11 +461,27 @@ def test_positions_that_are_not_ints_are_refused(call, code, bad):
     (lambda: slice_axes(A3, {0: 2}), "BAD_INDEX", "slice value 2 out of range for axis 0"),
     (lambda: self_contract(A3, 1, 1), "BAD_AXIS", "bad self-contraction axes (1, 1)"),
     (lambda: contract([A3, A3], [0, 3]), "BAD_AXIS", "shared axis 3 out of range"),
-], ids=["reorder", "slice-axis", "slice-value", "self-contract", "contract"])
+    (lambda: A3.entry((0, 1)), "BAD_INDEX", "expected 3 indices, got 2"),
+    (lambda: A3.entry([0, 1, 2]), "BAD_INDEX", "index 2 out of range for I:2"),
+], ids=["reorder", "slice-axis", "slice-value", "self-contract", "contract", "entry-count", "entry-range"])
 def test_int_positions_keep_their_refusals(call, code, message):
     with pytest.raises(PlexusError) as err:
         call()
     assert (err.value.code, str(err.value)) == (code, f"[{code}] {message}")
+
+
+@pytest.mark.parametrize("call, code, message", [
+    (lambda: A3.entry(5), "BAD_INDEX", "an index must be a sequence of integers, got 5"),
+    (lambda: reorder(A3, 5), "BAD_PERMUTATION", "5 is not a permutation of 0..2"),
+    (lambda: flatten(A3, 0), "BAD_AXIS", "invalid axis group 0"),
+    (lambda: slice_axes(A3, [(0, 1)]), "BAD_AXIS",
+     "a slice assignment maps axis positions to values, got [(0, 1)]"),
+], ids=["entry", "reorder", "flatten", "slice-axes"])
+def test_arguments_that_are_not_sequences_are_refused(call, code, message):
+    # each escaped as a raw TypeError or AttributeError
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert str(err.value) == f"[{code}] {message}"
 
 
 @pytest.mark.parametrize("call, code, message", [

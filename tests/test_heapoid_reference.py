@@ -3,8 +3,9 @@ relation and bijection heaps against the plain loops they replace: the
 closure as one `fish` call and one linear scan per triple, the basis check
 as one `fish` call per indicator, para-associativity as a five-deep loop
 over quintuples, the two heap tables as the relational product and the
-composite of bijections, one triple at a time, and the isotropy check as a
-five-deep loop composing permutation tuples. The loops are kept here as
+composite of bijections, one triple at a time, the isotropy check as a
+five-deep loop composing permutation tuples, and the biunit search as a
+loop placing each bijection's ones by hand. The loops are kept here as
 references."""
 import itertools
 import random
@@ -19,7 +20,9 @@ from plexus import (
     PlexusError,
     TernaryTable,
     bijection_heap,
+    biunit_pair_check,
     check_semiheap,
+    find_biunit_pairs,
     find_biunits,
     fish,
     fish_unit_arrays,
@@ -446,3 +449,33 @@ def test_the_compositions_reach_every_isotropy_verdict(monkeypatch):
         monkeypatch.setattr(ternary, "_perm_inverse", inverse)
         laws.add(loop_isotropy(3)[1])
     assert laws == {"isotropy-biinvariance", "biinvariance", "reverse-iso"}
+
+
+def loop_biunit_pairs(I, J, K, semiring):
+    """Each bijection sigma: I -> J x K in ascending bitmask order, its
+    ones placed by hand, kept if it passes the biunit equations."""
+    cols = J.size * K.size
+    if I.size != cols:
+        return []
+    pairs = []
+    for sigma in sorted(itertools.permutations(range(cols)), key=lambda sg: sg[::-1]):
+        entries = [0] * (I.size * cols)
+        for p, col in enumerate(sigma):
+            entries[p * cols + col] = 1
+        e = Array((I, J, K), entries, semiring)
+        if biunit_pair_check(e, e)["ok"]:
+            pairs.append((e, e))
+    return pairs
+
+
+def test_find_biunit_pairs_matches_the_bijection_loop():
+    boolean, found = parse_semiring("boolean"), 0
+    for i, j, k in itertools.product(range(1, 17), repeat=3):
+        if i * j * k > 16:
+            continue
+        axes = (IndexSet("I", i), IndexSet("J", j), IndexSet("K", k))
+        got, want = find_biunit_pairs(*axes, boolean), loop_biunit_pairs(*axes, boolean)
+        assert [(e.axes, e.entries, f.entries) for e, f in got] == \
+            [(e.axes, e.entries, f.entries) for e, f in want], (i, j, k)
+        found += len(got)
+    assert found == 1 + 2 * 2 + 2 * 6 + 3 * 24  # |I|! pairs for each |I| = |J| |K| <= 4

@@ -15,7 +15,9 @@ no second closure loop or hand-written relational product can grow. The
 isotropy check composes bijections through tables built once, with no
 per-tuple product left to read, and the four sequential forms are read
 only by the sequentialization check, which evaluates each once, and by
-the twist witness, so no repeated form evaluation can grow back."""
+the twist witness, so no repeated form evaluation can grow back. The
+graphs of bijections are built once, for the biunit search and the
+bijection heap, and the law checks enumerate no permutations of their own."""
 import ast
 import functools
 from pathlib import Path
@@ -106,3 +108,11 @@ def test_no_definition_reads_a_per_tuple_bijection_product():
 ])
 def test_the_sequential_forms_are_read_only_by_their_two_checks(form, owners):
     assert name_readers(form) == owners
+
+
+def test_the_bijection_graphs_are_read_only_by_the_biunit_search_and_the_bijection_heap():
+    assert name_readers("_bijection_graphs") == {"ternary.find_biunit_pairs", "ternary.bijection_heap"}
+
+
+def test_the_law_checks_enumerate_no_permutations():
+    assert {owner for owner in name_readers("permutations") if owner.split(".")[0] == "checks"} == set()

@@ -1,7 +1,9 @@
-"""`motif_automorphisms` and `find_matches` against the searches they
-replace: the automorphisms as a strict-mark run of the host matcher without
-the locality test, and the orbit representatives as a loop over every
-(match, automorphism) pair. The old code is kept here as the reference."""
+"""`motif_automorphisms`, `find_matches` and the labelling search against
+the searches they replace: the automorphisms as a strict-mark run of the
+host matcher without the locality test, the orbit representatives as a loop
+over every (match, automorphism) pair, and the labelling search as a
+minimisation of the whole (vertex, edge) signature of every labelling. The
+old code is kept here as the reference."""
 import itertools
 import random
 
@@ -13,6 +15,7 @@ from plexus import (
     PlexusError,
     build_diagram,
     canonical_form,
+    enumerate_compositions,
     find_matches,
     fish_motif,
     motif_automorphisms,
@@ -20,7 +23,7 @@ from plexus import (
     vee_motif,
 )
 from plexus.core import natural_key
-from plexus.diagram import STANDARD_NAMES
+from plexus.diagram import STANDARD_NAMES, _labelling_search
 from plexus.rewrite import ENUMERATION_VARIANTS, Match, _connected
 
 
@@ -217,3 +220,64 @@ def test_find_matches_agrees_with_the_orbit_loop():
             assert as_items(got) == as_items(ref_find_matches(host, motif)), (host, motif.pattern)
             found[k] += len(got)
     assert all(found[:5]) and sum(found) > 250
+
+
+def ref_refine_colors(d):
+    """Color refinement returning each vertex's color."""
+    vids = d.vertex_ids()
+    keys = {v: (d.vertices[v].marked, d.vertices[v].index_set.size) for v in vids}
+    nclasses = 0
+    while True:
+        order = {k: t for t, k in enumerate(sorted(set(keys.values())))}
+        color = {v: order[keys[v]] for v in vids}
+        if len(order) == nclasses:
+            return color
+        nclasses = len(order)
+        keys = {}
+        for v in vids:
+            sig = []
+            for eid in d.incidence[v]:
+                legs = d.edges[eid].legs
+                sig.append((len(legs), tuple(sorted(color[w] for w in legs if w != v))))
+            keys[v] = (color[v], tuple(sorted(sig)))
+
+
+def ref_labelling_search(d):
+    """The least (vertex, edge) signature, both rebuilt for every labelling
+    inside the color classes, and the labellings attaining it."""
+    color = ref_refine_colors(d)
+    classes = {}
+    for v, c in color.items():
+        classes.setdefault(c, []).append(v)
+    blocks = [classes[c] for c in sorted(classes)]
+    best, optimal = None, []
+    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        pos = {}
+        t = 0
+        for block in perms:
+            for v in block:
+                pos[v] = t
+                t += 1
+        vsig = tuple((d.vertices[v].marked, d.vertices[v].index_set.size) for block in perms for v in block)
+        esig = tuple(sorted(tuple(sorted(pos[w] for w in e.legs)) for e in d.edges.values()))
+        cand = (vsig, esig)
+        if best is None or cand <= best:
+            if cand != best:
+                best, optimal = cand, []
+            optimal.append(pos)
+    return best, optimal
+
+
+def test_labelling_search_matches_the_whole_signature_search(census_classes):
+    rng = random.Random(23)
+    diagrams = [d for d, _ in census_classes] + enumerate_compositions(3, 4, 4, "default")[0]
+    diagrams += [standard_diagram(name) for name in STANDARD_NAMES if name != "chain"]
+    diagrams += [standard_diagram("chain", n=n) for n in range(1, 8)]
+    mixed = [relabelled(random_diagram(rng, rng.randint(2, 7), rng.randint(1, 5)), rng) for _ in range(150)]
+    # the seeded diagrams mix marks and cardinalities inside one diagram
+    assert sum(len({(x.marked, x.index_set.size) for x in d.vertices.values()}) >= 3 for d in mixed) > 30
+    for d in diagrams + mixed:
+        sig, optimal = _labelling_search(d)
+        want_sig, want_optimal = ref_labelling_search(d)
+        assert sig == want_sig, d
+        assert [sorted(pos.items()) for pos in optimal] == [sorted(pos.items()) for pos in want_optimal], d

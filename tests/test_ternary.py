@@ -198,6 +198,23 @@ def test_relabel_laws_test_the_engine_on_swapped_arguments(monkeypatch):
     assert (v.ok, v.law) == (False, "relabel-1-4")
 
 
+def test_the_selftest_row_checks_the_engine_against_the_sequential_forms(monkeypatch):
+    # a label table that transposes IJK's output misleads the engine and the
+    # diagram binding alike, so only the sequential forms, whose legs are
+    # written out, can see it
+    labels = ternary._fish_labels
+
+    def transposed(variant, twist):
+        roles, out, order = labels(variant, twist)
+        return roles, (out[1] + out[0] + out[2] if variant == "IJK" else out), order
+
+    monkeypatch.setattr(ternary, "_fish_labels", transposed)
+    laws = {"form1-engine", "form2-engine", "form3-engine", "form4-engine", "relabel-1-4", "relabel-2-3"}
+    for s in (BOOL, MOD5):
+        v, _ = checks.fish_vs_evaluation(s, (2, 3, 2), 3, random.Random(0))
+        assert not v.ok and v.law in laws, s
+
+
 def test_sequentializations_evaluate_each_form_once(monkeypatch):
     rng = random.Random(17)
     a, b, c = (random_array((I2, I2, I2), MOD5, rng) for _ in range(3))
