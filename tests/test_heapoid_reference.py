@@ -378,8 +378,54 @@ def loop_bijection_heap(n):
     return len(perms), loop_table(perms, op), ["".join(map(str, f)) for f in perms], "bijection-heap"
 
 
+def loop_group_heap(mult):
+    """(a b c) = a.b^-1.c, the identity and each inverse found by scanning
+    the multiplication table."""
+    n = len(mult)
+    identity = next(e for e in range(n) if all(mult[e][x] == x == mult[x][e] for x in range(n)))
+    inverse = [mult[b].index(identity) for b in range(n)]
+
+    def op(a, b, c):
+        return mult[mult[a][inverse[b]]][c]
+
+    return n, loop_table(range(n), op), [str(x) for x in range(n)], "group-heap"
+
+
+def loop_vector_heap(m, dim):
+    """(u v w) = u - v + w componentwise mod m on (Z_m)^dim, in
+    lexicographic order."""
+    def op(u, v, w):
+        return tuple((a - b + c) % m for a, b, c in zip(u, v, w))
+
+    elems = list(itertools.product(range(m), repeat=dim))
+    return len(elems), loop_table(elems, op), ["".join(map(str, v)) for v in elems], "vector-heap"
+
+
 def as_tuple(t):
     return t.n, list(t.table), list(t.labels), t.kind
+
+
+def relabelled_cyclic(perm):
+    """Z_n with element k renamed perm[k]: the identity is perm[0]."""
+    n = len(perm)
+    table = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        table[perm[a]][perm[b]] = perm[(a + b) % n]
+    return table
+
+
+GROUPS = {f"Z{n}": cyclic(n) for n in (2, 3, 4, 5)}
+GROUPS["Z5 relabelled"] = relabelled_cyclic((3, 0, 4, 1, 2))
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_group_heap_matches_the_hand_loop(name):
+    assert as_tuple(group_heap(GROUPS[name])) == loop_group_heap(GROUPS[name])
+
+
+@pytest.mark.parametrize("m,dim", [(3, 1), (2, 2), (5, 1), (4, 3)])
+def test_vector_heap_matches_the_hand_loop(m, dim):
+    assert as_tuple(vector_heap(m, dim)) == loop_vector_heap(m, dim)
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 5) for q in range(1, 5) if p * q <= 4])
