@@ -38,12 +38,16 @@ class Array:
         return tuple(ax.size for ax in self.axes)
 
     def offset(self, idx: Sequence[int]) -> int:
-        off = 0
-        for ax, i in zip(self.axes, idx):
-            off = off * ax.size + i
-        return off
-
-    def entry(self, idx: Sequence[int]):
+        """The row-major position of a multi-index, BAD_INDEX unless it is a
+        sequence of one int in range per axis; exact ints take one pass."""
+        if type(idx) in (tuple, list) and len(idx) == len(self.axes):
+            off = 0
+            for ax, i in zip(self.axes, idx):
+                if type(i) is not int or not 0 <= i < ax.size:
+                    break
+                off = off * ax.size + i
+            else:
+                return off
         given, idx = idx, _require_positions(idx, "BAD_INDEX", "index")
         if idx is None:
             raise PlexusError("BAD_INDEX", f"an index must be a sequence of integers, got {given!r}")
@@ -52,6 +56,9 @@ class Array:
         for ax, i in zip(self.axes, idx):
             if not (0 <= i < ax.size):
                 raise PlexusError("BAD_INDEX", f"index {i} out of range for {ax.id}:{ax.size}")
+        return self.offset([int(i) for i in idx])  # an int subclass, such as IntEnum, as a plain int
+
+    def entry(self, idx: Sequence[int]):
         return self.entries[self.offset(idx)]
 
     def scalar(self):
@@ -186,13 +193,30 @@ def _require_positions(positions, code="BAD_AXIS", what="axis position"):
     return positions
 
 
+def _require_arrays(arrays) -> tuple:
+    """`arrays` as a tuple, BAD_AXIS unless it is a sequence of arrays."""
+    try:
+        operands = tuple(arrays)
+    except TypeError:
+        raise PlexusError("BAD_AXIS", f"the operands must be a sequence of arrays, got {arrays!r}") from None
+    for x in operands:
+        if not isinstance(x, Array):
+            raise PlexusError("BAD_AXIS", f"operand {x!r} is not an array")
+    return operands
+
+
 def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]):
-    if len(arrays) != len(shared_axes) or not arrays:
+    """The operands and shared axes of an incidence or contraction as
+    tuples, BAD_AXIS unless they give one int position in range per array."""
+    arrays, shared = _require_arrays(arrays), _require_positions(shared_axes)
+    if shared is None:
+        raise PlexusError("BAD_AXIS", f"the shared axes must be a sequence of integers, got {shared_axes!r}")
+    if len(arrays) != len(shared) or not arrays:
         raise PlexusError("BAD_AXIS", "need one shared axis per array")
-    _require_positions(shared_axes)
-    for a, pos in zip(arrays, shared_axes):
+    for a, pos in zip(arrays, shared):
         if not (0 <= pos < a.order):
             raise PlexusError("BAD_AXIS", f"shared axis {pos} out of range")
+    return arrays, shared
 
 
 def _incidence_labels(arrays, shared_axes):
@@ -208,7 +232,7 @@ def _incidence_labels(arrays, shared_axes):
 
 
 def additive_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
-    _check_shared(arrays, shared_axes)
+    arrays, shared_axes = _check_shared(arrays, shared_axes)
     s = arrays[0].semiring
     labels, out = _incidence_labels(arrays, shared_axes)
     axis = _label_axes(list(zip(arrays, labels)))
@@ -222,7 +246,7 @@ def additive_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> A
 
 
 def multiplicative_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
-    _check_shared(arrays, shared_axes)
+    arrays, shared_axes = _check_shared(arrays, shared_axes)
     labels, out = _incidence_labels(arrays, shared_axes)
     return einsum(list(zip(arrays, labels)), out)
 
@@ -230,7 +254,7 @@ def multiplicative_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]
 def contract(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
     """Multiply the arrays along one shared index and sum it out.
     Result order = sum of orders - arity."""
-    _check_shared(arrays, shared_axes)
+    arrays, shared_axes = _check_shared(arrays, shared_axes)
     labels, out = _incidence_labels(arrays, shared_axes)
     return einsum(list(zip(arrays, labels)), [lab for lab in out if lab != "shared"])
 
@@ -253,6 +277,7 @@ def self_contract(a: Array, axis_i: int, axis_j: int) -> Array:
 
 
 def tensor_product(arrays: Sequence[Array]) -> Array:
+    arrays = _require_arrays(arrays)
     if not arrays:
         raise PlexusError("BAD_AXIS", "tensor product of nothing")
     labels = [[(k, p) for p in range(a.order)] for k, a in enumerate(arrays)]

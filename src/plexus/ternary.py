@@ -340,6 +340,12 @@ def _tabulate(elements, op, kind: str, labels=None) -> TernaryTable:
     return TernaryTable(len(index), table, labels, kind)
 
 
+def _monoid_heap(elements, mul, inv, kind: str, labels=None) -> TernaryTable:
+    """Wagner's correspondence from an involuted monoid, given by its
+    elements, product and involution, to its heap: (a b c) = a.b~.c."""
+    return _tabulate(elements, lambda a, b, c: mul(mul(a, inv(b)), c), kind, labels)
+
+
 def group_heap(mult) -> TernaryTable:
     """Heap of a finite group given by its multiplication table:
     (a b c) = a * inverse(b) * c."""
@@ -349,11 +355,7 @@ def group_heap(mult) -> TernaryTable:
         raise PlexusError("BAD_TABLE", "multiplication table must be square")
     if not all(int_in(x, 0, n - 1) for r in rows for x in r):
         raise PlexusError("BAD_TABLE", f"multiplication table entries must be integers in 0..{n - 1}")
-    identity = None
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            identity = e
-            break
+    identity = next((e for e in range(n) if all(rows[e][x] == x == rows[x][e] for x in range(n))), None)
     if identity is None:
         raise PlexusError("BAD_TABLE", "no identity element")
     inv = []
@@ -368,7 +370,7 @@ def group_heap(mult) -> TernaryTable:
     for a, b, c in itertools.product(range(n), repeat=3):
         if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
             raise PlexusError("BAD_TABLE", f"multiplication not associative at {(a, b, c)}")
-    return _tabulate(range(n), lambda a, b, c: rows[rows[a][inv[b]]][c], "group-heap")
+    return _monoid_heap(range(n), lambda a, b: rows[a][b], inv.__getitem__, "group-heap")
 
 
 def relation_semiheap(p: int, q: int) -> TernaryTable:
@@ -383,17 +385,6 @@ def relation_semiheap(p: int, q: int) -> TernaryTable:
     carrier = [Array(axes, [(r >> k) & 1 for k in range(p * q)], _BOOLEAN) for r in range(n)]
     labels = [format(r, f"0{p * q}b") for r in range(n)]
     return TernaryTable(n, _closure(carrier, "JKI"), labels, "relation-semiheap")
-
-
-def _perm_compose(f, g):
-    return tuple(f[g[x]] for x in range(len(f)))
-
-
-def _perm_inverse(f):
-    out = [0] * len(f)
-    for x, y in enumerate(f):
-        out[y] = x
-    return tuple(out)
 
 
 def bijection_heap(n: int) -> TernaryTable:
@@ -415,8 +406,8 @@ def vector_heap(m: int, dim: int) -> TernaryTable:
                           f"with m**dim <= 64, got {m!r} and {dim!r}")
     elems = list(itertools.product(range(m), repeat=dim))
     labels = ["".join(map(str, v)) for v in elems]
-    return _tabulate(elems, lambda u, v, w: tuple((a - b + c) % m for a, b, c in zip(u, v, w)),
-                     "vector-heap", labels)
+    return _monoid_heap(elems, lambda u, v: tuple((a + b) % m for a, b in zip(u, v)),
+                        lambda u: tuple(-a % m for a in u), "vector-heap", labels)
 
 
 def make_ternary_table(kind: str, *args) -> TernaryTable:
@@ -576,18 +567,15 @@ def check_isotropy_biinvariance(A_size: int, B_size: int) -> Verdict:
     """For bijections f, g, h from a source set to a target set and
     relabelings a (source) and b (target): (f.a, b.g.a, b.h) = (f, g, h),
     and inversion is an isomorphism onto the reversed heap of backward
-    bijections. Composition, inverse and (f g h) = f.(g^-1.h) are tabulated
-    once over the indexed bijections; a witness names them as tuples."""
+    bijections. Composition and inverse are read from bijection_heap(n)'s
+    involuted monoid at its identity, index 0, and (f g h) = f.(g^-1.h) is
+    tabulated once from them; a witness names the bijections as tuples."""
     if A_size != B_size:
         raise PlexusError("BAD_TABLE", "bijections need equal source and target sizes")
-    n = A_size
-    if not int_in(n, 1, 3):
-        raise PlexusError("BAD_TABLE", f"isotropy check supported for 1 to 3 points, got {n!r}")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {f: k for k, f in enumerate(perms)}
-    ids = range(len(perms))
-    comp = [[index[_perm_compose(f, g)] for g in perms] for f in perms]
-    inv = [index[_perm_inverse(f)] for f in perms]
+    t = bijection_heap(A_size)
+    comp, inv, _ = involuted_monoid(t, 0)
+    perms = [tuple(map(int, f)) for f in t.labels]  # a label spells its bijection's images
+    ids = range(t.n)
     prod = [[[comp[f][comp[inv[g]][h]] for h in ids] for g in ids] for f in ids]
     for f, g, h in itertools.product(ids, repeat=3):
         base = prod[f][g][h]

@@ -16,6 +16,7 @@ from plexus import (
     entrywise_mul,
     flatten,
     full_array,
+    indicator_array,
     kronecker,
     make_array,
     make_semiring,
@@ -463,7 +464,12 @@ def test_positions_that_are_not_ints_are_refused(call, code, bad):
     (lambda: contract([A3, A3], [0, 3]), "BAD_AXIS", "shared axis 3 out of range"),
     (lambda: A3.entry((0, 1)), "BAD_INDEX", "expected 3 indices, got 2"),
     (lambda: A3.entry([0, 1, 2]), "BAD_INDEX", "index 2 out of range for I:2"),
-], ids=["reorder", "slice-axis", "slice-value", "self-contract", "contract", "entry-count", "entry-range"])
+    # each read another position's indicator, or raised a raw IndexError
+    (lambda: indicator_array((I2, I2), (1,), MOD5), "BAD_INDEX", "expected 2 indices, got 1"),
+    (lambda: indicator_array((I2, I2), (0, 2), MOD5), "BAD_INDEX", "index 2 out of range for I:2"),
+    (lambda: indicator_array((I2, I2), (0, 5), MOD5), "BAD_INDEX", "index 5 out of range for I:2"),
+], ids=["reorder", "slice-axis", "slice-value", "self-contract", "contract", "entry-count", "entry-range",
+        "indicator-count", "indicator-range", "indicator-far"])
 def test_int_positions_keep_their_refusals(call, code, message):
     with pytest.raises(PlexusError) as err:
         call()
@@ -476,7 +482,15 @@ def test_int_positions_keep_their_refusals(call, code, message):
     (lambda: flatten(A3, 0), "BAD_AXIS", "invalid axis group 0"),
     (lambda: slice_axes(A3, [(0, 1)]), "BAD_AXIS",
      "a slice assignment maps axis positions to values, got [(0, 1)]"),
-], ids=["entry", "reorder", "flatten", "slice-axes"])
+    (lambda: contract([A3, A3], 5), "BAD_AXIS", "the shared axes must be a sequence of integers, got 5"),
+    (lambda: contract(A3, [0, 0]), "BAD_AXIS", f"the operands must be a sequence of arrays, got {A3!r}"),
+    (lambda: additive_incidence([A3, A3], None), "BAD_AXIS",
+     "the shared axes must be a sequence of integers, got None"),
+    (lambda: tensor_product(5), "BAD_AXIS", "the operands must be a sequence of arrays, got 5"),
+    (lambda: contract([A3, 5], [0, 0]), "BAD_AXIS", "operand 5 is not an array"),
+    (lambda: tensor_product([A3, "x"]), "BAD_AXIS", "operand 'x' is not an array"),
+], ids=["entry", "reorder", "flatten", "slice-axes", "contract-axes", "contract-arrays",
+        "additive-incidence-axes", "tensor-product", "contract-element", "tensor-product-element"])
 def test_arguments_that_are_not_sequences_are_refused(call, code, message):
     # each escaped as a raw TypeError or AttributeError
     with pytest.raises(PlexusError) as err:

@@ -1,12 +1,13 @@
 """`heapoid_check`, `unit_pair_via_basis`, `check_semiheap` and the
-relation and bijection heaps against the plain loops they replace: the
-closure as one `fish` call and one linear scan per triple, the basis check
-as one `fish` call per indicator, para-associativity as a five-deep loop
-over quintuples, the two heap tables as the relational product and the
-composite of bijections, one triple at a time, the isotropy check as a
-five-deep loop composing permutation tuples, and the biunit search as a
-loop placing each bijection's ones by hand. The loops are kept here as
-references."""
+relation, bijection, group and vector heaps against the plain loops they
+replace: the closure as one `fish` call and one linear scan per triple, the
+basis check as one `fish` call per indicator, para-associativity as a
+five-deep loop over quintuples, the four heap tables as the relational
+product, the composite of bijections, a.b^-1.c and u - v + w, one triple at
+a time, the isotropy check as a five-deep loop composing permutation tuples,
+under each composition injected through the bijection heap's involuted
+monoid, and the biunit search as a loop placing each bijection's ones by
+hand. The loops are kept here as references."""
 import itertools
 import random
 
@@ -438,12 +439,21 @@ def test_bijection_heap_matches_the_composite_of_bijections(n):
     assert as_tuple(bijection_heap(n)) == loop_bijection_heap(n)
 
 
-def loop_isotropy(n):
-    """The isotropy check as a five-deep loop over permutation tuples,
-    composing each product afresh through the module's own composition and
-    inverse, as `(f g h) = f.(g^-1.h)`."""
-    compose, inverse = ternary._perm_compose, ternary._perm_inverse
+def compose(f, g):
+    return tuple(f[g[x]] for x in range(len(f)))
 
+
+def inverse(f):
+    out = [0] * len(f)
+    for x, y in enumerate(f):
+        out[y] = x
+    return tuple(out)
+
+
+def loop_isotropy(n, compose=compose, inverse=inverse):
+    """The isotropy check as a five-deep loop over permutation tuples,
+    composing each product afresh through the given composition and
+    inverse, as `(f g h) = f.(g^-1.h)`."""
     def product(f, g, h):
         return compose(f, compose(inverse(g), h))
 
@@ -461,39 +471,52 @@ def loop_isotropy(n):
     return True, "isotropy-biinvariance", None
 
 
+def monoid_tables(n, compose, inverse):
+    """The composition and inverse tables over the sorted permutations."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {f: k for k, f in enumerate(perms)}
+    return [[index[compose(f, g)] for g in perms] for f in perms], [index[inverse(f)] for f in perms]
+
+
 def isotropy_outcome(n):
     v = ternary.check_isotropy_biinvariance(n, n)
     return v.ok, v.law, v.witness
 
 
-COMPOSE, INVERSE = ternary._perm_compose, ternary._perm_inverse
 COMPOSITIONS = {  # (composition, inverse), each returning a permutation tuple
-    "exact": (COMPOSE, INVERSE),
-    "reversed-composition": (lambda f, g: COMPOSE(g, f), INVERSE),
-    "left-argument": (lambda f, g: f, INVERSE),
-    "right-argument": (lambda f, g: g, INVERSE),
-    "identity-inverse": (COMPOSE, lambda f: f),
-    "one-wrong-pair": (lambda f, g: COMPOSE(g, f) if f == (1, 2, 0) and g == (0, 2, 1) else COMPOSE(f, g),
-                       INVERSE),
-    "reversed-result": (lambda f, g: COMPOSE(f, g)[::-1], INVERSE),
+    "exact": (compose, inverse),
+    "reversed-composition": (lambda f, g: compose(g, f), inverse),
+    "left-argument": (lambda f, g: f, inverse),
+    "right-argument": (lambda f, g: g, inverse),
+    "identity-inverse": (compose, lambda f: f),
+    "one-wrong-pair": (lambda f, g: compose(g, f) if f == (1, 2, 0) and g == (0, 2, 1) else compose(f, g),
+                       inverse),
+    "reversed-result": (lambda f, g: compose(f, g)[::-1], inverse),
 }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_bijection_heaps_monoid_is_composition_and_inverse(n):
+    mult, inv, verdict = ternary.involuted_monoid(bijection_heap(n), 0)
+    assert verdict.ok
+    assert (mult, inv) == monoid_tables(n, compose, inverse)
 
 
 @pytest.mark.parametrize("name", COMPOSITIONS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_isotropy_matches_the_permutation_loop(monkeypatch, name, n):
-    compose, inverse = COMPOSITIONS[name]
-    monkeypatch.setattr(ternary, "_perm_compose", compose)
-    monkeypatch.setattr(ternary, "_perm_inverse", inverse)
-    assert isotropy_outcome(n) == loop_isotropy(n)
+    # the check reads composition and inverse from the bijection heap's
+    # involuted monoid at its identity: inject each composition there
+    def monoid(t, e):
+        assert (t.kind, e) == ("bijection-heap", 0)
+        return (*monoid_tables(n, *COMPOSITIONS[name]), Verdict(True, "involuted-monoid"))
+
+    monkeypatch.setattr(ternary, "involuted_monoid", monoid)
+    assert isotropy_outcome(n) == loop_isotropy(n, *COMPOSITIONS[name])
 
 
-def test_the_compositions_reach_every_isotropy_verdict(monkeypatch):
-    laws = set()
-    for compose, inverse in COMPOSITIONS.values():
-        monkeypatch.setattr(ternary, "_perm_compose", compose)
-        monkeypatch.setattr(ternary, "_perm_inverse", inverse)
-        laws.add(loop_isotropy(3)[1])
+def test_the_compositions_reach_every_isotropy_verdict():
+    laws = {loop_isotropy(3, *pair)[1] for pair in COMPOSITIONS.values()}
     assert laws == {"isotropy-biinvariance", "biinvariance", "reverse-iso"}
 
 

@@ -12,12 +12,16 @@ is read only by the semiring itself and its axiom check, so no product
 multiplies one entry at a time beside the kernel; and the one fish closure
 is read only by `heapoid_check` and the relation and bijection heaps, so
 no second closure loop or hand-written relational product can grow. The
-isotropy check composes bijections through tables built once, with no
-per-tuple product left to read, and the four sequential forms are read
-only by the sequentialization check, which evaluates each once, and by
-the twist witness, so no repeated form evaluation can grow back. The
-graphs of bijections are built once, for the biunit search and the
-bijection heap, and the law checks enumerate no permutations of their own."""
+isotropy check composes bijections through the bijection heap's own
+involuted monoid, with no per-tuple product and no private composition or
+inverse left to read, and the four sequential forms are read only by the
+sequentialization check, which evaluates each once, and by the twist
+witness, so no repeated form evaluation can grow back. The graphs of
+bijections are built once, for the biunit search and the bijection heap,
+and are the only permutations the ternary module enumerates; the law
+checks enumerate none of their own. One builder turns an involuted monoid
+into its heap, a.b~.c, read by the group and vector heaps and by the
+selftest's round trip, so no heap of a monoid is written by hand again."""
 import ast
 import functools
 from pathlib import Path
@@ -116,3 +120,18 @@ def test_the_bijection_graphs_are_read_only_by_the_biunit_search_and_the_bijecti
 
 def test_the_law_checks_enumerate_no_permutations():
     assert {owner for owner in name_readers("permutations") if owner.split(".")[0] == "checks"} == set()
+
+
+def test_only_the_bijection_graphs_enumerate_permutations_in_the_ternary_module():
+    assert {owner for owner in name_readers("permutations") if owner.split(".")[0] == "ternary"} == \
+        {"ternary._bijection_graphs"}
+
+
+@pytest.mark.parametrize("name", ["_perm_compose", "_perm_inverse"])
+def test_no_definition_reads_a_private_permutation_product(name):
+    assert name_readers(name) == set()
+
+
+def test_the_heap_of_a_monoid_is_read_only_by_the_two_builders_and_the_round_trip():
+    assert name_readers("_monoid_heap") == {"ternary.group_heap", "ternary.vector_heap",
+                                            "checks.involuted_monoids"}

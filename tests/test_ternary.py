@@ -591,6 +591,28 @@ def test_involuted_monoid_at_every_biunit():
             assert verdict.ok, (t.kind, e)
 
 
+@pytest.mark.parametrize("build", [lambda: group_heap(Z3), lambda: bijection_heap(3), lambda: vector_heap(2, 2)],
+                         ids=["group-Z3", "bijection-3", "vector-2-2"])
+def test_every_one_entry_change_fails_the_monoid_round_trip(monkeypatch, build):
+    # the involuted-monoids row passes on the shipped table; each change of
+    # one entry breaks a monoid law at every biunit or gives another table back
+    t = build()
+
+    def row(table):
+        monkeypatch.setattr(checks, "_shipped_tables", lambda: [("table", table)])
+        return checks.involuted_monoids(None, None, 1, None)[0]
+
+    assert row(t).ok
+    laws = set()
+    for k, x in itertools.product(range(t.n ** 3), range(1, t.n)):
+        table = list(t.table)
+        table[k] = (table[k] + x) % t.n
+        verdict = row(TernaryTable(t.n, table))
+        assert not verdict.ok, (k, table[k])
+        laws.add(verdict.law)
+    assert "round-trip" in laws
+
+
 def test_biunit_transport():
     t = relation_semiheap(2, 2)
     phi, verdict = biunit_transport(t, 6, 9)
