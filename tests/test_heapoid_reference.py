@@ -7,7 +7,10 @@ product, the composite of bijections, a.b^-1.c and u - v + w, one triple at
 a time, the isotropy check as a five-deep loop composing permutation tuples,
 under each composition injected through the bijection heap's involuted
 monoid, and the biunit search as a loop placing each bijection's ones by
-hand. The loops are kept here as references."""
+hand. The loops are kept here as references. `check_semiheap` meets the
+quintuple loop also on one-entry changes of the shipped tables and of the
+24-element permutation closure, on tables that fail only at their last
+first argument, and on tables that fail sh-right alone."""
 import itertools
 import random
 
@@ -258,6 +261,76 @@ def test_check_semiheap_matches_the_quintuple_loop_on_shipped_tables(name):
     t = SHIPPED[name]()
     for table in (t, reverse_table(t)):
         assert check_semiheap(table) == loop_semiheap(table)
+
+
+def one_entry_changes(t, positions=None):
+    """The tables that differ from t in one entry, at each of `positions`
+    (default every position), each changed to every other element."""
+    for k in range(len(t.table)) if positions is None else positions:
+        for v in range(t.n):
+            if v != t.table[k]:
+                yield TernaryTable(t.n, t.table[:k] + (v,) + t.table[k + 1:])
+
+
+def check_against_the_loop(tables):
+    """check_semiheap's verdict on each table is the quintuple loop's; the
+    witnesses the loop gives, as a set."""
+    witnesses = set()
+    for t in tables:
+        want = loop_semiheap(t)
+        assert check_semiheap(t) == want, t.table
+        witnesses.add((want.law, want.witness))
+    return witnesses
+
+
+@pytest.mark.parametrize("name,build", [
+    ("bijection_heap 3", lambda: bijection_heap(3)),
+    ("relation_semiheap 1,2", lambda: relation_semiheap(1, 2)),
+    ("relation_semiheap 2,1", lambda: relation_semiheap(2, 1)),
+])
+def test_check_semiheap_matches_the_loop_on_every_one_entry_change(name, build):
+    witnesses = check_against_the_loop(one_entry_changes(build()))
+    assert {law for law, _ in witnesses} == {"sh-mid", "sh-right"}
+
+
+def test_check_semiheap_matches_the_loop_on_one_entry_changes_of_the_relations_on_2_by_2():
+    # 61,440 changes, each failing past the 65,536 quintuples of a = 0 but
+    # for a few; the loop runs on a seeded sample of positions
+    t = relation_semiheap(2, 2)
+    positions = random.Random(22).sample(range(len(t.table)), 2)
+    witnesses = check_against_the_loop(one_entry_changes(t, positions))
+    assert {law for law, _ in witnesses} == {"sh-mid", "sh-right"}
+
+
+def test_check_semiheap_matches_the_loop_on_one_entry_changes_of_the_permutation_closure():
+    # every entry (x y z) of a heap is read at the quintuple (0, 0, x, y, z),
+    # since (0 0 x) = x, so each change fails at (a, b) = (0, 0)
+    t = heapoid_check(permutation_carrier((IndexSet("I", 4), I2, IndexSet("K", 2)),
+                                          parse_semiring("boolean")), "JKI")["table"]
+    assert t.n == 24 and check_semiheap(t).ok
+    positions = random.Random(24).sample(range(len(t.table)), 3)
+    witnesses = check_against_the_loop(one_entry_changes(t, positions))
+    assert {w[:2] for _, w in witnesses} == {(0, 0)}
+
+
+def test_check_semiheap_matches_the_loop_where_only_the_last_rows_fail():
+    # (a b c) = a is a semiheap whose rows (a, b) read no other first
+    # argument, so a change among the rows of a = 4 fails there alone, after
+    # 20 pairs (a, b) that hold
+    n = 5
+    t = TernaryTable(n, [a for a in range(n) for _ in range(n * n)])
+    witnesses = check_against_the_loop(one_entry_changes(t, range(4 * n * n, n ** 3)))
+    assert {w[0] for _, w in witnesses} == {4} and {law for law, _ in witnesses} == {"sh-mid", "sh-right"}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_check_semiheap_matches_the_loop_where_only_sh_right_fails(n):
+    # (a b c) = c + 1 mod n: both ((abc)de) and (a(dcb)e) are e + 1, while
+    # (ab(cde)) is e + 2
+    t = TernaryTable(n, [(c + 1) % n for _, _, c in itertools.product(range(n), repeat=3)])
+    assert check_against_the_loop([t]) == {("sh-right", (0, 0, 0, 0, 0))}
+    assert not any(t.op(t.op(a, b, c), d, e) != t.op(a, t.op(d, c, b), e)
+                   for a, b, c, d, e in itertools.product(range(n), repeat=5))
 
 
 def test_find_biunits_matches_the_diagonal_loop():
