@@ -2,16 +2,20 @@
 bound entries over all assignments to marked vertices.
 
 `evaluate` is the engine; `evaluate_formula_oracle` is a deliberately separate
-reference that loops over every total vertex assignment and does its own
-offset arithmetic, so the two can cross-check each other.
+reference that visits every total vertex assignment and does its own offset
+arithmetic, a block of assignments at a time, so the two can cross-check
+each other.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .arrays import Array, _label_axes, einsum, kronecker
-from .core import PlexusError, Record, fresh_id, natural_key
+from .core import PlexusError, Record, fresh_id, int_in, natural_key
 from .diagram import Diagram, Hyperedge, Vertex
+
+BLOCK = 1024  # the most vertex assignments the formula oracle holds in one block
 
 
 class BoundEdge(Record):
@@ -41,26 +45,32 @@ def default_binding(d: Diagram, arrays: dict) -> dict:
 
 
 def _check_binding(d: Diagram, binding: dict):
-    """The diagram-side check: every edge is bound, its legs map one-to-one
-    onto its array's axes, and each axis carries its vertex's index set.
-    The kernel checks the arrays against each other."""
+    """The diagram-side check: every edge is bound to a `BoundEdge` holding
+    an `Array` (BAD_REFERENCE otherwise), its legs map one-to-one onto its
+    array's axes, and each axis carries its vertex's index set
+    (CONFORMABILITY otherwise). The kernel checks the arrays against each
+    other."""
     if not d.edges:
         raise PlexusError("BAD_REFERENCE", "nothing bound: diagram has no edges")
+    if not isinstance(binding, dict):
+        raise PlexusError("BAD_REFERENCE", f"a binding must be a dict of edge ids, got {type(binding).__name__}")
     for eid in d.edge_ids():
         if eid not in binding:
             raise PlexusError("BAD_REFERENCE", f"no array bound to edge {eid}")
         be = binding[eid]
-        legs = d.edges[eid].legs
+        if not (isinstance(be, BoundEdge) and isinstance(be.array, Array)):
+            raise PlexusError("BAD_REFERENCE", f"edge {eid} must be bound to a BoundEdge of an Array")
+        legs, lta = d.edges[eid].legs, be.leg_to_axis
         if be.array.order != len(legs):
             raise PlexusError(
                 "CONFORMABILITY",
                 f"edge {eid} has {len(legs)} legs but array order {be.array.order}",
             )
-        if sorted(be.leg_to_axis) != sorted(legs):
+        if not isinstance(lta, dict) or len(lta) != len(legs) or set(lta) != set(legs):
             raise PlexusError("CONFORMABILITY", f"edge {eid}: binding legs disagree")
-        if sorted(be.leg_to_axis.values()) != list(range(len(legs))):
+        if not all(int_in(t, 0, len(legs) - 1) for t in lta.values()) or len(set(lta.values())) != len(legs):
             raise PlexusError("CONFORMABILITY", f"edge {eid}: leg_to_axis not a bijection")
-        for v, t in be.leg_to_axis.items():
+        for v, t in lta.items():
             ax, iset = be.array.axes[t], d.vertices[v].index_set
             if ax != iset:
                 raise PlexusError(
@@ -82,7 +92,10 @@ def _output_order(d: Diagram, output_order: list | None) -> list:
     """The output axes: `output_order` if it lists every free vertex once,
     by default the free vertices by natural id."""
     free = d.free_vertices()
-    if output_order is not None and sorted(output_order, key=natural_key) != free:
+    if output_order is not None and not (
+        isinstance(output_order, (list, tuple)) and all(isinstance(v, str) for v in output_order)
+        and sorted(output_order, key=natural_key) == free
+    ):
         raise PlexusError("BAD_REFERENCE", "output_order must list every free vertex once")
     return free if output_order is None else list(output_order)
 
@@ -99,38 +112,58 @@ def _operands(d: Diagram, binding: dict) -> list:
 def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
     """Reference evaluation, kept independent of `evaluate` (it shares only
     the binding check, the output-order rule and the kernel's operand check,
-    in `evaluate`'s order, so it refuses what `evaluate` refuses): iterate
-    over every total vertex assignment, look entries up by hand-rolled
-    offsets, and add each term into the output entry of the free part of
-    the assignment."""
+    in `evaluate`'s order, so it refuses what `evaluate` refuses): visit
+    every total vertex assignment in row-major order, look entries up by
+    hand-rolled offsets, and add each term into the output entry of the free
+    part of the assignment. The trailing vertices whose assignments number
+    at most BLOCK form a block, over which each edge's and the output's
+    offsets are summed once. For each assignment of the leading vertices,
+    one column of entries per edge is gathered and multiplied term by term,
+    `one` first and then the edges in order, and each term is added into its
+    output entry in assignment order, so every entry meets the same
+    operations in the same order as in a loop over single assignments."""
     _check_binding(d, binding)
     free = _output_order(d, output_order)
     _label_axes(_operands(d, binding))
     vids = d.vertex_ids()
     slot = {v: n for n, v in enumerate(vids)}
+    sizes = [d.vertices[v].index_set.size for v in vids]
     s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()
+    split, width = len(vids), 1  # the block holds the vertices from slot `split` on
+    while split and width * sizes[split - 1] <= BLOCK:
+        split -= 1
+        width *= sizes[split]
 
     def strides(legs):
-        """(assignment slot, row-major stride) of each axis on these legs."""
-        pairs, k = [], 1
+        """The (assignment slot, row-major stride) pairs of the axes on these
+        legs that lie before the block, the offsets over the block's
+        assignments in order, and the entry count."""
+        stride, k = {}, 1
         for v in reversed(legs):
-            pairs.append((slot[v], k))
-            k *= d.vertices[v].index_set.size
-        return pairs, k
+            stride[slot[v]] = k
+            k *= sizes[slot[v]]
+        offsets = [0]
+        for p in range(split, len(vids)):
+            steps = [i * stride.get(p, 0) for i in range(sizes[p])]
+            offsets = [x + y for x in offsets for y in steps]
+        return [(p, step) for p, step in stride.items() if p < split], offsets, k
 
-    edges = [(be.array.entries, strides(sorted(be.leg_to_axis, key=be.leg_to_axis.get))[0])
+    edges = [strides(sorted(be.leg_to_axis, key=be.leg_to_axis.get))[:2] + (be.array.entries,)
              for be in map(binding.get, d.edges)]
-    out, count = strides(free)
+    out, out_offsets, count = strides(free)
+    groups = {}  # each output offset within the block, and the block's assignments that reach it
+    for j, off in enumerate(out_offsets):
+        groups.setdefault(off, []).append(j)
     entries = [s.zero()] * count
-    for total in itertools.product(
-        *(range(d.vertices[v].index_set.size) for v in vids)
-    ):
-        term = s.one()
-        for values, pairs in edges:
-            term = mul(term, values[sum(total[p] * k for p, k in pairs)])
-        off = sum(total[p] * k for p, k in out)
-        entries[off] = add(entries[off], term)
+    for outer in itertools.product(*map(range, sizes[:split])):
+        terms = [s.one()] * width
+        for pairs, offsets, values in edges:
+            base = sum(outer[p] * k for p, k in pairs)
+            terms = list(map(mul, terms, [values[base + x] for x in offsets]))
+        base = sum(outer[p] * k for p, k in out)
+        for off, js in groups.items():
+            entries[base + off] = functools.reduce(add, map(terms.__getitem__, js), entries[base + off])
     s.check_range(entries)
     axes = tuple(d.vertices[v].index_set for v in free)
     return Array(axes, entries, s)

@@ -300,9 +300,11 @@ class TernaryTable:
         table = _sequence(table, "table")
         if len(table) != n ** 3:
             raise PlexusError("BAD_TABLE", f"expected {n ** 3} table entries, got {len(table)}")
-        for x in table:
-            if not int_in(x, 0, n - 1):
-                raise PlexusError("BAD_TABLE", f"table entry must be an integer in 0..{n - 1}, got {x!r}")
+        # one pass of type, min and max passes a good table; the loop names a bad table's first bad entry
+        if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= n:
+            for x in table:
+                if not int_in(x, 0, n - 1):
+                    raise PlexusError("BAD_TABLE", f"table entry must be an integer in 0..{n - 1}, got {x!r}")
         self.n = n
         self.table = table
         self.labels = _sequence(labels, "labels") if labels else tuple(str(i) for i in range(n))
@@ -432,33 +434,38 @@ def make_ternary_table(kind: str, *args) -> TernaryTable:
 
 def check_semiheap(t: TernaryTable) -> Verdict:
     """Para-associativity over all quintuples:
-    ((abc)de) = (a(dcb)e) = (ab(cde)). As maps of e the three sides are the
-    rows (abc,d) and (a,dcb) of the table and row (a,b) after row (c,d),
-    where row (x,y) is e -> (x y e). Rows get interned ids, so a triple
-    (a,b,c) compares three lists of row ids over d at once: row (abc,d)
-    over d, row a read through the column (d c b) over d, and the cached
-    composites of row (a,b) after each row (c,d). Only a failing triple is
-    scanned over d and e for its witness."""
+    ((abc)de) = (a(dcb)e) = (ab(cde)). Row (x,y) is the map e -> (x y e),
+    and rows get interned ids. As maps of (d, e), the sides of sh-right are
+    row ((abc),d) and row (a,b) after row (c,d): both read (a,b) only
+    through row (a,b), so sh-right is tested once per distinct row, over c
+    and d, after composing it with every row once. For sh-mid, R[x] is the
+    map d -> id of row (x,d) and k(c,b) the column d -> (d c b): the sides
+    are R[(abc)] and R[a] read through k(c,b). Both maps get interned ids,
+    and each map R[a] is read through every column once. The pairs (a,b)
+    are walked in order; the first that fails a test is scanned over c, d
+    and e with the two laws in turn, as the quintuple loop would, for the
+    witness."""
     n, T = t.n, t.table
     rng = range(n)
-    ids = {}
-    row = [ids.setdefault(T[k:k + n], len(ids)) for k in range(0, n ** 3, n)]
-    rows = list(ids)
-    R = [row[x * n:(x + 1) * n] for x in rng]  # R[x][y]: id of row (x,y)
-    column = [[T[(d * n + c) * n + b] for d in rng] for c in rng for b in rng]  # column[c*n+b][d] = (d c b)
-    after, rights = {}, {}
-    for a, b, c in itertools.product(rng, repeat=3):
-        ab, abc = R[a][b], T[(a * n + b) * n + c]
-        right = rights.get((ab, c))
-        if right is None:  # row (a,b) after each row (c,d), composed once per pair of row ids
-            for cd in R[c]:
-                if (ab, cd) not in after:  # -1: a composite that is no row equals no left side
-                    after[ab, cd] = ids.get(tuple(map(rows[ab].__getitem__, rows[cd])), -1)
-            right = rights[ab, c] = [after[ab, cd] for cd in R[c]]
-        if R[abc] == right == list(map(R[a].__getitem__, column[c * n + b])):
+    ids, maps, columns = {}, {}, {}
+    row = [ids.setdefault(T[k:k + n], len(ids)) for k in range(0, n ** 3, n)]  # row[x*n+y]: id of row (x,y)
+    R = [tuple(row[x * n:(x + 1) * n]) for x in rng]  # R[x][d]: id of row (x,d)
+    rid = [maps.setdefault(m, len(maps)) for m in R]  # rid[x]: id of the map R[x]
+    # kappa[b][c]: id of the column k(c,b), d -> T[(d*n + c)*n + b]
+    kappa = [[columns.setdefault(T[c * n + b::n * n], len(columns)) for c in rng] for b in rng]
+    rows, rmaps = list(ids), list(maps)
+    right, through = {}, {}
+    for a, b in itertools.product(rng, repeat=2):
+        ab, m = row[a * n + b], rid[a]
+        if ab not in right:  # -1: a composite that is no row equals no left side
+            after = [ids.get(tuple(map(rows[ab].__getitem__, r)), -1) for r in rows]
+            right[ab] = all(R[x] == tuple(map(after.__getitem__, R[c])) for c, x in enumerate(rows[ab]))
+        if m not in through:  # -1: a composite that is no map R[x] equals no left side
+            through[m] = [maps.get(tuple(map(rmaps[m].__getitem__, col)), -1) for col in columns]
+        if right[ab] and list(map(rid.__getitem__, rows[ab])) == list(map(through[m].__getitem__, kappa[b])):
             continue
-        for d, e in itertools.product(rng, repeat=2):
-            x = T[(abc * n + d) * n + e]
+        for c, d, e in itertools.product(rng, repeat=3):
+            x = T[(T[(a * n + b) * n + c] * n + d) * n + e]
             if x != T[(a * n + T[(d * n + c) * n + b]) * n + e]:
                 return Verdict(False, "sh-mid", (a, b, c, d, e))
             if x != T[(a * n + b) * n + T[(c * n + d) * n + e]]:

@@ -142,3 +142,43 @@ def test_einsum_refuses_a_label_list_of_the_wrong_length(labels):
     with pytest.raises(PlexusError) as err:
         einsum([(arr(I2, J3, K2), labels)], [])
     assert err.value.code == "CONFORMABILITY"
+
+
+def _vee_changed(edge=None):
+    """A valid vee binding over I:2, with e1's BoundEdge replaced by `edge`
+    if one is given."""
+    valid = _vee_binding(arr(I2, I2))
+    if edge is not None:
+        valid["e1"] = edge
+    return valid
+
+
+MALFORMED_BINDINGS = [
+    pytest.param(lambda: None, None, "BAD_REFERENCE", id="binding-none"),
+    pytest.param(lambda: list(_vee_changed().items()), None, "BAD_REFERENCE", id="binding-pairs"),
+    pytest.param(lambda: {"e0": _vee_changed()["e0"], "e1": None}, None, "BAD_REFERENCE", id="edge-none"),
+    pytest.param(lambda: _vee_changed(arr(I2, I2)), None, "BAD_REFERENCE", id="edge-bare-array"),
+    pytest.param(lambda: _vee_changed(BoundEdge([0, 0, 0, 0], {"v1": 0, "v2": 1})), None, "BAD_REFERENCE",
+                 id="array-list"),
+    pytest.param(lambda: _vee_changed(BoundEdge(arr(I2, I2), None)), None, "CONFORMABILITY", id="legs-none"),
+    pytest.param(lambda: _vee_changed(BoundEdge(arr(I2, I2), {"v1": 0, "v2": "1"})), None, "CONFORMABILITY",
+                 id="axes-mixed"),
+    pytest.param(lambda: _vee_changed(BoundEdge(arr(I2, I2), {"v1": 0, "v2": 1.0})), None, "CONFORMABILITY",
+                 id="axis-float"),
+    pytest.param(lambda: _vee_changed(), 5, "BAD_REFERENCE", id="output-order-int"),
+    pytest.param(lambda: _vee_changed(), [1, 2], "BAD_REFERENCE", id="output-order-ints"),
+]
+
+
+@pytest.mark.parametrize("engine", [evaluate, evaluate_formula_oracle])
+@pytest.mark.parametrize("binding, output_order, code", MALFORMED_BINDINGS)
+def test_engines_refuse_a_malformed_binding_or_output_order(engine, binding, output_order, code):
+    with pytest.raises(PlexusError) as err:
+        engine(standard_diagram("vee"), binding(), output_order)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize("engine", [evaluate, evaluate_formula_oracle])
+def test_the_unchanged_vee_binding_evaluates(engine):
+    # the malformed cases above change this binding in one place
+    assert engine(standard_diagram("vee"), _vee_changed(), ("v2", "v0")).order == 2

@@ -8,9 +8,9 @@ a time, the isotropy check as a five-deep loop composing permutation tuples,
 under each composition injected through the bijection heap's involuted
 monoid, and the biunit search as a loop placing each bijection's ones by
 hand. The loops are kept here as references. `check_semiheap` meets the
-quintuple loop also on one-entry changes of the shipped tables and of the
-24-element permutation closure, on tables that fail only at their last
-first argument, and on tables that fail sh-right alone."""
+quintuple loop also on one-entry changes of the bijection and relation
+heaps and of the 24-element permutation closure, on a table that fails only
+at its last first argument, and on tables that fail sh-right alone."""
 import itertools
 import random
 
@@ -263,13 +263,24 @@ def test_check_semiheap_matches_the_quintuple_loop_on_shipped_tables(name):
         assert check_semiheap(table) == loop_semiheap(table)
 
 
+def changed(t, k, v):
+    """t with entry k set to v."""
+    return TernaryTable(t.n, t.table[:k] + (v,) + t.table[k + 1:])
+
+
 def one_entry_changes(t, positions=None):
     """The tables that differ from t in one entry, at each of `positions`
     (default every position), each changed to every other element."""
     for k in range(len(t.table)) if positions is None else positions:
-        for v in range(t.n):
-            if v != t.table[k]:
-                yield TernaryTable(t.n, t.table[:k] + (v,) + t.table[k + 1:])
+        yield from (changed(t, k, v) for v in range(t.n) if v != t.table[k])
+
+
+def sampled_changes(t, count, seed):
+    """`count` seeded one-entry changes of t, each to another element."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k, v = rng.randrange(len(t.table)), rng.randrange(t.n - 1)
+        yield changed(t, k, v + (v >= t.table[k]))
 
 
 def check_against_the_loop(tables):
@@ -283,22 +294,23 @@ def check_against_the_loop(tables):
     return witnesses
 
 
-@pytest.mark.parametrize("name,build", [
-    ("bijection_heap 3", lambda: bijection_heap(3)),
-    ("relation_semiheap 1,2", lambda: relation_semiheap(1, 2)),
-    ("relation_semiheap 2,1", lambda: relation_semiheap(2, 1)),
-])
-def test_check_semiheap_matches_the_loop_on_every_one_entry_change(name, build):
-    witnesses = check_against_the_loop(one_entry_changes(build()))
+EXHAUSTED = {
+    "bijection_heap 3": lambda: bijection_heap(3),
+    "relation_semiheap 1,2": lambda: relation_semiheap(1, 2),
+    "relation_semiheap 2,1": lambda: relation_semiheap(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(EXHAUSTED))
+def test_check_semiheap_matches_the_loop_on_every_one_entry_change(name):
+    witnesses = check_against_the_loop(one_entry_changes(EXHAUSTED[name]()))
     assert {law for law, _ in witnesses} == {"sh-mid", "sh-right"}
 
 
 def test_check_semiheap_matches_the_loop_on_one_entry_changes_of_the_relations_on_2_by_2():
-    # 61,440 changes, each failing past the 65,536 quintuples of a = 0 but
-    # for a few; the loop runs on a seeded sample of positions
-    t = relation_semiheap(2, 2)
-    positions = random.Random(22).sample(range(len(t.table)), 2)
-    witnesses = check_against_the_loop(one_entry_changes(t, positions))
+    # 61,440 changes, most failing past the 65,536 quintuples of a = 0; the
+    # loop runs on a seeded sample
+    witnesses = check_against_the_loop(sampled_changes(relation_semiheap(2, 2), 8, 22))
     assert {law for law, _ in witnesses} == {"sh-mid", "sh-right"}
 
 
@@ -308,8 +320,7 @@ def test_check_semiheap_matches_the_loop_on_one_entry_changes_of_the_permutation
     t = heapoid_check(permutation_carrier((IndexSet("I", 4), I2, IndexSet("K", 2)),
                                           parse_semiring("boolean")), "JKI")["table"]
     assert t.n == 24 and check_semiheap(t).ok
-    positions = random.Random(24).sample(range(len(t.table)), 3)
-    witnesses = check_against_the_loop(one_entry_changes(t, positions))
+    witnesses = check_against_the_loop(sampled_changes(t, 24, 24))
     assert {w[:2] for _, w in witnesses} == {(0, 0)}
 
 
