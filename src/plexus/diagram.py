@@ -44,11 +44,14 @@ class Diagram:
         object.__setattr__(self, "vertices", dict(vertices))
         object.__setattr__(self, "edges", dict(edges))
         self._validate()
-        vids = sorted(self.vertices, key=natural_key)
-        object.__setattr__(self, "rank", {v: t for t, v in enumerate(vids)})  # in natural order
-        object.__setattr__(self, "_eids", tuple(sorted(self.edges, key=natural_key)))
+        self._order(sorted(self.vertices, key=natural_key), sorted(self.edges, key=natural_key))
+
+    def _order(self, vids: list, eids: list):
+        """Set `rank`, `_eids` and `incidence` from the vertex and edge ids in natural order."""
+        object.__setattr__(self, "rank", {v: t for t, v in enumerate(vids)})
+        object.__setattr__(self, "_eids", tuple(eids))
         incidence = {v: [] for v in vids}
-        for eid in self._eids:
+        for eid in eids:
             for v in self.edges[eid].legs:
                 incidence[v].append(eid)
         for v in self.vertices:
@@ -58,6 +61,20 @@ class Diagram:
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
+
+    def _replaced(self, removed: set, gone: set, edge: Hyperedge) -> Diagram:
+        """This diagram without the edges `removed` and the vertices `gone` they leave
+        isolated, plus `edge` (a fresh id on kept vertices), in this one's orders; only the
+        new edge's leg set is checked, as the rest passed when this diagram was built."""
+        legs = set(edge.legs)
+        if any(legs == set(self.edges[e].legs) for e in self.incidence[edge.legs[0]] if e not in removed):
+            raise PlexusError("INVALID_DIAGRAM", f"duplicate edge on legs {sorted(edge.legs)}")
+        d = object.__new__(Diagram)
+        object.__setattr__(d, "vertices", {v: x for v, x in self.vertices.items() if v not in gone})
+        object.__setattr__(d, "edges", {**{e: x for e, x in self.edges.items() if e not in removed}, edge.id: edge})
+        d._order([v for v in self.rank if v not in gone],
+                 sorted([e for e in self._eids if e not in removed] + [edge.id], key=natural_key))
+        return d
 
     def _validate(self):
         seen_leg_sets = set()

@@ -115,13 +115,14 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
     in `evaluate`'s order, so it refuses what `evaluate` refuses): visit
     every total vertex assignment in row-major order, look entries up by
     hand-rolled offsets, and add each term into the output entry of the free
-    part of the assignment. The trailing vertices whose assignments number
-    at most BLOCK form a block, over which each edge's and the output's
-    offsets are summed once. For each assignment of the leading vertices,
-    one column of entries per edge is gathered and multiplied term by term,
-    `one` first and then the edges in order, and each term is added into its
-    output entry in assignment order, so every entry meets the same
-    operations in the same order as in a loop over single assignments."""
+    part of the assignment. A block is a run of at most BLOCK consecutive
+    assignments: a run of one vertex's values, the lead, with every
+    assignment of the vertices after it. Over a block each edge's and the
+    output's offsets are summed once. For each block, one column of entries
+    per edge is gathered and multiplied term by term, `one` first and then
+    the edges in order, and each term is added into its output entry in
+    assignment order, so every entry meets the same operations in the same
+    order as in a loop over single assignments."""
     _check_binding(d, binding)
     free = _output_order(d, output_order)
     _label_axes(_operands(d, binding))
@@ -130,35 +131,40 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
     sizes = [d.vertices[v].index_set.size for v in vids]
     s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()
-    split, width = len(vids), 1  # the block holds the vertices from slot `split` on
-    while split and width * sizes[split - 1] <= BLOCK:
-        split -= 1
-        width *= sizes[split]
+    lead, width = len(vids) - 1, 1  # width: the assignments of the vertices after the lead
+    while lead and width * sizes[lead] <= BLOCK:
+        width *= sizes[lead]
+        lead -= 1
+    run = min(sizes[lead], BLOCK // width)
 
     def strides(legs):
         """The (assignment slot, row-major stride) pairs of the axes on these
-        legs that lie before the block, the offsets over the block's
-        assignments in order, and the entry count."""
+        legs that lie before the block or on its lead, the offsets over a
+        full block's assignments in order, and the entry count."""
         stride, k = {}, 1
         for v in reversed(legs):
             stride[slot[v]] = k
             k *= sizes[slot[v]]
         offsets = [0]
-        for p in range(split, len(vids)):
-            steps = [i * stride.get(p, 0) for i in range(sizes[p])]
+        for p in range(lead, len(vids)):
+            steps = [i * stride.get(p, 0) for i in range(run if p == lead else sizes[p])]
             offsets = [x + y for x in offsets for y in steps]
-        return [(p, step) for p, step in stride.items() if p < split], offsets, k
+        return [(p, step) for p, step in stride.items() if p <= lead], offsets, k
 
     edges = [strides(sorted(be.leg_to_axis, key=be.leg_to_axis.get))[:2] + (be.array.entries,)
              for be in map(binding.get, d.edges)]
     out, out_offsets, count = strides(free)
-    groups = {}  # each output offset within the block, and the block's assignments that reach it
-    for j, off in enumerate(out_offsets):
-        groups.setdefault(off, []).append(j)
+    blocks = {}  # run length (the last may be shorter) -> assignments, edge offsets, output groups
+    for length in {run, sizes[lead] % run} - {0}:
+        n, groups = length * width, {}  # each output offset and the block's assignments reaching it
+        for j, off in enumerate(out_offsets[:n]):
+            groups.setdefault(off, []).append(j)
+        blocks[length] = n, [offsets[:n] for _, offsets, _ in edges], groups
     entries = [s.zero()] * count
-    for outer in itertools.product(*map(range, sizes[:split])):
-        terms = [s.one()] * width
-        for pairs, offsets, values in edges:
+    for outer in itertools.product(*map(range, sizes[:lead]), range(0, sizes[lead], run)):
+        n, edge_offsets, groups = blocks[min(run, sizes[lead] - outer[lead])]
+        terms = [s.one()] * n
+        for (pairs, _, values), offsets in zip(edges, edge_offsets):
             base = sum(outer[p] * k for p, k in pairs)
             terms = list(map(mul, terms, [values[base + x] for x in offsets]))
         base = sum(outer[p] * k for p, k in out)

@@ -11,10 +11,12 @@ the replacement edge. Matches are reported up to motif automorphism.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import random
-from collections import deque
+from collections import deque, namedtuple
 
 from .core import IndexSet, PlexusError, Record, fresh_id, int_in, trial_range
 from .arrays import random_array
@@ -62,49 +64,55 @@ def _compatible_vertex(pattern, host, pv, hv):
 
 def _find_raw(host: Diagram, pattern: Diagram, through=None):
     """Every raw match; given a host edge id `through`, those whose image holds it, each
-    once, from the one motif edge it maps onto that edge. Each later motif edge meets an
-    earlier one (a motif is connected): its candidates are the host edges at a leg's image."""
-    pedges = pattern.edge_ids()
+    once, from the one motif edge it maps onto that edge."""
     first = list(host.edges) if through is None else [through]
     results = []
 
-    def backtrack(order, k, vmap, emap):
-        if k == len(order):
+    def backtrack(plan, k, vmap, emap):
+        if k == len(plan):
             results.append(Match(dict(vmap), dict(emap)))
             return
-        pe = order[k]
-        plegs = pattern.edges[pe].legs
-        mapped = [pv for pv in plegs if pv in vmap]
+        pe, arity, anchor, others, free = plan[k]
         taken = set(vmap.values())
-        for he in host.incidence[vmap[mapped[0]]] if mapped else first:
+        for he in first if anchor is None else host.incidence[vmap[anchor]]:
             hlegs = host.edges[he].legs
-            if he in emap.values() or len(hlegs) != len(plegs):
+            if len(hlegs) != arity or he in emap.values() or any(vmap[pv] not in hlegs for pv in others):
                 continue
-            if any(vmap[pv] not in hlegs for pv in mapped):
-                continue
-            free_plegs = [pv for pv in plegs if pv not in vmap]
             avail = [hv for hv in hlegs if hv not in taken]
-            if len(avail) != len(free_plegs):
+            if len(avail) != len(free):
                 continue
             for perm in itertools.permutations(avail):
-                if all(
-                    _compatible_vertex(pattern, host, pv, hv)
-                    for pv, hv in zip(free_plegs, perm)
-                ):
-                    vmap.update(zip(free_plegs, perm))
+                if all(_compatible_vertex(pattern, host, pv, hv) for pv, hv in zip(free, perm)):
+                    vmap.update(zip(free, perm))
                     emap[pe] = he
-                    backtrack(order, k + 1, vmap, emap)
+                    backtrack(plan, k + 1, vmap, emap)
                     del emap[pe]
-                    for pv in free_plegs:
+                    for pv in free:
                         del vmap[pv]
 
-    for start in pedges if through is not None else pedges[:1]:
-        order = [start]
-        for _ in pedges[1:]:
-            order.append(next(pe for pe in pedges if pe not in order and any(
-                q in order for v in pattern.edges[pe].legs for q in pattern.incidence[v])))
-        backtrack(order, 0, {}, {})
+    plans = _search_plans(pattern)
+    for plan in plans if through is not None else plans[:1]:
+        backtrack(plan, 0, {}, {})
     return results
+
+
+@functools.lru_cache(maxsize=64)  # a walk matches each of its states with one motif
+def _search_plans(pattern: Diagram):
+    """From each motif edge, a search order in which each later edge meets an earlier one (a
+    motif is connected), its candidates the host edges at a leg's image: steps of the edge,
+    its arity, that leg (None first), the other legs mapped earlier, and the rest."""
+    pedges, plans = pattern.edge_ids(), []
+    for start in pedges:
+        plan, seen, todo = [], set(), [start] + [pe for pe in pedges if pe != start]
+        while todo:
+            pe = next(pe for pe in todo if not plan or not seen.isdisjoint(pattern.edges[pe].legs))
+            todo.remove(pe)
+            plegs = pattern.edges[pe].legs
+            mapped = [pv for pv in plegs if pv in seen] or [None]
+            plan.append((pe, len(plegs), mapped[0], tuple(mapped[1:]), tuple(pv for pv in plegs if pv not in seen)))
+            seen.update(plegs)
+        plans.append(tuple(plan))
+    return tuple(plans)
 
 
 def motif_automorphisms(pattern: Diagram):
@@ -124,59 +132,78 @@ def find_matches(host: Diagram, motif: Motif):
     order) is smallest. Two raw matches share an orbit iff they cover the
     same host edges and give each covered host vertex a preimage of the same
     mark."""
-    return _representatives(host, motif.pattern, _find_raw(host, motif.pattern))
+    return [m for _, m in _representatives(host.rank, motif.pattern, _find_raw(host, motif.pattern))]
 
 
-def _representatives(host: Diagram, pattern: Diagram, raw):
-    """`find_matches`' orbit step: the least of each orbit's raw matches, sorted."""
-    rank = host.rank
-    vids = pattern.vertex_ids()
+def _representatives(rank: dict, pattern: Diagram, raw):
+    """`find_matches`' orbit step: each orbit's least raw match, as sorted (key, match) pairs."""
+    vids, marked = pattern.vertex_ids(), pattern.marked_vertices()
     best = {}
-    for m in raw:
+    for m in raw:  # the covered edges fix the covered vertices, so the marked images fix the marks
         key = tuple(rank[m.vertex_map[v]] for v in vids)
-        orbit = (frozenset(m.edge_map.values()),
-                 frozenset((hv, pattern.vertices[pv].marked) for pv, hv in m.vertex_map.items()))
+        orbit = frozenset(m.edge_map.values()), frozenset(m.vertex_map[v] for v in marked)
         if orbit not in best or key < best[orbit][0]:
             best[orbit] = (key, m)
-    return [m for _, m in sorted(best.values(), key=lambda km: km[0])]
+    return sorted(best.values(), key=lambda km: km[0])
 
 
-def _carried_matches(matches, match, child: Diagram, new_eid, motif: Motif):
-    """`find_matches(child, motif)` from `matches` = find_matches(parent, motif), where
-    `child` is the parent rewritten at `match` and `new_eid` is its new edge. Exact:
-    - a parent match sharing no edge with `match` is a child match: its marked images keep
+def _carried_matches(carried, rewrite, child: Diagram, new_eid, motif: Motif, rank: dict):
+    """`find_matches(child, motif)` as (key in `rank`, match, its `_Rewrite`) triples, from
+    `carried`, the parent's, where `child` is the parent after `rewrite` and `new_eid` is its
+    new edge (from none, the host's); `rank`, the host's, orders every state's vertices. Exact:
+    - a parent match sharing no edge with `rewrite` is a child match: its marked images keep
       their degrees, as all their edges lie inside it (locality) and none is a leg of the
       new edge, whose legs all lie on removed edges;
     - a child match avoiding the new edge is a parent match: a marked image on a removed
       edge would be a leg of the new edge, outside the match, or would be dropped;
-    - the child's ranks are the parent's restricted, so each surviving orbit keeps its
-      least representative, and one sort gives `find_matches`' order."""
-    removed = set(match.edge_map.values())
-    kept = [m for m in matches if removed.isdisjoint(m.edge_map.values())]
-    return _representatives(child, motif.pattern, kept + _find_raw(child, motif.pattern, new_eid))
+    - so each kept orbit keeps its least representative, its key and its rewrite, in order,
+      and the raw matches through the new edge form orbits of their own, merged in."""
+    kept = [c for c in carried if rewrite.removed.isdisjoint(c[2].removed)]
+    found = _representatives(rank, motif.pattern, _find_raw(child, motif.pattern, new_eid))
+    return sorted(kept + [(key, m, _Rewrite.at(child, motif, m)) for key, m in found], key=lambda c: c[0])
 
 
 def apply_rewrite(host: Diagram, match: Match, motif: Motif) -> Diagram:
     """Remove the matched edges, drop vertices left isolated, add one edge on
     the images of the motif's free vertices with the bracketed label."""
-    vertices, edges, _ = _rewritten(host, motif, match)
-    return Diagram(vertices, edges)
+    return _Rewrite.at(host, motif, match).applied(host)[0]
 
 
-def _rewritten(host: Diagram, motif: Motif, match: Match):
-    """The vertices and edges of `apply_rewrite`'s diagram, and the new edge id."""
-    pattern = motif.pattern
-    legs = tuple(sorted((match.vertex_map[pv] for pv in pattern.free_vertices()), key=host.rank.get))
-    label = "(" + "".join(
-        host.edges[match.edge_map[pe]].label for pe in pattern.edge_ids()
-    ) + ")"
-    new_eid = fresh_id("r", host.edges)
-    matched = set(match.edge_map.values())
-    edges = {eid: e for eid, e in host.edges.items() if eid not in matched}
-    edges[new_eid] = Hyperedge(new_eid, legs, label)
-    used = {v for e in edges.values() for v in e.legs}
-    vertices = {vid: vx for vid, vx in host.vertices.items() if vid in used}
-    return vertices, edges, new_eid
+class _Rewrite(namedtuple("_Rewrite", "removed gone legs label cut")):
+    """What `apply_rewrite` at a match changes: the matched edge ids, the vertices they leave
+    isolated, the new edge's legs (in rank order) and label, and the matched edges' entries in
+    the host's `state_key`. By locality, the same in every state holding the match."""
+
+    __slots__ = ()
+
+    @classmethod
+    def at(cls, host: Diagram, motif: Motif, match: Match) -> _Rewrite:
+        pattern = motif.pattern
+        legs = tuple(sorted((match.vertex_map[pv] for pv in pattern.free_vertices()), key=host.rank.get))
+        label = "(" + "".join(
+            host.edges[match.edge_map[pe]].label for pe in pattern.edge_ids()
+        ) + ")"
+        matched = set(match.edge_map.values())
+        gone = {v for eid in matched for v in host.edges[eid].legs
+                if v not in legs and matched.issuperset(host.incidence[v])}
+        return cls(matched, gone, legs, label, [tuple(sorted(host.edges[eid].legs, key=host.rank.get))
+                                                for eid in matched])
+
+    def applied(self, host: Diagram):
+        """The host after this rewrite, and its new edge id."""
+        edge = Hyperedge(fresh_id("r", host.edges), self.legs, self.label)
+        return host._replaced(self.removed, self.gone, edge), edge.id
+
+    def key(self, key):
+        """`state_key` after this rewrite from `key`, the state's: the dropped entries are cut
+        from the sorted parts where they lie (a vertex's first at `(v,)`), the new legs inserted."""
+        vsig, esig = map(list, key)
+        for v in self.gone:
+            del vsig[bisect.bisect_left(vsig, (v,))]
+        for legs in self.cut:
+            del esig[bisect.bisect_left(esig, legs)]
+        bisect.insort(esig, self.legs)
+        return tuple(vsig), tuple(esig)
 
 
 def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif):
@@ -184,19 +211,21 @@ def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif
     matched sub-diagram, where exactly the images of motif-marked vertices are
     summed and the replacement legs (natural order) are the output axes.
     Returns (diagram, binding, new_edge_id)."""
-    pattern = motif.pattern
-    marked_images = {match.vertex_map[pv] for pv in pattern.marked_vertices()}
-    matched = set(match.edge_map.values())
+    return _bound_rewrite(host, binding, match, motif, _Rewrite.at(host, motif, match))
+
+
+def _bound_rewrite(host: Diagram, binding: dict, match: Match, motif: Motif, rewrite: _Rewrite):
+    """`apply_rewrite_bound` given the match's `_Rewrite`."""
+    marked_images = {match.vertex_map[pv] for pv in motif.pattern.marked_vertices()}
     sub_vertices = {}
-    for eid in matched:
+    for eid in rewrite.removed:
         for v in host.edges[eid].legs:
             sub_vertices[v] = Vertex(v, host.vertices[v].index_set, v in marked_images)
-    sub_d = Diagram(sub_vertices, {eid: host.edges[eid] for eid in matched})
-    sub_binding = {eid: binding[eid] for eid in matched}
+    sub_d = Diagram(sub_vertices, {eid: host.edges[eid] for eid in rewrite.removed})
+    sub_binding = {eid: binding[eid] for eid in rewrite.removed}
     out_order = sorted((v for v in sub_vertices if v not in marked_images), key=host.rank.get)
     collapsed = evaluate(sub_d, sub_binding, output_order=out_order)
-    vertices, edges, new_eid = _rewritten(host, motif, match)
-    new_d = Diagram(vertices, edges)
+    new_d, new_eid = rewrite.applied(host)
     new_binding = {eid: binding[eid] for eid in new_d.edges if eid != new_eid}
     new_binding[new_eid] = BoundEdge(collapsed, {v: t for t, v in enumerate(out_order)})
     return new_d, new_binding, new_eid
@@ -209,7 +238,7 @@ def state_key(d: Diagram):
 
 
 def _state_key(vertices: dict, edges: dict, rank: dict):
-    """`state_key` of `Diagram(vertices, edges)`, not built; `rank` may be a parent's."""
+    """`state_key`'s full sort; a rewrite's key is spliced from its parent's (`_Rewrite.key`)."""
     vsig = tuple(sorted((v, x.marked, x.index_set.size) for v, x in vertices.items()))
     esig = tuple(sorted(tuple(sorted(e.legs, key=rank.get)) for e in edges.values()))
     return (vsig, esig)
@@ -230,20 +259,17 @@ class RewriteGraph:
         sources = {t[0] for t in self.transitions}
         return [k for k in self.states if k not in sources]
 
-    def terminal_diagrams(self):
-        return [self.states[k] for k in self.terminals]
-
 
 def _walk(start, key, successors, max_states: int = 1000):
-    """Breadth-first walk expanding each distinct `key` once; `successors` yields (key, label,
-    build) triples, and `build()` makes the state, once per new key. Returns the graph and
-    each key's count of rewrite sequences from `start`."""
+    """Breadth-first walk expanding each distinct `key` once; `successors(k, state)` yields
+    (key, label, build) triples for the state of key `k`, and `build()` makes the state, once
+    per new key. Returns the graph and each key's count of rewrite sequences from `start`."""
     k0 = key(start)
     states, paths, keys, transitions = {k0: start}, {k0: 1}, {k0: k0}, []
     frontier = deque([k0])
     while frontier:
         k = frontier.popleft()
-        for k2, label, build in successors(states[k]):
+        for k2, label, build in successors(k, states[k]):
             if k2 not in states:
                 states[k2], paths[k2], keys[k2] = build(), 0, k2
                 if len(states) > max_states:
@@ -258,22 +284,22 @@ def _walk(start, key, successors, max_states: int = 1000):
 
 
 def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGraph:
-    """Breadth-first exploration of every rewrite order. Each state's matches are carried
-    from the state that first reaches it, and a state is built only when its key is new."""
+    """Breadth-first exploration of every rewrite order. A state's key, diagram and matches
+    are derived from the state that first reaches it, and it is built only when its key is new."""
 
-    def successors(state):
-        d, matches = state
-        for m in matches:
-            vertices, edges, new_eid = _rewritten(d, motif, m)
+    def successors(k, state):
+        d, carried = state
+        for _, _, rewrite in carried:
 
-            def build(vertices=vertices, edges=edges, new_eid=new_eid, m=m):
-                d2 = Diagram(vertices, edges)
-                return d2, _carried_matches(matches, m, d2, new_eid, motif)
+            def build(rewrite=rewrite):
+                d2, new_eid = rewrite.applied(d)
+                return d2, _carried_matches(carried, rewrite, d2, new_eid, motif, host.rank)
 
-            yield _state_key(vertices, edges, d.rank), edges[new_eid].label, build
+            yield rewrite.key(k), rewrite.label, build
 
-    g = _walk((host, find_matches(host, motif)), lambda state: state_key(state[0]), successors, max_states)[0]
-    g.initial_matches = g.states[g.initial][1]
+    start = (host, _carried_matches([], None, host, None, motif, host.rank))
+    g = _walk(start, lambda state: state_key(state[0]), successors, max_states)[0]
+    g.initial_matches = [m for _, m, _ in g.states[g.initial][1]]
     g.states = {k: d for k, (d, _) in g.states.items()}
     return g
 
@@ -301,7 +327,7 @@ def check_concurrency(host: Diagram, motif: Motif) -> dict:
         "states": len(g.states),
         "terminals": len(terminals),
         "terminal_labels": sorted(
-            sorted(e.label for e in d.edges.values()) for d in g.terminal_diagrams()
+            sorted(e.label for e in g.states[k].edges.values()) for k in terminals
         ),
     }
 
@@ -312,23 +338,24 @@ def semantic_confluence_binding(host: Diagram, binding: dict, motif: Motif) -> d
     state (`finals`) with evaluating the host directly."""
     direct = evaluate(host, binding)
 
-    def successors(state):  # the key needs each collapsed array, so each transition is built
-        d, b, matches = state
-        for m in matches:
-            d2, b2, new_eid = apply_rewrite_bound(d, b, m, motif)
-            yield key((d2, b2)), None, lambda d2=d2, b2=b2, m=m, e=new_eid: (
-                d2, b2, _carried_matches(matches, m, d2, e, motif))
+    def successors(k, state):  # the key needs each collapsed array, so each transition is built
+        d, b, carried = state
+        for _, m, rewrite in carried:
+            d2, b2, new_eid = _bound_rewrite(d, b, m, motif, rewrite)
+            yield (rewrite.key(k[0]), arrays(b2)), None, lambda d2=d2, b2=b2, rw=rewrite, e=new_eid: (
+                d2, b2, _carried_matches(carried, rw, d2, e, motif, host.rank))
 
-    def key(state):  # exact: vertex ids fix index sets; matching and evaluation ignore edge ids
-        return state_key(state[0]), frozenset(
-            (frozenset(be.leg_to_axis.items()), be.array.entries) for be in state[1].values())
+    def arrays(b):  # exact: vertex ids fix index sets; matching and evaluation ignore edge ids
+        return frozenset((frozenset(be.leg_to_axis.items()), be.array.entries) for be in b.values())
 
-    g, paths = _walk((host, binding, find_matches(host, motif)), key, successors)
-    if not g.terminals:
+    start = (host, binding, _carried_matches([], None, host, None, motif, host.rank))
+    g, paths = _walk(start, lambda state: (state_key(state[0]), arrays(state[1])), successors)
+    terminals = g.terminals
+    if not terminals:
         raise PlexusError("INVALID_MOTIF", "no rewrite sequence ends: the motif rewrites a state into itself")
-    finals = [evaluate(d, b) for d, b, _ in map(g.states.get, g.terminals)]
+    finals = [evaluate(d, b) for d, b, _ in map(g.states.get, terminals)]
     ok = all(f == direct for f in finals)
-    return {"ok": ok, "sequences": sum(paths[k] for k in g.terminals), "direct": direct, "finals": finals}
+    return {"ok": ok, "sequences": sum(paths[k] for k in terminals), "direct": direct, "finals": finals}
 
 
 def random_binding(d: Diagram, semiring, rng) -> dict:

@@ -321,6 +321,19 @@ def test_rewrite_semantic_refuses_a_self_rewriting_motif(host, capsys):
     assert {"states: 1", "terminals: 0"} <= set(out.splitlines())
 
 
+def test_rewrite_refuses_a_parallel_edge(tmp_path, capsys):
+    # the vee's rewrite of a-b*-c adds an edge on a and c beside the one there
+    tri = {"vertices": [{"id": "a", "index_set": "I"}, {"id": "b", "index_set": "I", "contracted": True},
+                        {"id": "c", "index_set": "I"}],
+           "edges": [{"id": "e0", "legs": ["a", "b"]}, {"id": "e1", "legs": ["b", "c"]},
+                     {"id": "e2", "legs": ["a", "c"]}]}
+    path = write(tmp_path, {**WS, "diagrams": {"tri": tri}}, "tri.json")
+    code, out, err = run(capsys, ["rewrite", path, "--diagram", "tri"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "INVALID_DIAGRAM",
+                               "message": "[INVALID_DIAGRAM] duplicate edge on legs ['a', 'c']"}
+
+
 def test_rewrite_unknown_host(capsys):
     code, _, err = run(capsys, ["rewrite", "mystery"])
     assert code == 2

@@ -8,9 +8,11 @@ oracle in turn reads none of the kernel's parts (`einsum`, its offset grid
 what it checks. A
 `deque` frontier lives only in the rewrite walk, and only the full and the
 carried match searches call the raw matcher, so no second multiway loop can
-grow either. The unit law (a pair is a unit iff its composite is the
-identity) is read only by the basis check and the biunit equations, and no
-batched fish kernel is left to stack basis indicators again. `Semiring.mul`
+grow either; a rewrite's state key is spliced from its parent's, and only
+the public `state_key` sorts a whole state. The unit law (a pair is a unit
+iff its composite is the identity) is read only by the basis check and the
+biunit equations, and no batched fish kernel is left to stack basis
+indicators again. `Semiring.mul`
 is read only by the semiring itself and its axiom check, so no product
 multiplies one entry at a time beside the kernel; and the one fish closure
 is read only by `heapoid_check` and the relation and bijection heaps, so
@@ -85,6 +87,10 @@ def test_the_dot_step_is_read_only_by_the_kernel():
 
 def test_the_rewrite_walk_is_the_only_breadth_first_loop():
     assert name_readers("deque") == {"rewrite._walk"}
+
+
+def test_only_the_public_state_key_sorts_a_whole_state():
+    assert name_readers("_state_key") == {"rewrite.state_key"}
 
 
 def test_only_the_match_searches_call_the_raw_matcher():

@@ -5,7 +5,8 @@ the term added into its output entry. The blocked oracle must give
 repr-identical axes and entries, or the same error code, on derandomized
 hypothesis diagrams over all five semirings (float64 included, where another
 order of multiplication or addition shows), on diagrams whose assignments
-span several blocks or whose last vertex alone outgrows a block, on a scalar
+span several blocks, whose last vertex alone outgrows a block, or whose
+blocks hold a run of several values of one vertex, on a scalar
 output, on diagrams with no marked vertex, on size-1 vertices, on nat64 sums
 either side of 2^64 - 1, and on min-plus infinity."""
 import itertools
@@ -136,6 +137,7 @@ SPANNING = {
     "long_fish size 3, 27 blocks of 729": standard_diagram("long_fish", size=3),
     "sizes 3 5 7 2 11, 3 blocks of 770": _sized((3, 5, 7, 2, 11), {1, 3, 4}, [(0, 1, 4), (1, 2, 3), (3, 4), (2,)]),
     "last vertex above a block": _sized((2, 3, BLOCK + 76), {1, 2}, [(0, 2), (1, 2), (0, 1)]),
+    "runs of 3 then 2 of a lead of 5": _sized((2, 5, 300), {1}, [(0, 1), (1, 2), (0, 2)]),
 }
 
 

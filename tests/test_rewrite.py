@@ -298,3 +298,23 @@ def test_multiway_explosion_guard():
     with pytest.raises(PlexusError) as err:
         multiway(standard_diagram("long_fish"), fish_motif(), max_states=1)
     assert err.value.code == "REWRITE_EXPLOSION"
+
+
+def triangle_host():
+    # a-b*, b*-c, a-c: the vee's rewrite adds an edge on a and c beside the one there
+    iset = IndexSet("I", 2)
+    return build_diagram([("a", iset, False), ("b", iset, True), ("c", iset, False)],
+                         [("e0", ("a", "b")), ("e1", ("b", "c")), ("e2", ("a", "c"))])
+
+
+@pytest.mark.parametrize("walk", [
+    lambda h, m: multiway(h, m),
+    lambda h, m: check_concurrency(h, m),
+    lambda h, m: semantic_confluence_binding(h, random_binding(h, MOD7, random.Random(0)), m),
+    lambda h, m: apply_rewrite(h, find_matches(h, m)[0], m),
+])
+def test_a_parallel_edge_is_refused(walk):
+    with pytest.raises(PlexusError) as err:
+        walk(triangle_host(), vee_motif())
+    assert err.value.code == "INVALID_DIAGRAM"
+    assert str(err.value) == "[INVALID_DIAGRAM] duplicate edge on legs ['a', 'c']"
