@@ -307,9 +307,13 @@ def _grid(strides: dict, labels, axis: dict) -> list:
 
 def _label_axes(operands) -> dict:
     """The operand check of every product: each (array, labels) operand
-    gives one label per axis, all share the first operand's semiring
-    (SEMIRING_MISMATCH), and each label names one index set across all of
-    them (CONFORMABILITY). Returns label -> index set."""
+    holds an array (BAD_AXIS) and gives one label per axis, all share the
+    first operand's semiring (SEMIRING_MISMATCH), and each label names one
+    index set across all of them (CONFORMABILITY). Returns label -> index
+    set."""
+    for a, _ in operands:  # as `_require_arrays`, without building a tuple on the hot path
+        if not isinstance(a, Array):
+            raise PlexusError("BAD_AXIS", f"operand {a!r} is not an array")
     s = operands[0][0].semiring
     axis = {}
     for a, labels in operands:
@@ -342,8 +346,8 @@ def einsum(operands, out_labels) -> Array:
     array (generalized distributive law); nat64 is summed exactly and
     `Semiring.check_range` judges the result.
     """
-    s = operands[0][0].semiring
     axis = _label_axes(operands)
+    s = operands[0][0].semiring
     terms = [(_strides(labels, a.sizes), a.entries) for a, labels in operands]
     out_labels = list(out_labels)
     if len(terms) == 1:  # pair a lone term with the scalar one: one path sums and reorders

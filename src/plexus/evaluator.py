@@ -179,6 +179,7 @@ def insert_kronecker(d: Diagram, binding: dict, vertex: str, edge: str):
     """Split `vertex` off the given incident edge through a fresh marked
     vertex joined back by an order-2 identity edge. Evaluation is unchanged.
     Returns (diagram, binding)."""
+    _check_binding(d, binding)
     if vertex not in d.vertices:
         raise PlexusError("BAD_REFERENCE", f"unknown vertex {vertex}")
     if edge not in d.edges:

@@ -18,10 +18,10 @@ import math
 import random
 from collections import deque, namedtuple
 
-from .core import IndexSet, PlexusError, Record, fresh_id, int_in, trial_range
-from .arrays import random_array
-from .diagram import Diagram, Hyperedge, Vertex, _labelling_search, build_diagram, standard_diagram
-from .evaluator import BoundEdge, default_binding, evaluate
+from .core import IndexSet, PlexusError, Record, fresh_id, int_in, natural_key, trial_range
+from .arrays import einsum, random_array
+from .diagram import Diagram, Hyperedge, _labelling_search, build_diagram, standard_diagram
+from .evaluator import BoundEdge, _check_binding, default_binding, evaluate
 
 
 class Motif(Record):
@@ -209,25 +209,22 @@ class _Rewrite(namedtuple("_Rewrite", "removed gone legs label cut")):
 def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif):
     """Rewrite and re-bind: the replacement edge carries the evaluation of the
     matched sub-diagram, where exactly the images of motif-marked vertices are
-    summed and the replacement legs (natural order) are the output axes.
-    Returns (diagram, binding, new_edge_id)."""
-    return _bound_rewrite(host, binding, match, motif, _Rewrite.at(host, motif, match))
+    summed and the replacement legs (natural order) are the output axes. The
+    host binding is checked as `evaluate` checks it. Returns (diagram,
+    binding, new_edge_id)."""
+    _check_binding(host, binding)
+    return _bound_rewrite(host, binding, _Rewrite.at(host, motif, match))
 
 
-def _bound_rewrite(host: Diagram, binding: dict, match: Match, motif: Motif, rewrite: _Rewrite):
-    """`apply_rewrite_bound` given the match's `_Rewrite`."""
-    marked_images = {match.vertex_map[pv] for pv in motif.pattern.marked_vertices()}
-    sub_vertices = {}
-    for eid in rewrite.removed:
-        for v in host.edges[eid].legs:
-            sub_vertices[v] = Vertex(v, host.vertices[v].index_set, v in marked_images)
-    sub_d = Diagram(sub_vertices, {eid: host.edges[eid] for eid in rewrite.removed})
-    sub_binding = {eid: binding[eid] for eid in rewrite.removed}
-    out_order = sorted((v for v in sub_vertices if v not in marked_images), key=host.rank.get)
-    collapsed = evaluate(sub_d, sub_binding, output_order=out_order)
+def _bound_rewrite(host: Diagram, binding: dict, rewrite: _Rewrite):
+    """`apply_rewrite_bound` given the match's `_Rewrite`, on a checked binding: one kernel call
+    over the matched edges, labelled as `evaluate` labels them, onto the new legs, which are
+    exactly the unsummed images, as the matched edges' legs are the motif vertices' images."""
+    collapsed = einsum([(be.array, sorted(be.leg_to_axis, key=be.leg_to_axis.get))
+                        for be in map(binding.get, sorted(rewrite.removed, key=natural_key))], rewrite.legs)
     new_d, new_eid = rewrite.applied(host)
     new_binding = {eid: binding[eid] for eid in new_d.edges if eid != new_eid}
-    new_binding[new_eid] = BoundEdge(collapsed, {v: t for t, v in enumerate(out_order)})
+    new_binding[new_eid] = BoundEdge(collapsed, {v: t for t, v in enumerate(rewrite.legs)})
     return new_d, new_binding, new_eid
 
 
@@ -340,8 +337,8 @@ def semantic_confluence_binding(host: Diagram, binding: dict, motif: Motif) -> d
 
     def successors(k, state):  # the key needs each collapsed array, so each transition is built
         d, b, carried = state
-        for _, m, rewrite in carried:
-            d2, b2, new_eid = _bound_rewrite(d, b, m, motif, rewrite)
+        for _, _, rewrite in carried:
+            d2, b2, new_eid = _bound_rewrite(d, b, rewrite)
             yield (rewrite.key(k[0]), arrays(b2)), None, lambda d2=d2, b2=b2, rw=rewrite, e=new_eid: (
                 d2, b2, _carried_matches(carried, rw, d2, e, motif, host.rank))
 

@@ -9,7 +9,7 @@ import math
 import operator
 import sys
 
-from .core import PlexusError, Record, Verdict
+from .core import PlexusError, Record, Verdict, int_in
 
 NAT64_MAX = 2**64 - 1
 INF = math.inf
@@ -211,7 +211,7 @@ def make_semiring(kind: str, modulus: int | None = None) -> Semiring:
     if kind not in KINDS:
         raise PlexusError("UNKNOWN_KIND", f"unknown semiring kind {kind!r}")
     if kind == "int_mod":
-        if modulus is None or modulus < 2:
+        if not int_in(modulus, 2, math.inf):
             raise PlexusError("BAD_MODULUS", f"int_mod needs a modulus >= 2, got {modulus!r}")
         return Semiring("int_mod", modulus)
     if modulus is not None:

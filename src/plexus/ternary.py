@@ -656,21 +656,12 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
     # one constellation and semiring for all, else the kernel's own error
     _label_axes([(x, "ijk") for x in carrier])
     n, table = len(carrier), _closure(carrier, variant, twist)
+    report = {"closed": None, "table": None, "sh": None, "semiheapoid": False, "unit_pairs": [],
+              "co_unit_pairs": [], "biunit_pairs": [], "heapoid": False, "malcev": False, "fish_category": False}
     if None in table:
         k = table.index(None)
         a, b, c = carrier[k // (n * n)], carrier[k // n % n], carrier[k % n]
-        return {
-            "closed": Verdict(False, "closure", fish(a, b, c, variant, twist)),
-            "table": None,
-            "sh": None,
-            "semiheapoid": False,
-            "unit_pairs": [],
-            "co_unit_pairs": [],
-            "biunit_pairs": [],
-            "heapoid": False,
-            "malcev": False,
-            "fish_category": False,
-        }
+        return {**report, "closed": Verdict(False, "closure", fish(a, b, c, variant, twist))}
     tt = TernaryTable(n, table, kind="fish-carrier")
     sh = check_semiheap(tt)
     unit_pairs, co_unit_pairs = _unit_pairs(tt)
@@ -694,15 +685,6 @@ def heapoid_check(carrier, variant: str = "IJK", twist: bool = False) -> dict:
                 unit_pair_via_basis(mid, top, variant, "right", twist).ok
                 for mid, top in ((t, t), (u, t), (t, u))
             )
-    return {
-        "closed": Verdict(True, "closure"),
-        "table": tt,
-        "sh": sh,
-        "semiheapoid": sh.ok,
-        "unit_pairs": unit_pairs,
-        "co_unit_pairs": co_unit_pairs,
-        "biunit_pairs": biunit_pairs,
-        "heapoid": heapoid,
-        "malcev": malcev,
-        "fish_category": fish_category,
-    }
+    return {**report, "closed": Verdict(True, "closure"), "table": tt, "sh": sh, "semiheapoid": sh.ok,
+            "unit_pairs": unit_pairs, "co_unit_pairs": co_unit_pairs, "biunit_pairs": biunit_pairs,
+            "heapoid": heapoid, "malcev": malcev, "fish_category": fish_category}

@@ -30,6 +30,7 @@ from plexus import (
     unary_contract,
     zero_array,
 )
+from plexus.arrays import einsum
 
 BOOL = make_semiring("boolean")
 NAT = make_semiring("nat64")
@@ -468,8 +469,13 @@ def test_positions_that_are_not_ints_are_refused(call, code, bad):
     (lambda: indicator_array((I2, I2), (1,), MOD5), "BAD_INDEX", "expected 2 indices, got 1"),
     (lambda: indicator_array((I2, I2), (0, 2), MOD5), "BAD_INDEX", "index 2 out of range for I:2"),
     (lambda: indicator_array((I2, I2), (0, 5), MOD5), "BAD_INDEX", "index 5 out of range for I:2"),
+    (lambda: broaden(A3, I2, 4), "BAD_AXIS", "broaden position 4 out of range"),
+    (lambda: broaden(A3, I2, -1), "BAD_AXIS", "broaden position -1 out of range"),
+    (lambda: unary_contract(A3, 3), "BAD_AXIS", "axis 3 out of range"),
+    (lambda: diagonal_extension(A3, 3), "BAD_AXIS", "axis 3 out of range"),
 ], ids=["reorder", "slice-axis", "slice-value", "self-contract", "contract", "entry-count", "entry-range",
-        "indicator-count", "indicator-range", "indicator-far"])
+        "indicator-count", "indicator-range", "indicator-far", "broaden-past-the-end", "broaden-negative",
+        "unary-contract", "diagonal-extension"])
 def test_int_positions_keep_their_refusals(call, code, message):
     with pytest.raises(PlexusError) as err:
         call()
@@ -496,6 +502,22 @@ def test_arguments_that_are_not_sequences_are_refused(call, code, message):
     with pytest.raises(PlexusError) as err:
         call()
     assert str(err.value) == f"[{code}] {message}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: contract([], []), "need one shared axis per array"),
+    (lambda: tensor_product([]), "tensor product of nothing"),
+    # the kernel read `.semiring` or `.order` of the int first
+    (lambda: einsum([(5, [0])], [0]), "operand 5 is not an array"),
+    (lambda: einsum([(A3, [0, 1, 2]), (None, [0])], [0]), "operand None is not an array"),
+    (lambda: entrywise_add(A3, 5), "operand 5 is not an array"),
+    (lambda: entrywise_mul(A3, 5), "operand 5 is not an array"),
+], ids=["contract-nothing", "tensor-product-nothing", "kernel-first", "kernel-second", "entrywise-add",
+        "entrywise-mul"])
+def test_operand_lists_that_are_empty_or_hold_a_non_array_are_refused(call, message):
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert str(err.value) == f"[BAD_AXIS] {message}"
 
 
 @pytest.mark.parametrize("call, code, message", [

@@ -572,6 +572,36 @@ def test_selftest_json(capsys):
     assert rep["lines"] == SELFTEST_LINES
 
 
+def test_selftest_text_prints_one_line_per_check(capsys):
+    assert run(capsys, ["selftest"]) == (0, "".join(line + "\n" for line in SELFTEST_LINES), "")
+
+
+def test_laws_exits_1_with_the_counterexample_on_stdout(capsys, monkeypatch):
+    def fails(semiring, sizes, trials, rng, **_):
+        return Verdict(False, "demo-law", {"trial": 2}), ""
+
+    monkeypatch.setitem(checks.SUITES, "units", fails)
+    code, out, err = run(capsys, ["laws", "--suite", "units"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"law": "demo-law", "counterexample": {"trial": 2}}
+
+
+def test_rewrite_semantic_failure_prints_the_report_and_exits_1(capsys, monkeypatch):
+    from plexus import rewrite
+
+    def fails(host, motif, semiring, trials, seed):
+        return {"ok": False, "sequences": 2, "direct": None, "finals": [], "trial": 1}
+
+    monkeypatch.setattr(rewrite, "semantic_confluence", fails)
+    code, out, err = run(capsys, ["rewrite", "zee", "--semantic", "int-mod:5"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "confluent: true", "regular: true", "overlapping: true", "concurrent: true", "initial_matches: 2",
+        "states: 4", "terminals: 1", 'terminal_labels: [["((e0e1)e2)"]]',
+        'semantic: {"ok": false, "sequences": 2, "trial": 1}',
+    ]
+
+
 def test_selftest_fail_line_names_the_run_and_the_counterexample(monkeypatch):
     def fails_on_int_mod(semiring, sizes, trials, rng):
         return Verdict(semiring.kind != "int_mod", "demo-law", {"trial": 0}), ""

@@ -96,6 +96,17 @@ def test_unknown_standard_name():
         standard_diagram("octopus")
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([("v0", I2, False), ("v0", I2, True)], [], "duplicate vertex id v0"),
+    ([("v0", I2, False), ("v1", I2, False)], [("e0", ("v0", "v1")), ("e0", ("v0", "v1"))],
+     "duplicate edge id e0"),
+], ids=["vertex", "edge"])
+def test_duplicate_ids_are_refused(vertices, edges, message):
+    with pytest.raises(PlexusError) as err:
+        build_diagram(vertices, edges)
+    assert str(err.value) == f"[INVALID_DIAGRAM] {message}"
+
+
 def test_repeated_leg_rejected():
     with pytest.raises(PlexusError) as err:
         build_diagram([("v0", I2, False), ("v1", I2, True)], [("e0", ("v0", "v0"))])

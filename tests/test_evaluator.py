@@ -146,6 +146,19 @@ def test_insert_kronecker_bad_references():
         insert_kronecker(d, binding, "v0", "e1")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: evaluate(build_diagram([], []), {}), "nothing bound: diagram has no edges"),
+    # these raised a raw KeyError and TypeError
+    (lambda: insert_kronecker(standard_diagram("fish"), {}, "v3", "e1"), "no array bound to edge e0"),
+    (lambda: insert_kronecker(standard_diagram("fish"), 5, "v3", "e1"),
+     "a binding must be a dict of edge ids, got int"),
+], ids=["nothing-bound", "kronecker-missing-edge", "kronecker-not-a-dict"])
+def test_binding_refusals_name_their_reason(call, message):
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert str(err.value) == f"[BAD_REFERENCE] {message}"
+
+
 def test_twist_changes_the_value():
     # two 3-plexes contracted along two repeated-index legs: the leg-to-axis
     # assignment is genuinely ambiguous and the two readings differ

@@ -26,7 +26,11 @@ bijections are built once, for the biunit search and the bijection heap,
 and are the only permutations the ternary module enumerates; the law
 checks enumerate none of their own. One builder turns an involuted monoid
 into its heap, a.b~.c, read by the group and vector heaps and by the
-selftest's round trip, so no heap of a monoid is written by hand again."""
+selftest's round trip, so no heap of a monoid is written by hand again.
+A bound rewrite is one kernel call onto its new legs: in the rewrite module
+only semantic confluence evaluates a diagram, and no rewrite builds a
+sub-diagram's vertices. A binding is checked once, where it enters through a
+public entry, never again on arrays a walk made itself."""
 import ast
 import functools
 from pathlib import Path
@@ -149,3 +153,18 @@ def test_no_definition_reads_a_private_permutation_product(name):
 def test_the_heap_of_a_monoid_is_read_only_by_the_two_builders_and_the_round_trip():
     assert name_readers("_monoid_heap") == {"ternary.group_heap", "ternary.vector_heap",
                                             "checks.involuted_monoids"}
+
+
+def test_in_the_rewrite_module_only_semantic_confluence_evaluates_a_diagram():
+    assert {owner for owner in name_readers("evaluate") if owner.split(".")[0] == "rewrite"} == \
+        {"rewrite.semantic_confluence_binding"}
+
+
+def test_no_rewrite_definition_builds_a_vertex():
+    assert {owner for owner in name_readers("Vertex") if owner.split(".")[0] == "rewrite"} == set()
+
+
+def test_a_binding_is_checked_only_where_it_enters():
+    assert name_readers("_check_binding") == {
+        "evaluator.default_binding", "evaluator.evaluate", "evaluator.evaluate_formula_oracle",
+        "evaluator.insert_kronecker", "rewrite.apply_rewrite_bound"}

@@ -203,6 +203,18 @@ def test_apply_rewrite_bound_preserves_value():
         assert evaluate(d2, b2) == direct
 
 
+@pytest.mark.parametrize("missing", ["e0", "e2"], ids=["inside-the-match", "outside-the-match"])
+def test_apply_rewrite_bound_refuses_a_binding_missing_an_edge(missing):
+    # both raised a raw KeyError
+    host = standard_diagram("zee")
+    binding = random_binding(host, MOD7, random.Random(1))
+    del binding[missing]
+    m = next(m for m in find_matches(host, vee_motif()) if set(m.edge_map.values()) == {"e0", "e1"})
+    with pytest.raises(PlexusError) as err:
+        apply_rewrite_bound(host, binding, m, vee_motif())
+    assert str(err.value) == f"[BAD_REFERENCE] no array bound to edge {missing}"
+
+
 def test_semantic_confluence_binding_on_zee():
     rng = random.Random(2)
     host = standard_diagram("zee")

@@ -115,6 +115,22 @@ def test_bad_tokens():
     assert err.value.code == "BAD_MODULUS"
 
 
+@pytest.mark.parametrize("call, code, message", [
+    # 7.0 made a semiring equal to int-mod:7 whose sums were floats; "7" raised a raw TypeError
+    (lambda: make_semiring("int_mod", 7.0), "BAD_MODULUS", "int_mod needs a modulus >= 2, got 7.0"),
+    (lambda: make_semiring("int_mod", "7"), "BAD_MODULUS", "int_mod needs a modulus >= 2, got '7'"),
+    (lambda: make_semiring("nat64").elements(), "INFINITE_CARRIER", "nat64 has no finite carrier to enumerate"),
+    (lambda: make_semiring("min_plus").elements(), "INFINITE_CARRIER",
+     "min_plus has no finite carrier to enumerate"),
+    (lambda: make_semiring("float64").elements(), "INFINITE_CARRIER",
+     "float64 has no finite carrier to enumerate"),
+], ids=["modulus-float", "modulus-str", "nat64-carrier", "min-plus-carrier", "float64-carrier"])
+def test_refusals_name_their_code_and_reason(call, code, message):
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert str(err.value) == f"[{code}] {message}"
+
+
 def test_exactness_flags():
     for token in ("boolean", "nat64", "int-mod:5", "min-plus"):
         assert parse_semiring(token).exact

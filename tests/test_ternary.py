@@ -713,6 +713,35 @@ def test_table_constructors_refuse_arguments_of_the_wrong_shape(build, code):
     assert err.value.code == code
 
 
+# the smallest loops that are not groups have order 5; in this one every
+# element is its own two-sided inverse, so only associativity fails
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("call, code, message", [
+    (lambda: group_heap([[0, 1], [1]]), "BAD_TABLE", "multiplication table must be square"),
+    (lambda: group_heap([[0, 0], [0, 0]]), "BAD_TABLE", "no identity element"),
+    (lambda: group_heap([[0, 1], [1, 1]]), "BAD_TABLE", "element 1 has no inverse"),
+    (lambda: group_heap([[0, 1, 2], [1, 2, 0], [2, 2, 1]]), "BAD_TABLE", "element 1 has no two-sided inverse"),
+    (lambda: group_heap(LOOP5), "BAD_TABLE", "multiplication not associative at (1, 1, 2)"),
+    (lambda: find_biunit_pairs(IndexSet("I", 3), J3, K2, BOOL), "UNSUPPORTED", "search capped at 16 entries, got 18"),
+    (lambda: fish_units_check(Array((I2, I2), [0] * 4, BOOL)), "CONFORMABILITY", "right units need an order-3 array"),
+    # the kernel read `.order` or `.semiring` of the int first
+    (lambda: fish(A222, A222, 5), "BAD_AXIS", "operand 5 is not an array"),
+    (lambda: fish(A222, 5, A222), "BAD_AXIS", "operand 5 is not an array"),
+    (lambda: fish(5, A222, A222), "BAD_AXIS", "operand 5 is not an array"),
+    (lambda: make_fish_binding(A222, 5, A222), "BAD_AXIS", "operand 5 is not an array"),
+    (lambda: semiheap_check_arrays(A222, A222, A222, A222, 5), "BAD_AXIS", "operand 5 is not an array"),
+    (lambda: flat_fish_equiv(5, A222, A222), "BAD_AXIS", "operand 5 is not an array"),
+], ids=["group-not-square", "group-no-identity", "group-no-inverse", "group-one-sided-inverse",
+        "group-not-associative", "biunit-search-cap", "units-order", "fish-c", "fish-b", "fish-a",
+        "fish-binding", "semiheap-arrays", "flat-fish"])
+def test_refusals_name_their_code_and_reason(call, code, message):
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert str(err.value) == f"[{code}] {message}"
+
+
 def test_vector_heap_refuses_a_large_carrier_before_building_it():
     assert vector_heap(4, 3).n == 64  # the cap itself is allowed
     for m, dim in ((6, 3), (65, 1), (2, 7), (1, 10**9)):
