@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
+from array import array
+from collections import Counter, namedtuple
 from typing import Sequence
 
 from .core import IndexSet, PlexusError, require_int
@@ -160,12 +164,13 @@ def slice_axes(a: Array, assignment: dict) -> Array:
     strides = _strides(range(a.order), a.sizes)
     base = sum(val * strides[pos] for pos, val in assignment.items())
     keep = [p for p in range(a.order) if p not in assignment]
-    grid = _grid(strides, keep, dict(enumerate(a.axes)))
+    grid = _grid(strides, keep, dict(enumerate(a.sizes)))
     return Array([a.axes[p] for p in keep], [a.entries[base + o] for o in grid], a.semiring)
 
 
 def entrywise_add(a: Array, b: Array) -> Array:
     """Add entries at equal positions; both arrays carry the same axes."""
+    _require_arrays((a, b))
     labels = range(a.order)
     _label_axes([(a, labels), (b, labels)])
     entries = list(map(a.semiring.add, a.entries, b.entries))
@@ -176,6 +181,7 @@ def entrywise_add(a: Array, b: Array) -> Array:
 def entrywise_mul(a: Array, b: Array) -> Array:
     """Multiply entries at equal positions: the kernel product keeping every
     label. As from `contract`, a float64 -0.0 entry comes out as 0.0."""
+    _require_arrays((a, b))
     labels = range(a.order)
     return einsum([(a, labels), (b, labels)], labels)
 
@@ -236,8 +242,9 @@ def additive_incidence(arrays: Sequence[Array], shared_axes: Sequence[int]) -> A
     s = arrays[0].semiring
     labels, out = _incidence_labels(arrays, shared_axes)
     axis = _label_axes(list(zip(arrays, labels)))
+    sizes = {lab: ax.size for lab, ax in axis.items()}
     columns = [
-        [a.entries[o] for o in _grid(_strides(ls, a.sizes), out, axis)]
+        [a.entries[o] for o in _grid(_strides(ls, a.sizes), out, sizes)]
         for a, ls in zip(arrays, labels)
     ]
     entries = [functools.reduce(s.add, vals) for vals in zip(*columns)]
@@ -294,40 +301,67 @@ def _strides(labels, sizes) -> dict:
     return strides
 
 
-def _grid(strides: dict, labels, axis: dict) -> list:
+def _grid(strides: dict, labels, size: dict) -> list:
     """Flat offsets of every multi-index over `labels`, in row-major order,
-    into entries with the given label strides; `axis` gives each label's
-    index set. A label without a stride repeats the entries along it."""
+    into entries with the given label strides; `size` gives each label's
+    index-set size. A label without a stride repeats the entries along it."""
     offsets = [0]
     for lab in labels:
         stride = strides.get(lab, 0)
-        offsets = [o + i * stride for o in offsets for i in range(axis[lab].size)]
+        offsets = [o + i * stride for o in offsets for i in range(size[lab])]
     return offsets
 
 
-def _label_axes(operands) -> dict:
-    """The operand check of every product: each (array, labels) operand
-    holds an array (BAD_AXIS) and gives one label per axis, all share the
-    first operand's semiring (SEMIRING_MISMATCH), and each label names one
-    index set across all of them (CONFORMABILITY). Returns label -> index
+def _label_axes(operands, out_labels=()) -> dict:
+    """The operand check of every product, run on every kernel call: the
+    operands are a nonempty list or tuple of (array, labels) pairs, each
+    holding an array and a sequence of hashable labels (BAD_AXIS), one label
+    per axis (CONFORMABILITY); all share the first operand's semiring
+    (SEMIRING_MISMATCH), and each label names one index set across all of
+    them (CONFORMABILITY). `out_labels`, a kernel call's output, is a
+    sequence of distinct operand labels (BAD_AXIS). Returns label -> index
     set."""
-    for a, _ in operands:  # as `_require_arrays`, without building a tuple on the hot path
+    if not isinstance(operands, (list, tuple)) or not operands:
+        raise PlexusError("BAD_AXIS",
+                          f"the operands must be a nonempty list of (array, labels) pairs, got {operands!r}")
+    try:
+        arrays = [a for a, _ in operands]
+    except (TypeError, ValueError):
+        raise PlexusError("BAD_AXIS", f"the operands must be (array, labels) pairs, got {operands!r}") from None
+    for a in arrays:  # as `_require_arrays`, without building a tuple on the hot path
         if not isinstance(a, Array):
             raise PlexusError("BAD_AXIS", f"operand {a!r} is not an array")
-    s = operands[0][0].semiring
+    s = arrays[0].semiring
     axis = {}
     for a, labels in operands:
-        if len(labels) != a.order:
+        try:
+            count = len(labels)
+        except TypeError:
+            raise PlexusError("BAD_AXIS", f"the labels of an operand must be a sequence, got {labels!r}") from None
+        if count != a.order:
             raise PlexusError("CONFORMABILITY", f"labels {list(labels)} for an order-{a.order} array")
-        if a.semiring != s:
+        if a.semiring is not s and a.semiring != s:
             raise PlexusError("SEMIRING_MISMATCH", f"operands over {s.name} and {a.semiring.name}")
         for lab, ax in zip(labels, a.axes):
-            known = axis.setdefault(lab, ax)
-            if known != ax:
+            try:
+                known = axis.setdefault(lab, ax)
+            except TypeError:
+                raise PlexusError("BAD_AXIS", f"label {lab!r} is not hashable") from None
+            if known is not ax and known != ax:
                 raise PlexusError(
                     "CONFORMABILITY",
                     f"index {lab!r} carries {known.id}:{known.size} and {ax.id}:{ax.size}",
                 )
+    try:
+        count, distinct = len(out_labels), set(out_labels)
+    except TypeError:
+        raise PlexusError("BAD_AXIS",
+                          f"the output labels must be a sequence of hashable labels, got {out_labels!r}") from None
+    if not distinct <= axis.keys():
+        lab = next(lab for lab in out_labels if lab not in axis)
+        raise PlexusError("BAD_AXIS", f"output label {lab!r} labels no operand axis")
+    if len(distinct) != count:
+        raise PlexusError("BAD_AXIS", f"output labels {list(out_labels)} repeat a label")
     return axis
 
 
@@ -337,48 +371,107 @@ def einsum(operands, out_labels) -> Array:
     `operands` are (array, labels) pairs naming each axis. Axes with the
     same label are one index (within an array: its diagonal); labels not in
     `out_labels` are summed out. The result has one axis per output label,
-    in that order. `_label_axes` checks the operands; callers check only
-    their own argument positions. There are no bounds checks inside.
+    in that order. `_label_axes` checks the operands on every call; callers
+    check only their own argument positions. There are no bounds checks
+    inside.
 
-    Terms are contracted pairwise. Each step takes the pair whose result has
-    the fewest entries, ties going to the earliest pair, and sums every
-    label that no other term and no output needs. Any order gives the same
-    array (generalized distributive law); nat64 is summed exactly and
+    A call is planned by `_plan`, once per shape (the operand labels, their
+    index-set sizes and the output labels), and run from the plan's offset
+    grids. Any order of the pairwise steps gives the same array
+    (generalized distributive law); nat64 is summed exactly and
     `Semiring.check_range` judges the result.
     """
-    axis = _label_axes(operands)
+    axis = _label_axes(operands, out_labels)
+    out = tuple(out_labels)
     s = operands[0][0].semiring
-    terms = [(_strides(labels, a.sizes), a.entries) for a, labels in operands]
-    out_labels = list(out_labels)
+    terms = [a.entries for a, _ in operands]
     if len(terms) == 1:  # pair a lone term with the scalar one: one path sums and reorders
-        terms.append(({}, (s.one(),)))
-    while len(terms) > 2:
-        best = None
-        for i, j in itertools.combinations(range(len(terms)), 2):
-            needed = set(out_labels).union(*(t[0] for k, t in enumerate(terms) if k not in (i, j)))
-            keep = [lab for lab in {**terms[i][0], **terms[j][0]} if lab in needed]
-            size = _entry_count(axis[lab] for lab in keep)
-            if best is None or size < best[0]:
-                best = (size, i, j, keep)
-        _, i, j, keep = best
-        pair = _contract_pair(s, axis, terms[i], terms[j], keep)
-        terms = [t for k, t in enumerate(terms) if k not in (i, j)] + [pair]
-    _, entries = _contract_pair(s, axis, terms[0], terms[1], out_labels)
+        terms.append((s.one(),))
+    plan = _plan(tuple(tuple(labels) for _, labels in operands), tuple(ax.size for ax in axis.values()), out)
+    for step in plan:
+        i, j = step.pair
+        entries = _contract_pair(s, terms[i], terms[j], step.grids)
+        terms = [t for k, t in enumerate(terms) if k != i and k != j] + [entries]
     s.check_range(entries)
-    return Array([axis[lab] for lab in out_labels], entries, s)
+    return Array([axis[lab] for lab in out], entries, s)
 
 
-def _contract_pair(s, axis, x, y, keep):
-    """Multiply two (strides, entries) terms, summing the labels not kept."""
-    (sx, ex), (sy, ey) = x, y
-    summed = [lab for lab in {**sx, **sy} if lab not in keep]
-    dx, dy = _grid(sx, summed, axis), _grid(sy, summed, axis)
+PLANS = 256  # the contraction shapes `_plan` keeps, the least recently used dropped first
+
+
+class _Step(namedtuple("_Step", "pair keep summed grids")):
+    """One pairwise step of a plan: the positions (i, j) of its two terms in
+    the current term list, the labels it keeps, in the result's row-major
+    order, the labels it sums, and its offset grids: the first entry of each
+    kept multi-index in each term, then each summed multi-index's offset in
+    each term. The result goes to the end of the term list."""
+
+    __slots__ = ()
+
+
+@functools.lru_cache(maxsize=PLANS)
+def _plan(labels: tuple, sizes: tuple, out: tuple) -> tuple:
+    """The steps of `einsum` on operands with these labels, whose labels in
+    order of first appearance have these index-set sizes, onto `out`.
+
+    Terms are contracted pairwise. Each step looks only at the pairs that
+    share a label, or at every pair when no two terms share one, takes the
+    one whose result has the fewest entries, the earliest pair on a tie,
+    and keeps the labels that another term or the output needs, which a
+    count of each label's terms tells. The last step contracts the last two
+    terms onto `out`. A lone term is paired with the scalar one."""
+    size = dict(zip(dict.fromkeys(lab for ls in labels for lab in ls), sizes))
+    terms = [_strides(ls, [size[lab] for lab in ls]) for ls in labels]
+    if len(terms) == 1:
+        terms.append({})
+    holders, wanted, steps = Counter(lab for t in terms for lab in t), set(out), []
+    while len(terms) > 2:
+        at = {}
+        for k, t in enumerate(terms):
+            for lab in t:
+                at.setdefault(lab, []).append(k)
+        pairs = sorted({p for ks in at.values() for p in itertools.combinations(ks, 2)})
+        best = None
+        for i, j in pairs or itertools.combinations(range(len(terms)), 2):
+            x, y = terms[i], terms[j]
+            keep = [lab for lab in {**x, **y} if lab in wanted or holders[lab] > (lab in x) + (lab in y)]
+            count = math.prod(size[lab] for lab in keep)
+            if best is None or count < best[0]:
+                best = (count, i, j, keep)
+        _, i, j, keep = best
+        steps.append(_pair_step((i, j), terms[i], terms[j], keep, size))
+        merged = _strides(keep, [size[lab] for lab in keep])
+        holders.subtract([*terms[i], *terms[j]])  # lists of labels: a dict would count its strides
+        holders.update(list(merged))
+        terms = [t for k, t in enumerate(terms) if k != i and k != j] + [merged]
+    steps.append(_pair_step((0, 1), terms[0], terms[1], out, size))
+    return tuple(steps)
+
+
+def _pair_step(pair, x, y, keep, size) -> _Step:
+    """The step contracting terms with strides `x` and `y` onto `keep`."""
+    summed = [lab for lab in {**x, **y} if lab not in keep]
+    grids = [_compact(_grid(t, labels, size)) for labels in (keep, summed) for t in (x, y)]
+    return _Step(pair, tuple(keep), tuple(summed), tuple(grids))
+
+
+def _compact(offsets: list):
+    """An offset grid as a `range` when its offsets step evenly, else as an
+    array of C ints: a cached plan keeps no list of Python ints."""
+    step = offsets[1] - offsets[0] if len(offsets) > 1 else 1
+    if step > 0:
+        run = range(offsets[0], offsets[0] + step * len(offsets), step)
+        if all(map(operator.eq, offsets, run)):
+            return run
+    return array("i" if max(offsets) < 2**31 else "q", offsets)
+
+
+def _contract_pair(s, x, y, grids):
+    """Multiply the entries of two terms at a step's offset grids, summing
+    the labels it does not keep."""
+    kx, ky, dx, dy = grids
     dot = s.dot
-    entries = [
-        dot([ex[i + d] for d in dx], [ey[j + d] for d in dy])
-        for i, j in zip(_grid(sx, keep, axis), _grid(sy, keep, axis))
-    ]
-    return _strides(keep, [axis[lab].size for lab in keep]), entries
+    return [dot([x[i + d] for d in dx], [y[j + d] for d in dy]) for i, j in zip(kx, ky)]
 
 
 def zero_array(axes: Sequence[IndexSet], semiring: Semiring) -> Array:

@@ -166,7 +166,17 @@ def _carried_matches(carried, rewrite, child: Diagram, new_eid, motif: Motif, ra
 def apply_rewrite(host: Diagram, match: Match, motif: Motif) -> Diagram:
     """Remove the matched edges, drop vertices left isolated, add one edge on
     the images of the motif's free vertices with the bracketed label."""
+    _check_match(host, match)
     return _Rewrite.at(host, motif, match).applied(host)[0]
+
+
+def _check_match(host: Diagram, match: Match):
+    """BAD_REFERENCE naming the first edge, then the first vertex, that the
+    match maps onto and the host does not hold."""
+    for kind, images, held in (("edge", match.edge_map, host.edges), ("vertex", match.vertex_map, host.vertices)):
+        for x in images.values():
+            if x not in held:
+                raise PlexusError("BAD_REFERENCE", f"match {kind} {x} is not in the host")
 
 
 class _Rewrite(namedtuple("_Rewrite", "removed gone legs label cut")):
@@ -210,9 +220,10 @@ def apply_rewrite_bound(host: Diagram, binding: dict, match: Match, motif: Motif
     """Rewrite and re-bind: the replacement edge carries the evaluation of the
     matched sub-diagram, where exactly the images of motif-marked vertices are
     summed and the replacement legs (natural order) are the output axes. The
-    host binding is checked as `evaluate` checks it. Returns (diagram,
-    binding, new_edge_id)."""
+    host binding is checked as `evaluate` checks it, and the match must lie in
+    the host. Returns (diagram, binding, new_edge_id)."""
     _check_binding(host, binding)
+    _check_match(host, match)
     return _bound_rewrite(host, binding, _Rewrite.at(host, motif, match))
 
 

@@ -2,6 +2,7 @@
 contraction products, kronecker identities."""
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -30,6 +31,7 @@ from plexus import (
     unary_contract,
     zero_array,
 )
+from plexus import arrays
 from plexus.arrays import einsum
 
 BOOL = make_semiring("boolean")
@@ -512,8 +514,22 @@ def test_arguments_that_are_not_sequences_are_refused(call, code, message):
     (lambda: einsum([(A3, [0, 1, 2]), (None, [0])], [0]), "operand None is not an array"),
     (lambda: entrywise_add(A3, 5), "operand 5 is not an array"),
     (lambda: entrywise_mul(A3, 5), "operand 5 is not an array"),
+    # both read `.order` of their first argument before the kernel's check
+    (lambda: entrywise_add(5, A3), "operand 5 is not an array"),
+    (lambda: entrywise_mul(None, A3), "operand None is not an array"),
+    # each escaped raw (a TypeError, IndexError or KeyError) before the kernel refused it
+    (lambda: einsum([(A3, 5)], []), "the labels of an operand must be a sequence, got 5"),
+    (lambda: einsum([], []), "the operands must be a nonempty list of (array, labels) pairs, got []"),
+    (lambda: einsum([(A3, "ijk")], 5), "the output labels must be a sequence of hashable labels, got 5"),
+    (lambda: einsum([(A3, [[1], [2], [3]])], []), "label [1] is not hashable"),
+    (lambda: einsum([A3], []), f"the operands must be (array, labels) pairs, got {[A3]!r}"),
+    (lambda: einsum([(A3, "ijk")], [[1]]), "the output labels must be a sequence of hashable labels, got [[1]]"),
+    (lambda: einsum([(A3, "ijk")], "ix"), "output label 'x' labels no operand axis"),
+    (lambda: einsum([(A3, "ijk")], "ii"), "output labels ['i', 'i'] repeat a label"),
 ], ids=["contract-nothing", "tensor-product-nothing", "kernel-first", "kernel-second", "entrywise-add",
-        "entrywise-mul"])
+        "entrywise-mul", "entrywise-add-first", "entrywise-mul-first", "kernel-labels-not-a-sequence",
+        "kernel-no-operands", "kernel-output-not-a-sequence", "kernel-unhashable-label", "kernel-bare-array",
+        "kernel-unhashable-output-label", "kernel-unknown-output-label", "kernel-repeated-output-label"])
 def test_operand_lists_that_are_empty_or_hold_a_non_array_are_refused(call, message):
     with pytest.raises(PlexusError) as err:
         call()
@@ -536,3 +552,41 @@ def test_count_refusals_name_a_value_that_is_not_an_int(call, code, message):
     with pytest.raises(PlexusError) as err:
         call()
     assert str(err.value) == f"[{code}] {message}"
+
+
+def test_a_warm_plan_never_skips_the_operand_check():
+    # the plan is keyed by labels and sizes alone, so each call checks its operands before the lookup
+    a = random_array((I2, I2), MOD5, random.Random(1))
+    other_id = random_array((J2, J2), MOD5, random.Random(2))
+    other_semiring = random_array((I2, I2), make_semiring("int_mod", 7), random.Random(3))
+    arrays._plan.cache_clear()
+    einsum([(a, "ij"), (a, "jk")], "ik")
+    for b, code in ((other_id, "CONFORMABILITY"), (other_semiring, "SEMIRING_MISMATCH"), (5, "BAD_AXIS")):
+        with pytest.raises(PlexusError) as err:
+            einsum([(a, "ij"), (b, "jk")], "ik")
+        assert err.value.code == code
+    assert arrays._plan.cache_info()[:2] == (0, 1)  # no hit: each refusal came before the lookup
+    einsum([(a, "ij"), (a, "jk")], "ik")
+    assert arrays._plan.cache_info()[:2] == (1, 1)
+
+
+def test_a_plan_steps_only_through_pairs_that_share_a_label():
+    # the outer product of the two vectors is smaller than any connected pair's result, but a
+    # connected pair is left at each step until only the two disconnected parts remain
+    x, y, m = (random_array(axes, MOD5, random.Random(4)) for axes in ((I2,), (K2,), (I2, J3, K2)))
+    arrays._plan.cache_clear()
+    got = einsum([(x, "i"), (y, "k"), (m, "ijk")], "j")
+    labels = (("i",), ("k",), ("i", "j", "k"))
+    assert [step.pair for step in arrays._plan(labels, (2, 2, 3), ("j",))] == [(0, 2), (0, 1)]
+    want = [sum(x.entry((i,)) * y.entry((k,)) * m.entry((i, j, k)) for i in range(2) for k in range(2)) % 5
+            for j in range(3)]
+    assert list(got.entries) == want
+
+
+def test_plans_are_bounded_and_keep_their_grids_compact():
+    arrays._plan.cache_clear()
+    a = random_array((I2, J3, K2), MOD5, random.Random(5))
+    einsum([(a, "ijk")], "kji")
+    assert arrays._plan.cache_info().maxsize == arrays.PLANS
+    for step in arrays._plan((("i", "j", "k"),), (2, 3, 2), ("k", "j", "i")):
+        assert all(isinstance(g, (range, array)) for g in step.grids)

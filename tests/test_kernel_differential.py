@@ -3,8 +3,9 @@
 `multiplicative_incidence`, `diagonal_extension`) against the independent
 formula oracle, on hypothesis-drawn shapes over the exact semirings, and
 `entrywise_mul` against the per-entry `Semiring.mul` on seeded draws over
-all five kinds. Examples are derandomized and bounded, so runs repeat
-exactly."""
+all five kinds. Every product runs twice, planned on a cleared plan cache
+and then from the cached plan, and the two results must be equal repr for
+repr. Examples are derandomized and bounded, so runs repeat exactly."""
 import math
 import random
 
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from plexus import arrays as kernel  # noqa: E402
 from plexus import (  # noqa: E402
     ETA_VARIANTS,
     Array,
@@ -53,6 +55,15 @@ def _same(got, want):
     assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
 
 
+def _cold_and_warm(product):
+    """The product planned on a cleared plan cache, checked equal repr for
+    repr to a second run from the cached plan."""
+    kernel._plan.cache_clear()
+    cold = product()
+    assert repr(product()) == repr(cold)
+    return cold
+
+
 def _oracle(edges, marked, output_order, semiring):
     """Evaluate with the formula oracle. `edges` are (array, legs) pairs,
     leg t naming the vertex of axis t; vertex ids carry their index sets."""
@@ -89,7 +100,8 @@ def test_evaluate_matches_oracle_on_random_diagrams(data):
         binding[f"e{k}"] = BoundEdge(random_array(axes, s, rng), dict(zip(ids, axes_of)))
     d = Diagram(vertices, edges)
     order = data.draw(st.permutations(d.free_vertices()))
-    _same(evaluate(d, binding, list(order)), evaluate_formula_oracle(d, binding, list(order)))
+    _same(_cold_and_warm(lambda: evaluate(d, binding, list(order))),
+          evaluate_formula_oracle(d, binding, list(order)))
 
 
 @BOUNDED
@@ -110,7 +122,7 @@ def test_fish_matches_oracle_on_every_variant_and_twist(s, dims, seed):
             head = random_array(axes(Q, R, K), s, rng)
             a, b, c = (head, body, tail) if rev else (tail, body, head)
             d, binding = make_fish_binding(a, b, c, variant, twist)
-            _same(fish(a, b, c, variant, twist),
+            _same(_cold_and_warm(lambda: fish(a, b, c, variant, twist)),
                   evaluate_formula_oracle(d, binding, fish_output_order(variant)))
 
 
@@ -142,9 +154,9 @@ def test_contract_and_incidence_match_oracle(data):
     legs = _legs(arrays, positions, "s")
     edges = list(zip(arrays, legs))
     free = [v for ls in legs for v in ls if v != "s"]
-    _same(contract(arrays, positions), _oracle(edges, {"s"}, free, s))
+    _same(_cold_and_warm(lambda: contract(arrays, positions)), _oracle(edges, {"s"}, free, s))
     kept = legs[0] + [v for ls in legs[1:] for v in ls if v != "s"]
-    _same(multiplicative_incidence(arrays, positions), _oracle(edges, set(), kept, s))
+    _same(_cold_and_warm(lambda: multiplicative_incidence(arrays, positions)), _oracle(edges, set(), kept, s))
 
 
 @BOUNDED
@@ -155,7 +167,8 @@ def test_tensor_product_matches_oracle(data):
     arrays = [random_array([IndexSet(f"A{k}{t}", data.draw(sizes)) for t in range(data.draw(st.integers(1, 3)))],
                            s, rng) for k in range(data.draw(st.integers(1, 3)))]
     legs = [[f"a{k}_{t}" for t in range(a.order)] for k, a in enumerate(arrays)]
-    _same(tensor_product(arrays), _oracle(list(zip(arrays, legs)), set(), [v for ls in legs for v in ls], s))
+    _same(_cold_and_warm(lambda: tensor_product(arrays)),
+          _oracle(list(zip(arrays, legs)), set(), [v for ls in legs for v in ls], s))
 
 
 @BOUNDED
@@ -174,12 +187,12 @@ def test_self_contract_and_diagonal_extension_match_oracle(data):
     rest = [v for t, v in enumerate(legs) if t not in (i, j)]
     delta = kronecker(2, shared, s)
     edges = [(a, legs), (delta, [legs[j], "w"]), (delta, ["w", legs[i]])]
-    _same(self_contract(a, i, j), _oracle(edges, {legs[i], legs[j], "w"}, rest, s))
+    _same(_cold_and_warm(lambda: self_contract(a, i, j)), _oracle(edges, {legs[i], legs[j], "w"}, rest, s))
     copies = data.draw(st.integers(1, 2))
     added = [f"c{n}" for n in range(copies)]
     edges = [(a, legs), (kronecker(copies + 1, shared, s), [legs[i], *added])]
     out = legs[: i + 1] + added + legs[i + 1:]
-    _same(diagonal_extension(a, i, copies), _oracle(edges, set(), out, s))
+    _same(_cold_and_warm(lambda: diagonal_extension(a, i, copies)), _oracle(edges, set(), out, s))
 
 
 # per kind, entries that reach its edge cases: nat64 products past 2^64 - 1,
@@ -215,7 +228,7 @@ def test_entrywise_mul_matches_the_per_entry_product():
         a, b = (Array(axes, [rng.choice(pool) for _ in range(count)], s) for _ in range(2))
         want = _per_entry_mul(a, b)
         try:
-            got = entrywise_mul(a, b)
+            got = _cold_and_warm(lambda: entrywise_mul(a, b))
         except PlexusError as err:
             assert err.code == want, (name, a, b)
             seen.add((name, err.code))

@@ -4,8 +4,8 @@ semiring's per-kind `dot` step is read only by the kernel's pair
 contraction, and the unchecked `reference_ops` pair only by the formula
 oracle, so no second sum-of-products loop can grow elsewhere unnoticed; the
 oracle in turn reads none of the kernel's parts (`einsum`, its offset grid
-`_grid` and `_strides`, or `_contract_pair`), so it stays independent of
-what it checks. A
+`_grid` and `_strides`, its planner `_plan`, `_pair_step` and `_compact`,
+or `_contract_pair`), so it stays independent of what it checks. A
 `deque` frontier lives only in the rewrite walk, and only the full and the
 carried match searches call the raw matcher, so no second multiway loop can
 grow either; a rewrite's state key is spliced from its parent's, and only
@@ -80,7 +80,8 @@ def test_reference_ops_are_read_only_by_the_formula_oracle():
     assert attribute_readers("reference_ops") == {"evaluator.evaluate_formula_oracle"}
 
 
-@pytest.mark.parametrize("name", ["einsum", "_grid", "_strides", "_contract_pair"])
+@pytest.mark.parametrize("name", ["einsum", "_grid", "_strides", "_contract_pair", "_plan", "_pair_step",
+                                  "_compact"])
 def test_the_formula_oracle_reads_no_part_of_the_kernel(name):
     assert "evaluator.evaluate_formula_oracle" not in name_readers(name)
 

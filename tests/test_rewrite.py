@@ -215,6 +215,25 @@ def test_apply_rewrite_bound_refuses_a_binding_missing_an_edge(missing):
     assert str(err.value) == f"[BAD_REFERENCE] no array bound to edge {missing}"
 
 
+@pytest.mark.parametrize("apply", [
+    lambda host, m: apply_rewrite(host, m, vee_motif()),
+    lambda host, m: apply_rewrite_bound(host, random_binding(host, MOD7, random.Random(1)), m, vee_motif()),
+], ids=["apply_rewrite", "apply_rewrite_bound"])
+def test_a_match_that_is_not_in_the_host_is_refused(apply):
+    # a vee match on chain(5)'s edges e3 and e4, applied to zee, raised a raw TypeError
+    host = standard_diagram("zee")
+    foreign = next(m for m in find_matches(standard_diagram("chain", n=5), vee_motif())
+                   if set(m.edge_map.values()) == {"e3", "e4"})
+    with pytest.raises(PlexusError) as err:
+        apply(host, foreign)
+    assert str(err.value) == "[BAD_REFERENCE] match edge e3 is not in the host"
+    m = next(m for m in find_matches(host, vee_motif()) if set(m.edge_map.values()) == {"e0", "e1"})
+    stray = rewrite.Match({**m.vertex_map, "v0": "v9"}, m.edge_map)
+    with pytest.raises(PlexusError) as err:
+        apply(host, stray)
+    assert str(err.value) == "[BAD_REFERENCE] match vertex v9 is not in the host"
+
+
 def test_semantic_confluence_binding_on_zee():
     rng = random.Random(2)
     host = standard_diagram("zee")
