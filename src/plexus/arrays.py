@@ -73,7 +73,7 @@ class Array:
     def __eq__(self, other):
         if not isinstance(other, Array):
             return NotImplemented
-        if self.semiring.kind != other.semiring.kind or self.semiring.modulus != other.semiring.modulus:
+        if self.semiring != other.semiring:
             return False
         if self.axes != other.axes:
             return False

@@ -39,7 +39,8 @@ def require_int(x, code: str, what: str) -> None:
 
 class Record:
     """Base of the immutable records: a subclass names its fields in
-    `__slots__` and sets them in `__init__` with `object.__setattr__`. As
+    `__slots__` (or, if it keeps more slots than fields, in `_fields`) and
+    sets them in `__init__` with `object.__setattr__`. As
     for a frozen dataclass, records are equal iff of one class with equal
     fields, hash as their field tuple, and list their fields in the repr."""
 
@@ -47,8 +48,9 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        get = operator.attrgetter(*cls.__slots__)
-        cls._astuple = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        get = operator.attrgetter(*cls._fields)
+        cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -64,7 +66,7 @@ class Record:
         return hash(self._astuple(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

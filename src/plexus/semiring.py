@@ -1,13 +1,16 @@
 """Commutative semirings: the value sets all arrays are computed over.
 
-Supported kinds: boolean, nat64 (checked 64-bit overflow), int_mod(m),
-min_plus (tropical), float64 (inexact, demonstration only).
+Each kind is one `Row` of operations: boolean, nat64 (checked 64-bit
+overflow), int_mod(m) (one row per modulus), min_plus (tropical) and float64
+(inexact, demonstration only). A `Semiring` record binds its kind's row when
+it is built, so no call branches on the kind.
 """
 from __future__ import annotations
 
 import math
 import operator
 import sys
+from collections import namedtuple
 
 from .core import PlexusError, Record, Verdict, int_in
 
@@ -18,56 +21,144 @@ FLOAT64_MAX = sys.float_info.max
 KINDS = ("boolean", "nat64", "int_mod", "min_plus", "float64")
 
 
-class Semiring(Record):
-    __slots__ = ("kind", "modulus")
+# the fields a row may leave out, with their defaults
+_DEFAULTS = {"zero": 0, "one": 1, "exact": True, "eq": operator.eq, "check_range": lambda entries: None,
+             "reference": None, "top": None, "carrier": None, "inf_json": None}
 
-    def __init__(self, kind: str, modulus: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "modulus", modulus)
 
-    # -- carrier ---------------------------------------------------------
+class Row(namedtuple("Row", ["name", "add", "mul", "dot", "validate", "random_element", *_DEFAULTS],
+                     defaults=_DEFAULTS.values())):
+    """One kind's operations, as in the semiring tables of Aji & McEliece (2000)
+    and Mohri (2002). `dot` is the sum over p of xs[p] * ys[p], the kernel's
+    only per-kind step; `check_range` judges a result's final entries;
+    `reference` is the (add, mul) the reference loops run, if not the checked
+    pair; `top` is the largest int element `as_ints` reads; `inf_json` spells
+    infinity in JSON. None says the kind has no such thing."""
 
-    @property
-    def exact(self) -> bool:
-        return self.kind != "float64"
+    __slots__ = ()
 
-    def zero(self):
-        if self.kind == "min_plus":
-            return INF
-        if self.kind == "float64":
-            return 0.0
-        return 0
 
-    def one(self):
-        if self.kind == "min_plus":
-            return 0
-        if self.kind == "float64":
-            return 1.0
-        return 1
-
-    def validate(self, x) -> None:
-        k = self.kind
-        if k == "float64":
-            # the bound also refuses integers with no float64 value
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or x != x or abs(x) > FLOAT64_MAX:
-                raise PlexusError("BAD_ELEMENT", f"float64 element must be a finite number, got {x!r}")
+def _ints(top, refusal):
+    """validate for the ints 0..top (never a bool, nor a float such as 1.0), and
+    INF if top is INF; `refusal` leads the message for an int out of range."""
+    holds_inf = top == INF
+    def validate(x):
+        if holds_inf and x == INF:
             return
-        if k == "min_plus" and x == INF:
-            return
-        # the other kinds hold ints only: never a bool, nor a float such as 1.0
         if isinstance(x, bool) or not isinstance(x, int):
             raise PlexusError("BAD_ELEMENT", f"not an integer element: {x!r}")
-        if k == "boolean":
-            if x not in (0, 1):
-                raise PlexusError("BAD_ELEMENT", f"boolean element must be 0 or 1, got {x!r}")
-        elif k == "nat64":
-            if not 0 <= x <= NAT64_MAX:
-                raise PlexusError("BAD_ELEMENT", f"nat64 element out of range: {x!r}")
-        elif k == "int_mod":
-            if not 0 <= x < self.modulus:
-                raise PlexusError("BAD_ELEMENT", f"int_mod({self.modulus}) element out of range: {x!r}")
-        elif x < 0:
-            raise PlexusError("BAD_ELEMENT", f"min_plus element must be a natural or inf, got {x!r}")
+        if not 0 <= x <= top:
+            raise PlexusError("BAD_ELEMENT", f"{refusal}{x!r}")
+    return validate
+
+
+def _overflow(message):
+    raise PlexusError("OVERFLOW", message)
+
+
+def _nat64_range(entries):
+    for x in entries:
+        if x > NAT64_MAX:
+            _overflow(f"nat64 result entry above 2^64 - 1: {x}")
+
+
+def _finite(x):
+    # the bound also refuses integers with no float64 value
+    if not isinstance(x, (int, float)) or isinstance(x, bool) or x != x or abs(x) > FLOAT64_MAX:
+        raise PlexusError("BAD_ELEMENT", f"float64 element must be a finite number, got {x!r}")
+
+
+_ROWS = {
+    "boolean": Row(
+        name="boolean", add=operator.or_, mul=operator.and_,
+        dot=lambda xs, ys: 1 if any(map(operator.and_, xs, ys)) else 0,
+        validate=_ints(1, "boolean element must be 0 or 1, got "),
+        random_element=lambda rng: rng.randint(0, 1),
+        top=1, carrier=range(2)),
+    # nat64 stays in exact ints in `dot` and in the reference loops: OVERFLOW iff a final entry
+    # exceeds 2^64 - 1, whatever the order of summation
+    "nat64": Row(
+        name="nat64",
+        add=lambda x, y: _overflow(f"nat64 addition overflow: {x} + {y}") if (r := x + y) > NAT64_MAX else r,
+        mul=lambda x, y: _overflow(f"nat64 multiplication overflow: {x} * {y}") if (r := x * y) > NAT64_MAX else r,
+        dot=lambda xs, ys: sum(map(operator.mul, xs, ys)),
+        validate=_ints(NAT64_MAX, "nat64 element out of range: "),
+        random_element=lambda rng: rng.randint(0, 3),
+        check_range=_nat64_range, reference=(operator.add, operator.mul), top=NAT64_MAX),
+    "min_plus": Row(
+        name="min-plus", zero=INF, one=0,
+        add=lambda x, y: x if x <= y else y,
+        mul=lambda x, y: INF if x == INF or y == INF else x + y,
+        dot=lambda xs, ys: min(map(operator.add, xs, ys)),  # inf + x is inf
+        validate=_ints(INF, "min_plus element must be a natural or inf, got "),
+        random_element=lambda rng: INF if rng.random() < 0.2 else rng.randint(0, 9),
+        top=INF, inf_json="inf"),
+    "float64": Row(
+        name="float64", zero=0.0, one=1.0, add=operator.add, mul=operator.mul,
+        dot=lambda xs, ys: sum(map(operator.mul, xs, ys), 0.0),
+        validate=_finite,
+        random_element=lambda rng: rng.random(),
+        exact=False, eq=lambda x, y: math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12),
+        # OVERFLOW iff a final entry is not finite (an overflow to inf, or NaN from it)
+        check_range=lambda xs: None if all(map(math.isfinite, xs)) else _overflow(
+            "float64 result entry is not finite")),
+}
+
+
+def _int_mod(m: int) -> Row:
+    """The row of int_mod(m)."""
+    return Row(
+        name=f"int-mod:{m}",
+        add=lambda x, y: (x + y) % m,
+        mul=lambda x, y: (x * y) % m,
+        dot=lambda xs, ys: sum(map(operator.mul, xs, ys)) % m,
+        validate=_ints(m - 1, f"int_mod({m}) element out of range: "),
+        random_element=lambda rng: rng.randrange(m),
+        top=m - 1, carrier=range(m))
+
+
+def _row(kind, modulus) -> Row:
+    """The row of `kind`, refusing an unknown kind and a modulus it does not take."""
+    if kind not in KINDS:
+        raise PlexusError("UNKNOWN_KIND", f"unknown semiring kind {kind!r}")
+    if kind == "int_mod":
+        if not int_in(modulus, 2, math.inf):
+            raise PlexusError("BAD_MODULUS", f"int_mod needs a modulus >= 2, got {modulus!r}")
+        return _int_mod(modulus)
+    if modulus not in (None, 0):
+        raise PlexusError("BAD_MODULUS", f"{kind} takes no modulus")
+    return _ROWS[kind]
+
+
+class Semiring(Record):
+    """The record (kind, modulus) of a known kind, 0 for no modulus, with its
+    row's `_bound` fields bound: `s.add(x, y)` calls the row's `add`."""
+
+    __slots__ = ("kind", "modulus", "__dict__")
+    _fields = ("kind", "modulus")
+    _bound = ("name", "exact", "add", "mul", "dot", "validate", "check_range", "eq", "random_element",
+              "inf_json")
+
+    def __init__(self, kind: str, modulus: int = 0):
+        row = _row(kind, modulus)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus or 0)
+        object.__setattr__(self, "_row", row)
+        for f in self._bound:
+            object.__setattr__(self, f, getattr(row, f))
+
+    # A record's bound `add` and `mul` shadow these; the class keeps them for perfbench's tracer to wrap.
+    def add(self, x, y):
+        return vars(self)["add"](x, y)
+
+    def mul(self, x, y):
+        return vars(self)["mul"](x, y)
+
+    def zero(self):
+        return self._row.zero
+
+    def one(self):
+        return self._row.one
 
     def as_ints(self, xs, inf=INF):
         """xs, with each entry equal to `inf` read as INF, if it is a
@@ -76,7 +167,7 @@ class Semiring(Record):
         boolean, nat64 or int_mod, or for min_plus ints >= 0 and infinity as
         `xs` spells it (INF in an array, "inf" in JSON). None says nothing:
         check each x then."""
-        top = {"boolean": 1, "nat64": NAT64_MAX, "int_mod": self.modulus - 1, "min_plus": INF}.get(self.kind)
+        top = self._row.top
         if top is None or len(xs) == 0:
             return None
         ints = list(map(type, xs)).count(int)
@@ -89,115 +180,25 @@ class Semiring(Record):
 
     def elements(self):
         """Full carrier for the finite kinds; error otherwise."""
-        if self.kind == "boolean":
-            return [0, 1]
-        if self.kind == "int_mod":
-            return list(range(self.modulus))
-        raise PlexusError("INFINITE_CARRIER", f"{self.kind} has no finite carrier to enumerate")
-
-    def random_element(self, rng):
-        k = self.kind
-        if k == "boolean":
-            return rng.randint(0, 1)
-        if k == "nat64":
-            return rng.randint(0, 3)
-        if k == "int_mod":
-            return rng.randrange(self.modulus)
-        if k == "min_plus":
-            return INF if rng.random() < 0.2 else rng.randint(0, 9)
-        return rng.random()
-
-    # -- operations ------------------------------------------------------
-
-    def add(self, x, y):
-        k = self.kind
-        if k == "boolean":
-            return x | y
-        if k == "nat64":
-            r = x + y
-            if r > NAT64_MAX:
-                raise PlexusError("OVERFLOW", f"nat64 addition overflow: {x} + {y}")
-            return r
-        if k == "int_mod":
-            return (x + y) % self.modulus
-        if k == "min_plus":
-            return x if x <= y else y
-        return x + y
-
-    def mul(self, x, y):
-        k = self.kind
-        if k == "boolean":
-            return x & y
-        if k == "nat64":
-            r = x * y
-            if r > NAT64_MAX:
-                raise PlexusError("OVERFLOW", f"nat64 multiplication overflow: {x} * {y}")
-            return r
-        if k == "int_mod":
-            return (x * y) % self.modulus
-        if k == "min_plus":
-            if x == INF or y == INF:
-                return INF
-            return x + y
-        return x * y
-
-    def dot(self, xs, ys):
-        """Sum over p of xs[p] * ys[p]: the contraction kernel's only
-        per-kind step. nat64 stays in exact ints here; `check_range` judges
-        the final entries."""
-        k = self.kind
-        if k == "boolean":
-            return 1 if any(map(operator.and_, xs, ys)) else 0
-        if k == "min_plus":
-            return min(map(operator.add, xs, ys))  # inf + x is inf
-        if k == "int_mod":
-            return sum(map(operator.mul, xs, ys)) % self.modulus
-        return sum(map(operator.mul, xs, ys), self.zero())
+        if self._row.carrier is None:
+            raise PlexusError("INFINITE_CARRIER", f"{self.kind} has no finite carrier to enumerate")
+        return list(self._row.carrier)
 
     def reference_ops(self):
-        """(add, mul) for the explicit reference loops: the checked pair,
-        except that nat64 runs in exact ints, as the kernel does."""
-        if self.kind == "nat64":
-            return operator.add, operator.mul
-        return self.add, self.mul
-
-    def check_range(self, entries) -> None:
-        """nat64 products are computed exactly; OVERFLOW iff a final entry
-        exceeds 2^64 - 1, whatever the order of summation. float64: OVERFLOW
-        iff a final entry is not finite (an overflow to inf, or NaN from it)."""
-        if self.kind == "nat64":
-            for x in entries:
-                if x > NAT64_MAX:
-                    raise PlexusError("OVERFLOW", f"nat64 result entry above 2^64 - 1: {x}")
-        elif self.kind == "float64" and not all(map(math.isfinite, entries)):
-            raise PlexusError("OVERFLOW", "float64 result entry is not finite")
-
-    def eq(self, x, y) -> bool:
-        if self.kind == "float64":
-            return math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
-        return x == y
-
-    # -- serialization ---------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        if self.kind == "int_mod":
-            return f"int-mod:{self.modulus}"
-        return self.kind.replace("_", "-")
+        """(add, mul) for the explicit reference loops: the row's unchecked pair, if it has one."""
+        return self._row.reference or (self.add, self.mul)
 
     def element_to_json(self, x):
-        if self.kind == "min_plus" and x == INF:
-            return "inf"
-        return x
+        return x if self.inf_json is None or x != INF else self.inf_json
 
     def element_from_json(self, v):
-        if self.kind == "min_plus":
-            if v == "inf":
+        if self.inf_json is not None:
+            if v == self.inf_json:
                 return INF
             if v == INF:  # a JSON number that overflows, such as 1e400
                 raise PlexusError("BAD_ELEMENT", f"not an integer element: {v!r}")
         self.validate(v)
-        return float(v) if self.kind == "float64" else v
+        return v if self.exact else float(v)
 
     def entries_from_json(self, values: list) -> list:
         """[element_from_json(v) for v in values]: a list this kind holds as
@@ -207,16 +208,8 @@ class Semiring(Record):
 
 
 def make_semiring(kind: str, modulus: int | None = None) -> Semiring:
-    kind = kind.replace("-", "_")
-    if kind not in KINDS:
-        raise PlexusError("UNKNOWN_KIND", f"unknown semiring kind {kind!r}")
-    if kind == "int_mod":
-        if not int_in(modulus, 2, math.inf):
-            raise PlexusError("BAD_MODULUS", f"int_mod needs a modulus >= 2, got {modulus!r}")
-        return Semiring("int_mod", modulus)
-    if modulus is not None:
-        raise PlexusError("BAD_MODULUS", f"{kind} takes no modulus")
-    return Semiring(kind)
+    """Semiring(kind, modulus), with the kind also spelled with hyphens."""
+    return Semiring(kind.replace("-", "_") if isinstance(kind, str) else kind, modulus)
 
 
 def parse_semiring(name: str) -> Semiring:
@@ -224,8 +217,11 @@ def parse_semiring(name: str) -> Semiring:
     if not isinstance(name, str):
         raise PlexusError("PARSE_ERROR", f"semiring must be a string token, got {name!r}")
     if name.startswith("int-mod:") or name.startswith("int_mod:"):
+        digits = name.split(":", 1)[1]
         try:
-            m = int(name.split(":", 1)[1])
+            if not (digits.isascii() and digits.isdecimal()):  # int() also reads " 7", "+7" and "1_0"
+                raise ValueError(digits)
+            m = int(digits)
         except ValueError:
             raise PlexusError("BAD_MODULUS", f"bad modulus in {name!r}") from None
         return make_semiring("int_mod", m)

@@ -12,8 +12,9 @@ grow either; a rewrite's state key is spliced from its parent's, and only
 the public `state_key` sorts a whole state. The unit law (a pair is a unit
 iff its composite is the identity) is read only by the basis check and the
 biunit equations, and no batched fish kernel is left to stack basis
-indicators again. `Semiring.mul`
-is read only by the semiring itself and its axiom check, so no product
+indicators again. No method of `Semiring` branches on its kind: a record
+binds its kind's row. `Semiring.mul` is read only by the semiring's rows,
+its record and its axiom check, so no product
 multiplies one entry at a time beside the kernel; and the one fish closure
 is read only by `heapoid_check` and the relation and bijection heaps, so
 no second closure loop or hand-written relational product can grow. The
@@ -111,7 +112,27 @@ def test_no_definition_reads_a_batched_fish_kernel():
 
 
 def test_the_per_entry_product_is_read_only_by_the_semiring():
-    assert attribute_readers("mul") == {"semiring.Semiring", "semiring.check_semiring_axioms"}
+    # "semiring" is the module's table of rows, and `_int_mod` makes the int-mod rows
+    assert attribute_readers("mul") == {"semiring", "semiring._int_mod", "semiring.Semiring",
+                                        "semiring.check_semiring_axioms"}
+
+
+def test_no_method_of_the_semiring_branches_on_its_kind():
+    """A record binds its kind's row when it is built, so no method compares
+    `kind` or looks a table up by it."""
+    tree = ast.parse((SOURCE / "semiring.py").read_text())
+    record = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Semiring")
+
+    def reads_kind(node):
+        return any(isinstance(n, ast.Name) and n.id == "kind" or isinstance(n, ast.Attribute) and n.attr == "kind"
+                   for n in ast.walk(node))
+
+    branches = [n for n in ast.walk(record)
+                if isinstance(n, ast.Compare) and reads_kind(n)
+                or isinstance(n, ast.Subscript) and reads_kind(n.slice)
+                or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "get"
+                and any(map(reads_kind, n.args))]
+    assert [ast.unparse(n) for n in branches] == []
 
 
 def test_the_fish_closure_is_read_only_by_the_heapoid_check_and_the_dagger_heaps():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from plexus import IndexSet, PlexusError, check_semiring_axioms, make_array, make_semiring, parse_semiring
+from plexus import IndexSet, PlexusError, Semiring, check_semiring_axioms, make_array, make_semiring, parse_semiring
 from plexus.semiring import NAT64_MAX
 
 
@@ -124,7 +124,21 @@ def test_bad_tokens():
      "min_plus has no finite carrier to enumerate"),
     (lambda: make_semiring("float64").elements(), "INFINITE_CARRIER",
      "float64 has no finite carrier to enumerate"),
-], ids=["modulus-float", "modulus-str", "nat64-carrier", "min-plus-carrier", "float64-carrier"])
+    # the record refuses what make_semiring refuses; each of these was built
+    (lambda: Semiring("tropical"), "UNKNOWN_KIND", "unknown semiring kind 'tropical'"),
+    (lambda: Semiring("int_mod"), "BAD_MODULUS", "int_mod needs a modulus >= 2, got 0"),
+    (lambda: Semiring("int_mod", 7.0), "BAD_MODULUS", "int_mod needs a modulus >= 2, got 7.0"),
+    (lambda: Semiring("min_plus", 3), "BAD_MODULUS", "min_plus takes no modulus"),
+    # a raw AttributeError once
+    (lambda: make_semiring(None), "UNKNOWN_KIND", "unknown semiring kind None"),
+    (lambda: make_semiring(5), "UNKNOWN_KIND", "unknown semiring kind 5"),
+    # int() reads each of these, and `name` respelled it
+    (lambda: parse_semiring("int-mod:1_0"), "BAD_MODULUS", "bad modulus in 'int-mod:1_0'"),
+    (lambda: parse_semiring("int-mod: 7"), "BAD_MODULUS", "bad modulus in 'int-mod: 7'"),
+    (lambda: parse_semiring("int-mod:+7"), "BAD_MODULUS", "bad modulus in 'int-mod:+7'"),
+], ids=["modulus-float", "modulus-str", "nat64-carrier", "min-plus-carrier", "float64-carrier",
+        "record-unknown-kind", "record-no-modulus", "record-modulus-float", "record-extra-modulus",
+        "kind-none", "kind-int", "modulus-underscore", "modulus-space", "modulus-plus"])
 def test_refusals_name_their_code_and_reason(call, code, message):
     with pytest.raises(PlexusError) as err:
         call()
