@@ -30,8 +30,10 @@ class Array:
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "semiring", semiring)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Array is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def order(self) -> int:
@@ -141,9 +143,7 @@ def flatten(a: Array, group: Sequence[int]) -> Array:
 
 def broaden(a: Array, new_axis: IndexSet, position: int) -> Array:
     """Insert a redundant axis: every section along it is a copy of `a`."""
-    require_int(position, "BAD_AXIS", "axis position")
-    if not (0 <= position <= a.order):
-        raise PlexusError("BAD_AXIS", f"broaden position {position} out of range")
+    _axis(position, a.order + 1, "broaden position")
     n = a.order
     ones = full_array((new_axis,), a.semiring)
     return einsum([(a, range(n)), (ones, (n,))], [*range(position), n, *range(position, n)])
@@ -155,9 +155,7 @@ def slice_axes(a: Array, assignment: dict) -> Array:
     if not isinstance(assignment, dict):
         raise PlexusError("BAD_AXIS", f"a slice assignment maps axis positions to values, got {assignment!r}")
     for pos, val in assignment.items():
-        require_int(pos, "BAD_AXIS", "axis position")
-        if not (0 <= pos < a.order):
-            raise PlexusError("BAD_AXIS", f"slice axis {pos} out of range")
+        _axis(pos, a.order, "slice axis")
         require_int(val, "BAD_INDEX", "slice value")
         if not (0 <= val < a.axes[pos].size):
             raise PlexusError("BAD_INDEX", f"slice value {val} out of range for axis {pos}")
@@ -184,6 +182,14 @@ def entrywise_mul(a: Array, b: Array) -> Array:
     _require_arrays((a, b))
     labels = range(a.order)
     return einsum([(a, labels), (b, labels)], labels)
+
+
+def _axis(pos, limit: int, what: str = "axis") -> None:
+    """Refuse an axis position with BAD_AXIS unless it is an int in 0..limit-1;
+    the range message names `what` and the position."""
+    require_int(pos, "BAD_AXIS", "axis position")
+    if not 0 <= pos < limit:
+        raise PlexusError("BAD_AXIS", f"{what} {pos} out of range")
 
 
 def _require_positions(positions, code="BAD_AXIS", what="axis position"):
@@ -220,8 +226,7 @@ def _check_shared(arrays: Sequence[Array], shared_axes: Sequence[int]):
     if len(arrays) != len(shared) or not arrays:
         raise PlexusError("BAD_AXIS", "need one shared axis per array")
     for a, pos in zip(arrays, shared):
-        if not (0 <= pos < a.order):
-            raise PlexusError("BAD_AXIS", f"shared axis {pos} out of range")
+        _axis(pos, a.order, "shared axis")
     return arrays, shared
 
 
@@ -268,9 +273,7 @@ def contract(arrays: Sequence[Array], shared_axes: Sequence[int]) -> Array:
 
 def unary_contract(a: Array, axis: int) -> Array:
     """Sum one axis out (boolean 2-arrays: relation projections)."""
-    require_int(axis, "BAD_AXIS", "axis position")
-    if not (0 <= axis < a.order):
-        raise PlexusError("BAD_AXIS", f"axis {axis} out of range")
+    _axis(axis, a.order)
     return einsum([(a, range(a.order))], [p for p in range(a.order) if p != axis])
 
 
@@ -506,9 +509,7 @@ def random_array(axes: Sequence[IndexSet], semiring: Semiring, rng) -> Array:
 def diagonal_extension(a: Array, axis: int, copies: int = 1) -> Array:
     """Duplicate one axis into copies+1 adjacent axes, entries on the joint
     diagonal; unary contraction of any added axis recovers `a`."""
-    require_int(axis, "BAD_AXIS", "axis position")
-    if not (0 <= axis < a.order):
-        raise PlexusError("BAD_AXIS", f"axis {axis} out of range")
+    _axis(axis, a.order)
     require_int(copies, "BAD_AXIS", "copies")
     if copies < 1:
         raise PlexusError("BAD_AXIS", "copies must be >= 1")

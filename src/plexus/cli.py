@@ -173,15 +173,25 @@ def _parse_sizes(text):
     return sizes
 
 
+def _number(text):
+    """A whole-value option: a count by `core.parse_count`, or `-` before a
+    nonzero count. Its range is checked where the value is used."""
+    negative = text.startswith("-")
+    n = parse_count(text[1:] if negative else text)
+    if n is None or negative and n == 0:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}: needs ASCII digits with no sign, space, "
+                                          "underscore or leading zero, or '-' before a nonzero count")
+    return -n if negative else n
+
+
 def _cmd_laws(args):
     from .checks import SUITES
     from .semiring import parse_semiring
     trial_range(args.trials)  # refuse a bad count before any suite runs
     semiring = parse_semiring(args.semiring)
-    sizes = _parse_sizes(args.sizes)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     for name in suites:
-        verdict, note = SUITES[name](semiring, sizes, args.trials, random.Random(args.seed),
+        verdict, note = SUITES[name](semiring, args.sizes, args.trials, random.Random(args.seed),
                                      variant=args.variant, twist=args.twist)
         if not verdict:
             return _fail_law(verdict.law, verdict.witness)
@@ -234,17 +244,17 @@ def build_parser():
     pr.add_argument("--diagram", default=None, help="diagram name inside the workspace")
     pr.add_argument("--motif", default="vee", help="workspace file or standard diagram name")
     pr.add_argument("--semantic", default="", help="semiring for semantic confluence trials")
-    pr.add_argument("--trials", type=int, default=20)
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--trials", type=_number, default=20)
+    pr.add_argument("--seed", type=_number, default=0)
     pr.add_argument("--json", action="store_true", help="stable JSON report instead of text")
     pr.set_defaults(fn=_cmd_rewrite)
 
     pn = sub.add_parser("enumerate", help="census of edge compositions")
-    pn.add_argument("--edges", type=int, default=3)
-    pn.add_argument("--order", type=int, default=3)
-    pn.add_argument("--free", type=int, default=3)
+    pn.add_argument("--edges", type=_number, default=3)
+    pn.add_argument("--order", type=_number, default=3)
+    pn.add_argument("--free", type=_number, default=3)
     pn.add_argument("--variant", default="default")
-    pn.add_argument("--size", type=int, default=2)
+    pn.add_argument("--size", type=_number, default=2)
     pn.add_argument("--json", action="store_true", help="stable JSON report instead of text")
     pn.set_defaults(fn=_cmd_enumerate)
 
@@ -257,22 +267,22 @@ def build_parser():
     pl = sub.add_parser("laws", help="law suites with counterexample reporting")
     pl.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
     pl.add_argument("--semiring", default="boolean")
-    pl.add_argument("--sizes", default="2,2,2")
+    pl.add_argument("--sizes", type=_parse_sizes, default="2,2,2")
     pl.add_argument("--variant", default="IJK", choices=sorted(ETA_VARIANTS))
     pl.add_argument("--twist", action="store_true")
-    pl.add_argument("--trials", type=int, default=20)
-    pl.add_argument("--seed", type=int, default=0)
+    pl.add_argument("--trials", type=_number, default=20)
+    pl.add_argument("--seed", type=_number, default=0)
     pl.add_argument("--json", action="store_true", help="stable JSON report instead of text")
     pl.set_defaults(fn=_cmd_laws)
 
     ps = sub.add_parser("selftest", help="reduced mirror of the acceptance checks")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_number, default=0)
     ps.add_argument("--json", action="store_true", help="stable JSON report instead of text")
     ps.set_defaults(fn=_cmd_selftest)
     return p
 
 
-def run_command(argv) -> int:
+def run_command(argv):
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

@@ -59,8 +59,10 @@ class Diagram:
                 raise PlexusError("INVALID_DIAGRAM", f"isolated vertex {v}")
         object.__setattr__(self, "incidence", {v: tuple(es) for v, es in incidence.items()})
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Diagram is immutable")
+
+    __delattr__ = __setattr__
 
     def _replaced(self, removed: set, gone: set, edge: Hyperedge) -> Diagram:
         """This diagram without the edges `removed` and the vertices `gone` they leave
@@ -158,18 +160,23 @@ _STANDARD = {
 # every name `standard_diagram` knows; chain also needs its edge count
 STANDARD_NAMES = ("chain", *_STANDARD)
 
+# the work budget of a chain: its edge count is refused above this, before any edge is built
+CHAIN_EDGE_LIMIT = 4096
+
 
 def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
     """Library of named diagrams, all on a single index set "I".
 
     chain(n): n edges in a path, inner vertices marked (chain(2) is the vee
-    shape). fish / long_fish are the one- and two-body ternary motifs."""
+    shape), for 1 <= n <= CHAIN_EDGE_LIMIT. fish / long_fish are the one- and two-body ternary motifs."""
     iset = IndexSet("I", size)
     if name == "chain":
         if n is not None:  # no count at all keeps the message below
             require_int(n, "BAD_REFERENCE", "chain edge count")
         if not int_in(n, 1, math.inf):
             raise PlexusError("BAD_REFERENCE", "chain needs a positive edge count")
+        if n > CHAIN_EDGE_LIMIT:
+            raise PlexusError("BAD_REFERENCE", f"chain edge count {n} is above the limit {CHAIN_EDGE_LIMIT}")
         vertices = [(f"v{t}", iset, 0 < t < n) for t in range(n + 1)]
         edges = [(f"e{t}", (f"v{t}", f"v{t + 1}")) for t in range(n)]
         return build_diagram(vertices, edges)

@@ -289,7 +289,7 @@ def _form(*terms):
 
 
 class TernaryTable:
-    """A ternary operation on {0..n-1} as a flat lookup table:
+    """An immutable ternary operation on {0..n-1} as a flat lookup table:
     table[(a*n + b)*n + c] = (a b c)."""
 
     __slots__ = ("n", "table", "labels", "kind")
@@ -305,12 +305,18 @@ class TernaryTable:
             for x in table:
                 if not int_in(x, 0, n - 1):
                     raise PlexusError("BAD_TABLE", f"table entry must be an integer in 0..{n - 1}, got {x!r}")
-        self.n = n
-        self.table = table
-        self.labels = _sequence(labels, "labels") if labels else tuple(str(i) for i in range(n))
-        if len(self.labels) != n:
+        labels = _sequence(labels, "labels") if labels else tuple(str(i) for i in range(n))
+        if len(labels) != n:
             raise PlexusError("BAD_TABLE", "need one label per element")
-        self.kind = kind
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "kind", kind)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("TernaryTable is immutable")
+
+    __delattr__ = __setattr__
 
     def op(self, a: int, b: int, c: int) -> int:
         return self.table[(a * self.n + b) * self.n + c]

@@ -82,6 +82,9 @@ def test_immutability():
     a = make_array((I2,), [0, 1], BOOL)
     with pytest.raises(AttributeError):
         a.entries = [1, 1]
+    with pytest.raises(AttributeError):  # deleting an attribute succeeded
+        del a.entries
+    assert a.entries == (0, 1)
 
 
 @pytest.mark.parametrize("size", [0, -1, "2", True, 2.5])

@@ -468,6 +468,14 @@ def test_export_dot_unknown_token(capsys):
     (["laws", "--suite", "semiheap", "--sizes", " 2,2,2"], "PARSE_ERROR"),
     (["laws", "--suite", "semiheap", "--sizes", "9" * 5000 + ",2,2"], "PARSE_ERROR"),
     (["laws", "--suite", "semiheap", "--semiring", "int-mod:07"], "BAD_MODULUS"),
+    (["export-dot", "chain100000000"], "BAD_REFERENCE"),  # above the chain edge limit
+    # whole-value options read by the count rule, with '-' before a nonzero count
+    (["laws", "--suite", "semiheap", "--trials", "\u0663"], "PARSE_ERROR"),
+    (["laws", "--suite", "semiheap", "--seed", "+1"], "PARSE_ERROR"),
+    (["laws", "--suite", "semiheap", "--seed", "-0"], "PARSE_ERROR"),
+    (["enumerate", "--edges", " 2"], "PARSE_ERROR"),
+    (["enumerate", "--free", "1_0"], "PARSE_ERROR"),
+    (["rewrite", "chain4", "--semantic", "int-mod:5", "--trials", "\u0662"], "PARSE_ERROR"),
     # usage errors
     (["laws", "--trials", "x"], "PARSE_ERROR"),
     (["laws", "--suite", "bogus"], "PARSE_ERROR"),
@@ -549,6 +557,15 @@ def test_trials_below_one_are_refused(capsys, argv, trials):
     rep = json.loads(err)
     assert rep["error"] == "BAD_REFERENCE"
     assert f"trials must be at least 1, got {trials}" in rep["message"]
+
+
+def test_a_well_formed_number_reaches_its_range_check(capsys):
+    # a negative or zero count passes the parser, and the command's own check keeps its code
+    code, _, err = run(capsys, ["laws", "--suite", "semiheap", "--trials", "1", "--seed", "-3"])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, ["enumerate", "--size", "0"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BAD_INDEX_SET"
 
 
 def test_fail_law_contract(capsys):

@@ -2,6 +2,7 @@
 canonical certificates, DOT export."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from plexus import (
     standard_diagram,
     to_dot,
 )
+from plexus.diagram import CHAIN_EDGE_LIMIT
 
 I2 = IndexSet("I", 2)
 
@@ -91,6 +93,15 @@ def test_chain_shapes():
         standard_diagram("chain")
 
 
+def test_a_chain_above_the_edge_limit_is_refused_before_it_is_built():
+    assert len(standard_diagram("chain", n=CHAIN_EDGE_LIMIT).edges) == CHAIN_EDGE_LIMIT
+    start = time.perf_counter()
+    with pytest.raises(PlexusError) as err:
+        standard_diagram("chain", n=10 ** 8)  # started building 10^8 edges
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == f"[BAD_REFERENCE] chain edge count 100000000 is above the limit {CHAIN_EDGE_LIMIT}"
+
+
 def test_unknown_standard_name():
     with pytest.raises(PlexusError):
         standard_diagram("octopus")
@@ -146,6 +157,9 @@ def test_immutable():
     d = standard_diagram("vee")
     with pytest.raises(AttributeError):
         d.vertices = {}
+    with pytest.raises(AttributeError):  # deleting an attribute succeeded
+        del d.rank
+    assert d.rank == {"v0": 0, "v1": 1, "v2": 2}
 
 
 def test_degree_and_incidence():

@@ -770,6 +770,15 @@ def test_make_ternary_table_dispatch():
     assert err.value.code == "UNKNOWN_KIND"
 
 
+def test_ternary_table_is_immutable():
+    t = vector_heap(2, 1)
+    with pytest.raises(AttributeError):  # was taken, and check_semiheap then raised a raw IndexError
+        t.n = 1
+    with pytest.raises(AttributeError):
+        del t.table
+    assert t.n == 2 and check_semiheap(t).ok
+
+
 def test_ternary_table_validation():
     with pytest.raises(PlexusError):
         TernaryTable(0, [])

@@ -1,7 +1,8 @@
 """Short arbitrary text fed to the three readers of a count inside a CLI
-token (`int-mod:<m>`, `--sizes i,j,k`, `chain<N>`): each gives its value or
-a PlexusError, and the CLI exits 0 or 2, never another exception. The draws
-are derandomized and bounded, so runs repeat exactly."""
+token (`int-mod:<m>`, `--sizes i,j,k`, `chain<N>`) and to a whole-value
+option (`--seed`): each gives its value or a PlexusError, and the CLI exits
+0 or 2, never another exception. The draws are derandomized and bounded, so
+runs repeat exactly."""
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -72,3 +73,16 @@ def test_a_host_token_exits_0_or_2(text):
     else:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"] in {"PARSE_ERROR", "BAD_REFERENCE"}
+
+
+@BOUNDED
+@given(tokens(["", "-", "-0", "0", "1", "-1"]))
+def test_a_whole_value_option_runs_only_on_a_number_that_reads_back(text):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(["laws", "--suite", "semiheap", "--sizes", "1,1,1", "--trials", "1", "--seed", text])
+    if re.fullmatch(r"0|-?[1-9][0-9]*", text):
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert json.loads(err.getvalue())["error"] == "PARSE_ERROR"
