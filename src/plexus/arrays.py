@@ -21,13 +21,18 @@ from .semiring import Semiring
 
 
 class Array:
-    """Immutable dense array: ordered axes (the constellation) + entries."""
+    """Immutable dense array: ordered axes (the constellation) + entries,
+    one per multi-index (SIZE_MISMATCH otherwise)."""
 
     __slots__ = ("axes", "entries", "semiring")
 
     def __init__(self, axes: Sequence[IndexSet], entries: Sequence, semiring: Semiring):
-        object.__setattr__(self, "axes", tuple(axes))
-        object.__setattr__(self, "entries", tuple(entries))
+        axes, entries = tuple(axes), tuple(entries)
+        expected = _entry_count(axes)
+        if len(entries) != expected:
+            raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "semiring", semiring)
 
     def __setattr__(self, name, value=None):
@@ -97,14 +102,11 @@ def _entry_count(axes) -> int:
 
 
 def make_array(axes: Sequence[IndexSet], entries: Sequence, semiring: Semiring) -> Array:
-    axes = tuple(axes)
-    expected = _entry_count(axes)
-    if len(entries) != expected:
-        raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}")
-    if semiring.as_ints(entries) is None:
-        for x in entries:
+    a = Array(axes, entries, semiring)
+    if semiring.as_ints(a.entries) is None:
+        for x in a.entries:
             semiring.validate(x)
-    return Array(axes, entries, semiring)
+    return a
 
 
 def reorder(a: Array, sigma: Sequence[int]) -> Array:

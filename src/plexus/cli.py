@@ -19,6 +19,10 @@ from .core import ETA_VARIANTS, PlexusError, parse_count, trial_range
 # load the law checks
 SUITE_NAMES = ("biunit", "flatfish", "heap", "heapoid", "isotropy", "semiheap", "units")
 
+# the work budget of `laws`: an index-set size of --sizes is refused above this, before any array
+# is drawn (a suite's time grows as about the fourth to fifth power of the sizes)
+LAW_SIZE_LIMIT = 16
+
 
 def _bind_by_label(ws, d):
     from .evaluator import default_binding
@@ -170,6 +174,8 @@ def _parse_sizes(text):
     sizes = tuple(map(parse_count, text.split(",")))
     if len(sizes) != 3 or not all(sizes):  # a malformed count is None
         raise PlexusError("PARSE_ERROR", f"bad --sizes {text!r}: needs three positive integers i,j,k")
+    if max(sizes) > LAW_SIZE_LIMIT:
+        raise PlexusError("BAD_REFERENCE", f"--sizes {max(sizes)} is above the limit {LAW_SIZE_LIMIT}")
     return sizes
 
 

@@ -4,12 +4,14 @@ bound entries over all assignments to marked vertices.
 `evaluate` is the engine; `evaluate_formula_oracle` is a deliberately separate
 reference that visits every total vertex assignment and does its own offset
 arithmetic, a block of assignments at a time, so the two can cross-check
-each other.
+each other. Like the kernel, the oracle plans each shape once, but with its
+own planner, `_oracle_plan`, which reads none of the kernel's parts.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 
 from .arrays import Array, _label_axes, einsum, kronecker
 from .core import PlexusError, Record, fresh_id, int_in, natural_key
@@ -115,64 +117,83 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
     in `evaluate`'s order, so it refuses what `evaluate` refuses): visit
     every total vertex assignment in row-major order, look entries up by
     hand-rolled offsets, and add each term into the output entry of the free
-    part of the assignment. A block is a run of at most BLOCK consecutive
-    assignments: a run of one vertex's values, the lead, with every
-    assignment of the vertices after it. Over a block each edge's and the
-    output's offsets are summed once. For each block, one column of entries
-    per edge is gathered and multiplied term by term, `one` first and then
-    the edges in order, and each term is added into its output entry in
-    assignment order, so every entry meets the same operations in the same
-    order as in a loop over single assignments."""
+    part of the assignment. The offsets come from `_oracle_plan`, once per
+    shape; the checks run on every call, before the lookup. For each block
+    of assignments, one column of entries per edge is gathered and
+    multiplied term by term, `one` first and then the edges in order, and
+    each term is added into its output entry in assignment order, so every
+    entry meets the same operations in the same order as in a loop over
+    single assignments."""
     _check_binding(d, binding)
     free = _output_order(d, output_order)
     _label_axes(_operands(d, binding))
-    vids = d.vertex_ids()
-    slot = {v: n for n, v in enumerate(vids)}
-    sizes = [d.vertices[v].index_set.size for v in vids]
+    slot = d.rank
+    sizes = tuple(d.vertices[v].index_set.size for v in slot)
+    bound = [binding[eid] for eid in d.edges]
+    legs = tuple(tuple(slot[v] for v in sorted(be.leg_to_axis, key=be.leg_to_axis.get)) for be in bound)
+    lead, run, count, edges, out, blocks = _oracle_plan(sizes, legs, tuple(slot[v] for v in free))
     s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()
-    lead, width = len(vids) - 1, 1  # width: the assignments of the vertices after the lead
+    values = [be.array.entries for be in bound]
+    entries = [s.zero()] * count
+    for outer in itertools.product(*map(range, sizes[:lead]), range(0, sizes[lead], run)):
+        edge_offsets, out_offsets = blocks[min(run, sizes[lead] - outer[lead])]
+        terms = [s.one()] * len(out_offsets)
+        for pairs, offsets, column in zip(edges, edge_offsets, values):
+            base = sum(outer[p] * k for p, k in pairs)
+            terms = [mul(t, column[base + x]) for t, x in zip(terms, offsets)]
+        base = sum(outer[p] * k for p, k in out)
+        for off, t in zip(out_offsets, terms):
+            off += base
+            entries[off] = add(entries[off], t)
+    s.check_range(entries)
+    axes = tuple(d.vertices[v].index_set for v in free)
+    return Array(axes, entries, s)
+
+
+ORACLE_PLANS = 8  # the shapes `_oracle_plan` keeps, the least recently used dropped first
+
+
+@functools.lru_cache(maxsize=ORACLE_PLANS)
+def _oracle_plan(sizes: tuple, legs: tuple, out: tuple) -> tuple:
+    """The offsets of `evaluate_formula_oracle` on vertices of these sizes,
+    in natural order, with each edge's legs on these vertex slots, in axis
+    order, onto the output slots `out`: (lead, run, count, edges, out,
+    blocks). A block is a run of at most BLOCK consecutive assignments: a
+    run of `run` values of one vertex, the lead, with every assignment of
+    the vertices after it. `edges` holds each edge's (slot, stride) pairs
+    of the axes on the lead or before it, `out` the output's, and `count`
+    is the output's entry count. `blocks` maps each run length (the last
+    may be shorter) to each edge's offsets and the output's over the
+    block's assignments in order, as arrays of C ints: a plan holds at most
+    two blocks' worth of offsets."""
+    lead, width = len(sizes) - 1, 1  # width: the assignments of the vertices after the lead
     while lead and width * sizes[lead] <= BLOCK:
         width *= sizes[lead]
         lead -= 1
     run = min(sizes[lead], BLOCK // width)
 
-    def strides(legs):
-        """The (assignment slot, row-major stride) pairs of the axes on these
-        legs that lie before the block or on its lead, the offsets over a
-        full block's assignments in order, and the entry count."""
+    def strides(slots):
+        """The outer (slot, stride) pairs of the axes on these slots, the
+        offsets over a full block's assignments in order, and the entry
+        count."""
         stride, k = {}, 1
-        for v in reversed(legs):
-            stride[slot[v]] = k
-            k *= sizes[slot[v]]
+        for p in reversed(slots):
+            stride[p] = k
+            k *= sizes[p]
         offsets = [0]
-        for p in range(lead, len(vids)):
+        for p in range(lead, len(sizes)):
             steps = [i * stride.get(p, 0) for i in range(run if p == lead else sizes[p])]
             offsets = [x + y for x in offsets for y in steps]
-        return [(p, step) for p, step in stride.items() if p <= lead], offsets, k
+        return tuple((p, step) for p, step in stride.items() if p <= lead), offsets, k
 
-    edges = [strides(sorted(be.leg_to_axis, key=be.leg_to_axis.get))[:2] + (be.array.entries,)
-             for be in map(binding.get, d.edges)]
-    out, out_offsets, count = strides(free)
-    blocks = {}  # run length (the last may be shorter) -> assignments, edge offsets, output groups
+    edges = [strides(slots) for slots in legs]
+    out_pairs, out_offsets, count = strides(out)
+    blocks = {}
     for length in {run, sizes[lead] % run} - {0}:
-        n, groups = length * width, {}  # each output offset and the block's assignments reaching it
-        for j, off in enumerate(out_offsets[:n]):
-            groups.setdefault(off, []).append(j)
-        blocks[length] = n, [offsets[:n] for _, offsets, _ in edges], groups
-    entries = [s.zero()] * count
-    for outer in itertools.product(*map(range, sizes[:lead]), range(0, sizes[lead], run)):
-        n, edge_offsets, groups = blocks[min(run, sizes[lead] - outer[lead])]
-        terms = [s.one()] * n
-        for (pairs, _, values), offsets in zip(edges, edge_offsets):
-            base = sum(outer[p] * k for p, k in pairs)
-            terms = list(map(mul, terms, [values[base + x] for x in offsets]))
-        base = sum(outer[p] * k for p, k in out)
-        for off, js in groups.items():
-            entries[base + off] = functools.reduce(add, map(terms.__getitem__, js), entries[base + off])
-    s.check_range(entries)
-    axes = tuple(d.vertices[v].index_set for v in free)
-    return Array(axes, entries, s)
+        n = length * width
+        blocks[length] = tuple(array("i", offsets[:n]) for _, offsets, _ in edges), array("i", out_offsets[:n])
+    return lead, run, count, tuple(pairs for pairs, _, _ in edges), out_pairs, blocks
 
 
 def insert_kronecker(d: Diagram, binding: dict, vertex: str, edge: str):

@@ -444,7 +444,7 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
             raise PlexusError("BAD_REFERENCE", f"{name} must be at least {least}, got {value!r}")
     marked_min, unmarked_exact = ENUMERATION_VARIANTS[variant]
     iset = IndexSet("I", size)
-    reps, symmetric, seen = [], [], set()
+    reps, symmetric, seen, skeletons = [], [], set(), set()
     edges = list(itertools.combinations(range(edge_order + (num_edges - 1) * (edge_order - 1)), edge_order))
     # every class has a gap-free labelling holding the least edge (0, ..., k-1), and the groups
     # holding it come first: they meet each class's first representative, in the same order
@@ -468,6 +468,11 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
                 continue
             if skeleton is None:  # one labelling search per group, on its unmarked skeleton
                 skeleton = _labelling_search(build_diagram([(n, iset, False) for n in names], legs))
+                # the degree rule reads only degrees, so an isomorphic skeleton seen before
+                # has already keyed every marking of this one
+                if skeleton[0] in skeletons:
+                    break
+                skeletons.add(skeleton[0])
             free = [names[v] for v in unmarked]
             key = _marking_key(skeleton, free)
             if key in seen:

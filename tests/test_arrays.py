@@ -65,6 +65,14 @@ def test_make_array_size_mismatch():
     assert err.value.code == "SIZE_MISMATCH"
 
 
+@pytest.mark.parametrize("count", [7, 9, 0])
+def test_an_array_refuses_an_entry_count_that_does_not_match_its_axes(count):
+    # unrefused, such an array reaches the kernel's unchecked reads: fish and contract raise IndexError
+    with pytest.raises(PlexusError) as err:
+        arrays.Array((I2, I2, I2), [1] * count, BOOL)
+    assert str(err.value) == f"[SIZE_MISMATCH] expected 8 entries, got {count}"
+
+
 def test_make_array_validates_elements():
     with pytest.raises(PlexusError) as err:
         make_array((I2,), [0, 2], BOOL)

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import plexus
 from plexus import IndexSet, fish, make_array, make_semiring
 from plexus import checks
-from plexus.cli import SUITE_NAMES, _fail_law, run_command
+from plexus.cli import LAW_SIZE_LIMIT, SUITE_NAMES, _fail_law, run_command
 from plexus.core import Verdict
 from plexus.diagram import STANDARD_NAMES, standard_diagram, to_dot
 
@@ -469,6 +470,7 @@ def test_export_dot_unknown_token(capsys):
     (["laws", "--suite", "semiheap", "--sizes", "9" * 5000 + ",2,2"], "PARSE_ERROR"),
     (["laws", "--suite", "semiheap", "--semiring", "int-mod:07"], "BAD_MODULUS"),
     (["export-dot", "chain100000000"], "BAD_REFERENCE"),  # above the chain edge limit
+    (["laws", "--suite", "semiheap", "--sizes", "2,17,2"], "BAD_REFERENCE"),  # above the law size limit
     # whole-value options read by the count rule, with '-' before a nonzero count
     (["laws", "--suite", "semiheap", "--trials", "\u0663"], "PARSE_ERROR"),
     (["laws", "--suite", "semiheap", "--seed", "+1"], "PARSE_ERROR"),
@@ -523,6 +525,17 @@ def test_laws_bad_sizes(capsys):
     code, _, err = run(capsys, ["laws", "--sizes", "2,2"])
     assert code == 2
     assert json.loads(err)["error"] == "PARSE_ERROR"
+
+
+def test_laws_sizes_above_the_limit_are_refused_before_any_array_is_drawn(capsys):
+    code, out, _ = run(capsys, ["laws", "--suite", "semiheap", "--sizes", f"2,{LAW_SIZE_LIMIT},1",
+                                "--trials", "1"])
+    assert (code, out) == (0, f"semiheap ok: 1 trials, sizes (2, {LAW_SIZE_LIMIT}, 1), semiring boolean\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["laws", "--sizes", "1000,1000,1000"])  # days of work
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == f"[BAD_REFERENCE] --sizes 1000 is above the limit {LAW_SIZE_LIMIT}"
 
 
 @pytest.mark.parametrize("variant", ["IJK", "JIK", "KIJ", "IKJ", "JKI", "KJI"])

@@ -3,9 +3,11 @@ explicit reference evaluator, one rewrite walk and one unit law. The
 semiring's per-kind `dot` step is read only by the kernel's pair
 contraction, and the unchecked `reference_ops` pair only by the formula
 oracle, so no second sum-of-products loop can grow elsewhere unnoticed; the
-oracle in turn reads none of the kernel's parts (`einsum`, its offset grid
-`_grid` and `_strides`, its planner `_plan`, `_pair_step` and `_compact`,
-or `_contract_pair`), so it stays independent of what it checks. A
+oracle and its own planner in turn read none of the kernel's parts
+(`einsum`, its offset grid `_grid` and `_strides`, its planner `_plan`,
+`_pair_step` and `_compact`, or `_contract_pair`), and nothing of the
+arrays module but the `Array` record and the operand check `_label_axes`,
+so the oracle stays independent of what it checks. A
 `deque` frontier lives only in the rewrite walk, and only the full and the
 carried match searches call the raw matcher, so no second multiway loop can
 grow either; a rewrite's state key is spliced from its parent's, and only
@@ -81,6 +83,10 @@ def name_readers(name):
     return readers(lambda n: isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)) | attribute_readers(name)
 
 
+# the formula oracle: its run and its planner
+ORACLE = {"evaluator.evaluate_formula_oracle", "evaluator._oracle_plan"}
+
+
 def test_reference_ops_are_read_only_by_the_formula_oracle():
     assert attribute_readers("reference_ops") == {"evaluator.evaluate_formula_oracle"}
 
@@ -88,7 +94,16 @@ def test_reference_ops_are_read_only_by_the_formula_oracle():
 @pytest.mark.parametrize("name", ["einsum", "_grid", "_strides", "_contract_pair", "_plan", "_pair_step",
                                   "_compact"])
 def test_the_formula_oracle_reads_no_part_of_the_kernel(name):
-    assert "evaluator.evaluate_formula_oracle" not in name_readers(name)
+    assert ORACLE & name_readers(name) == set()
+
+
+def test_the_formula_oracle_reads_only_the_array_record_and_the_operand_check_of_the_arrays_module():
+    tree = ast.parse((SOURCE / "arrays.py").read_text())
+    defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+    read = {n.id if isinstance(n, ast.Name) else n.attr for n, owner in owned_nodes()
+            if owner in ORACLE and isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    assert read & defined == {"Array", "_label_axes"}
 
 
 def test_the_dot_step_is_read_only_by_the_kernel():

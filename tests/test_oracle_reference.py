@@ -2,13 +2,15 @@
 reference: one total vertex assignment at a time, each edge's offset summed
 from its strides, `one` multiplied by the edges' entries in edge order, and
 the term added into its output entry. The blocked oracle must give
-repr-identical axes and entries, or the same error code, on derandomized
+repr-identical axes and entries (for float64, bit for bit), or the same
+error code, from an empty plan cache and from warm ones, on derandomized
 hypothesis diagrams over all five semirings (float64 included, where another
 order of multiplication or addition shows), on diagrams whose assignments
 span several blocks, whose last vertex alone outgrows a block, or whose
 blocks hold a run of several values of one vertex, on a scalar
 output, on diagrams with no marked vertex, on size-1 vertices, on nat64 sums
-either side of 2^64 - 1, and on min-plus infinity."""
+either side of 2^64 - 1, and on min-plus infinity. The plan cache never
+holds more than ORACLE_PLANS shapes."""
 import itertools
 import math
 import random
@@ -36,7 +38,14 @@ from plexus import (  # noqa: E402
     standard_diagram,
 )
 from plexus.arrays import _label_axes  # noqa: E402
-from plexus.evaluator import BLOCK, _check_binding, _operands, _output_order  # noqa: E402
+from plexus.evaluator import (  # noqa: E402
+    BLOCK,
+    ORACLE_PLANS,
+    _check_binding,
+    _operands,
+    _oracle_plan,
+    _output_order,
+)
 from plexus.semiring import NAT64_MAX  # noqa: E402
 
 SEMIRINGS = [parse_semiring(t) for t in ("boolean", "nat64", "int-mod:5", "min-plus", "float64")]
@@ -87,9 +96,14 @@ def outcome(engine, d, binding, order):
 
 
 def same(d, binding, order=None):
-    """The blocked oracle's outcome is the loop's; that outcome."""
+    """The blocked oracle's outcome is the loop's: from the plans earlier
+    calls left, from an empty plan cache, and from the plan that call made;
+    that outcome."""
     want = outcome(loop_oracle, d, binding, order)
-    assert outcome(evaluate_formula_oracle, d, binding, order) == want
+    for clear in (False, True, False):
+        if clear:
+            _oracle_plan.cache_clear()
+        assert outcome(evaluate_formula_oracle, d, binding, order) == want
     return want
 
 
@@ -148,6 +162,35 @@ def test_the_oracle_matches_the_loop_across_blocks(name, s):
     count = math.prod(v.index_set.size for v in d.vertices.values())
     assert count > BLOCK
     same(d, random_binding(d, s, random.Random(count)))
+
+
+def plan_of(d):
+    """The oracle's plan for d with legs in natural order onto its free
+    vertices."""
+    slot = d.rank
+    legs = tuple(tuple(slot[v] for v in sorted(e.legs, key=slot.get)) for e in d.edges.values())
+    return _oracle_plan(tuple(v.index_set.size for v in map(d.vertices.get, slot)), legs,
+                        tuple(slot[v] for v in d.free_vertices()))
+
+
+def test_the_spanning_shapes_reach_a_lead_above_a_block_and_a_short_last_run():
+    # (lead, run, run lengths): the lead is the vertex the blocks split
+    lead, run, *_, blocks = plan_of(SPANNING["last vertex above a block"])
+    assert (lead, run, sorted(blocks)) == (2, BLOCK, [76, BLOCK])
+    lead, run, *_, blocks = plan_of(SPANNING["runs of 3 then 2 of a lead of 5"])
+    assert (lead, run, sorted(blocks)) == (1, 3, [2, 3])
+
+
+def test_the_plan_cache_holds_at_most_its_constant():
+    assert _oracle_plan.cache_info().maxsize == ORACLE_PLANS
+    _oracle_plan.cache_clear()
+    rng = random.Random(5)
+    for n in range(1, 2 * ORACLE_PLANS + 2):  # one shape each, its plan shared by every semiring
+        d = _sized((n, 2, 3), {1}, [(0, 1), (1, 2)])
+        for s in SEMIRINGS:
+            binding = random_binding(d, s, rng)
+            assert outcome(evaluate_formula_oracle, d, binding, None) == outcome(loop_oracle, d, binding, None)
+        assert _oracle_plan.cache_info().currsize == min(n, ORACLE_PLANS)
 
 
 @pytest.mark.parametrize("s", SEMIRINGS, ids=lambda s: s.name)
