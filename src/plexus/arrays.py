@@ -16,13 +16,13 @@ from array import array
 from collections import Counter, namedtuple
 from typing import Sequence
 
-from .core import IndexSet, PlexusError, require_int
+from .core import Immutable, IndexSet, PlexusError, require_int
 from .semiring import Semiring
 
 
-class Array:
-    """Immutable dense array: ordered axes (the constellation) + entries,
-    one per multi-index (SIZE_MISMATCH otherwise)."""
+class Array(Immutable):
+    """Immutable dense array: ordered axes (the constellation), index sets (BAD_AXIS otherwise),
+    + entries, one per multi-index (SIZE_MISMATCH otherwise)."""
 
     __slots__ = ("axes", "entries", "semiring")
 
@@ -34,11 +34,6 @@ class Array:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "semiring", semiring)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Array is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def order(self) -> int:
@@ -95,8 +90,11 @@ class Array:
 
 
 def _entry_count(axes) -> int:
+    """The entry count of an array on these axes, BAD_AXIS unless each is an `IndexSet`."""
     n = 1
     for ax in axes:
+        if not isinstance(ax, IndexSet):
+            raise PlexusError("BAD_AXIS", f"axis {ax!r} is not an index set")
         n *= ax.size
     return n
 

@@ -113,6 +113,8 @@ def _cmd_rewrite(args):
     host, _ = _load_host(args.host, args.diagram)
     motif_d, _ = _load_host(args.motif, None)
     motif = Motif(motif_d)
+    if args.semantic:
+        trial_range(args.trials)  # refuse a bad count before the multiway walk
     report = check_concurrency(host, motif)
     code = 0
     if args.semantic:

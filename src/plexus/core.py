@@ -46,10 +46,21 @@ def require_int(x, code: str, what: str) -> None:
         raise PlexusError(code, f"{what} must be an integer, got {x!r}")
 
 
-class Record:
+class Immutable:
+    """Base of the values that never change once built: assigning or deleting an
+    attribute raises `AttributeError`, so `__init__` sets slots with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Record(Immutable):
     """Base of the immutable records: a subclass names its fields in
-    `__slots__` (or, if it keeps more slots than fields, in `_fields`) and
-    sets them in `__init__` with `object.__setattr__`. As
+    `__slots__` (or, if it keeps more slots than fields, in `_fields`). As
     for a frozen dataclass, records are equal iff of one class with equal
     fields, hash as their field tuple, and list their fields in the repr."""
 
@@ -60,11 +71,6 @@ class Record:
         cls._fields = vars(cls).get("_fields", cls.__slots__)
         get = operator.attrgetter(*cls._fields)
         cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -127,11 +133,16 @@ def natural_key(s: str):
     return tuple(int(part) if part.isdecimal() else part for part in _SPLIT_DIGITS.split(s)), s
 
 
+TRIAL_LIMIT = 1000  # the most trials of a law check (a semiheap trial at `laws --sizes 16,16,16` takes 0.1 s)
+
+
 def trial_range(trials: int) -> range:
-    """range(trials), refusing a count that is not an int of at least 1: a
+    """range(trials), refusing a count that is not an int in 1..TRIAL_LIMIT: a
     law check that draws no array would pass without testing anything."""
     if not int_in(trials, 1, math.inf):
         raise PlexusError("BAD_REFERENCE", f"trials must be at least 1, got {trials!r}")
+    if trials > TRIAL_LIMIT:
+        raise PlexusError("BAD_REFERENCE", f"trials {trials} is above the limit {TRIAL_LIMIT}")
     return range(trials)
 
 

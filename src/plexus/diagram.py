@@ -10,7 +10,7 @@ import itertools
 import math
 from typing import Iterable
 
-from .core import IndexSet, PlexusError, Record, int_in, natural_key, require_int
+from .core import Immutable, IndexSet, PlexusError, Record, int_in, natural_key, require_int
 
 
 class Vertex(Record):
@@ -33,7 +33,7 @@ class Hyperedge(Record):
         object.__setattr__(self, "label", label or id)
 
 
-class Diagram:
+class Diagram(Immutable):
     """Immutable marked hypergraph. Its natural-id vertex and edge orders are
     computed once; `rank` maps each vertex id to its place in that order, and
     `incidence` maps each vertex id to its incident edge ids in natural order."""
@@ -58,11 +58,6 @@ class Diagram:
             if not incidence[v]:
                 raise PlexusError("INVALID_DIAGRAM", f"isolated vertex {v}")
         object.__setattr__(self, "incidence", {v: tuple(es) for v, es in incidence.items()})
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Diagram is immutable")
-
-    __delattr__ = __setattr__
 
     def _replaced(self, removed: set, gone: set, edge: Hyperedge) -> Diagram:
         """This diagram without the edges `removed` and the vertices `gone` they leave
@@ -180,7 +175,7 @@ def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
         vertices = [(f"v{t}", iset, 0 < t < n) for t in range(n + 1)]
         edges = [(f"e{t}", (f"v{t}", f"v{t + 1}")) for t in range(n)]
         return build_diagram(vertices, edges)
-    if name not in _STANDARD:
+    if not isinstance(name, str) or name not in _STANDARD:
         raise PlexusError("BAD_REFERENCE", f"unknown standard diagram {name!r}")
     nverts, marked, edge_legs = _STANDARD[name]
     vertices = [(f"v{t}", iset, t in marked) for t in range(nverts)]

@@ -30,6 +30,11 @@ class BoundEdge(Record):
         object.__setattr__(self, "leg_to_axis", leg_to_axis)
 
 
+def _axis_legs(be: BoundEdge) -> list:
+    """A bound edge's legs in the order of the axes they take."""
+    return sorted(be.leg_to_axis, key=be.leg_to_axis.get)
+
+
 def default_binding(d: Diagram, arrays: dict) -> dict:
     """Bind arrays by edge id; legs in natural vertex-id order take axes
     0..n-1."""
@@ -104,11 +109,7 @@ def _output_order(d: Diagram, output_order: list | None) -> list:
 
 def _operands(d: Diagram, binding: dict) -> list:
     """Each edge's array with its axes labelled by their vertex ids."""
-    operands = []
-    for eid in d.edge_ids():
-        be = binding[eid]
-        operands.append((be.array, sorted(be.leg_to_axis, key=be.leg_to_axis.get)))
-    return operands
+    return [(binding[eid].array, _axis_legs(binding[eid])) for eid in d.edge_ids()]
 
 
 def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
@@ -130,7 +131,7 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
     slot = d.rank
     sizes = tuple(d.vertices[v].index_set.size for v in slot)
     bound = [binding[eid] for eid in d.edges]
-    legs = tuple(tuple(slot[v] for v in sorted(be.leg_to_axis, key=be.leg_to_axis.get)) for be in bound)
+    legs = tuple(tuple(slot[v] for v in _axis_legs(be)) for be in bound)
     lead, run, count, edges, out, blocks = _oracle_plan(sizes, legs, tuple(slot[v] for v in free))
     s = binding[d.edge_ids()[0]].array.semiring
     add, mul = s.reference_ops()

@@ -21,7 +21,7 @@ from collections import deque, namedtuple
 from .core import IndexSet, PlexusError, Record, fresh_id, int_in, natural_key, require_int, trial_range
 from .arrays import einsum, random_array
 from .diagram import Diagram, Hyperedge, _labelling_search, build_diagram, standard_diagram
-from .evaluator import BoundEdge, _check_binding, default_binding, evaluate
+from .evaluator import BoundEdge, _axis_legs, _check_binding, default_binding, evaluate
 
 
 class Motif(Record):
@@ -233,8 +233,8 @@ def _bound_rewrite(host: Diagram, binding: dict, rewrite: _Rewrite):
     """`apply_rewrite_bound` given the match's `_Rewrite`, on a checked binding: one kernel call
     over the matched edges, labelled as `evaluate` labels them, onto the new legs, which are
     exactly the unsummed images, as the matched edges' legs are the motif vertices' images."""
-    collapsed = einsum([(be.array, sorted(be.leg_to_axis, key=be.leg_to_axis.get))
-                        for be in map(binding.get, sorted(rewrite.removed, key=natural_key))], rewrite.legs)
+    removed = sorted(rewrite.removed, key=natural_key)
+    collapsed = einsum([(binding[eid].array, _axis_legs(binding[eid])) for eid in removed], rewrite.legs)
     new_d, new_eid = rewrite.applied(host)
     new_binding = {eid: binding[eid] for eid in new_d.edges if eid != new_eid}
     new_binding[new_eid] = BoundEdge(collapsed, {v: t for t, v in enumerate(rewrite.legs)})
@@ -436,7 +436,7 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
     vertices. Variant sets the degree constraints (marked minimum degree,
     exact unmarked degree or None). Returns (all_classes, symmetric_classes);
     symmetric means the automorphism group is transitive on edges."""
-    if variant not in ENUMERATION_VARIANTS:
+    if not isinstance(variant, str) or variant not in ENUMERATION_VARIANTS:
         raise PlexusError("BAD_REFERENCE", f"unknown enumeration variant {variant!r}")
     for name, value, least in (("num_edges", num_edges, 1), ("edge_order", edge_order, 1),
                                ("free_vertices", free_vertices, 0)):

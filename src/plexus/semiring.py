@@ -3,7 +3,8 @@
 Each kind is one `Row` of operations: boolean, nat64 (checked 64-bit
 overflow), int_mod(m) (one row per modulus), min_plus (tropical) and float64
 (inexact, demonstration only). A `Semiring` record binds its kind's row when
-it is built, so no call branches on the kind.
+it is built, so no call branches on the kind; `Semiring.add` and `mul`,
+the one definition of each, call the row's.
 """
 from __future__ import annotations
 
@@ -132,12 +133,12 @@ def _row(kind, modulus) -> Row:
 
 class Semiring(Record):
     """The record (kind, modulus) of a known kind, 0 for no modulus, with its
-    row's `_bound` fields bound: `s.add(x, y)` calls the row's `add`."""
+    row's `_bound` fields bound: `s.dot(xs, ys)` calls the row's `dot`, and
+    the methods `add` and `mul` call the row's."""
 
     __slots__ = ("kind", "modulus", "__dict__")
     _fields = ("kind", "modulus")
-    _bound = ("name", "exact", "add", "mul", "dot", "validate", "check_range", "eq", "random_element",
-              "inf_json")
+    _bound = ("name", "exact", "dot", "validate", "check_range", "eq", "random_element", "inf_json")
 
     def __init__(self, kind: str, modulus: int = 0):
         row = _row(kind, modulus)
@@ -147,12 +148,11 @@ class Semiring(Record):
         for f in self._bound:
             object.__setattr__(self, f, getattr(row, f))
 
-    # A record's bound `add` and `mul` shadow these; the class keeps them for perfbench's tracer to wrap.
     def add(self, x, y):
-        return vars(self)["add"](x, y)
+        return self._row.add(x, y)
 
     def mul(self, x, y):
-        return vars(self)["mul"](x, y)
+        return self._row.mul(x, y)
 
     def zero(self):
         return self._row.zero
@@ -185,8 +185,8 @@ class Semiring(Record):
         return list(self._row.carrier)
 
     def reference_ops(self):
-        """(add, mul) for the explicit reference loops: the row's unchecked pair, if it has one."""
-        return self._row.reference or (self.add, self.mul)
+        """(add, mul) for the explicit reference loops: the row's unchecked pair, if it has one, else its own."""
+        return self._row.reference or (self._row.add, self._row.mul)
 
     def element_to_json(self, x):
         return x if self.inf_json is None or x != INF else self.inf_json

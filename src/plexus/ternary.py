@@ -18,7 +18,7 @@ import random
 
 from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kronecker,
                      random_array, zero_array)
-from .core import ETA_VARIANTS, IndexSet, PlexusError, Verdict, int_in, trial_range
+from .core import ETA_VARIANTS, Immutable, IndexSet, PlexusError, Verdict, int_in, trial_range
 from .diagram import Diagram, Vertex, standard_diagram
 from .evaluator import BoundEdge, evaluate_formula_oracle
 from .semiring import Semiring
@@ -36,7 +36,7 @@ def _fish_labels(variant: str, twist: bool):
     tail, body and head over i j p q r k, the output labels, and the
     positions in (a, b, c) of the tail, body and head. The tips sit on the
     two axes that are not the mouth, in order; the twist swaps the body's."""
-    if variant not in ETA_VARIANTS:
+    if not isinstance(variant, str) or variant not in ETA_VARIANTS:
         raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
     z, rev = ETA_VARIANTS[variant]
 
@@ -288,7 +288,7 @@ def _form(*terms):
     return evaluate_formula_oracle(*_fish_diagram(terms))
 
 
-class TernaryTable:
+class TernaryTable(Immutable):
     """An immutable ternary operation on {0..n-1} as a flat lookup table:
     table[(a*n + b)*n + c] = (a b c)."""
 
@@ -312,11 +312,6 @@ class TernaryTable:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("TernaryTable is immutable")
-
-    __delattr__ = __setattr__
 
     def op(self, a: int, b: int, c: int) -> int:
         return self.table[(a * self.n + b) * self.n + c]
@@ -429,7 +424,7 @@ def make_ternary_table(kind: str, *args) -> TernaryTable:
         "vector_heap": (vector_heap, 2, 2),
         "custom": (TernaryTable, 2, 4),
     }
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise PlexusError("UNKNOWN_KIND", f"unknown ternary table kind {kind!r}")
     build, least, most = builders[kind]
     if not least <= len(args) <= most:

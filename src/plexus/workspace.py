@@ -95,13 +95,9 @@ def _load_array(name, spec, index_sets, semiring) -> Array:
         axes.append(index_sets[ax])
     _require(isinstance(spec["entries"], list), "PARSE_ERROR", "'entries' must be a list", loc)
     try:
-        entries = semiring.entries_from_json(spec["entries"])
+        return Array(axes, semiring.entries_from_json(spec["entries"]), semiring)
     except PlexusError as err:
         raise PlexusError(err.code, err.args[0], loc)
-    expected = math.prod(ax.size for ax in axes)
-    if len(entries) != expected:
-        raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}", loc)
-    return Array(axes, entries, semiring)
 
 
 def _load_diagram(spec, index_sets, loc) -> Diagram:

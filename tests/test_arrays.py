@@ -73,6 +73,21 @@ def test_an_array_refuses_an_entry_count_that_does_not_match_its_axes(count):
     assert str(err.value) == f"[SIZE_MISMATCH] expected 8 entries, got {count}"
 
 
+@pytest.mark.parametrize("build", [
+    lambda: arrays.Array((2, 2), [0] * 4, BOOL),
+    lambda: make_array((I2, 2), [0] * 4, BOOL),
+    lambda: zero_array((I2, 2), BOOL),
+    lambda: full_array((2,), BOOL),
+    lambda: random_array((2, I2), BOOL, random.Random(0)),
+    lambda: kronecker(2, 2, BOOL),
+], ids=["Array", "make_array", "zero_array", "full_array", "random_array", "kronecker"])
+def test_an_axis_that_is_not_an_index_set_is_refused(build):
+    # each raised a raw AttributeError: 'int' object has no attribute 'size'
+    with pytest.raises(PlexusError) as err:
+        build()
+    assert str(err.value) == "[BAD_AXIS] axis 2 is not an index set"
+
+
 def test_make_array_validates_elements():
     with pytest.raises(PlexusError) as err:
         make_array((I2,), [0, 2], BOOL)

@@ -13,7 +13,7 @@ import plexus
 from plexus import IndexSet, fish, make_array, make_semiring
 from plexus import checks
 from plexus.cli import LAW_SIZE_LIMIT, SUITE_NAMES, _fail_law, run_command
-from plexus.core import Verdict
+from plexus.core import TRIAL_LIMIT, Verdict, trial_range
 from plexus.diagram import STANDARD_NAMES, standard_diagram, to_dot
 
 MOD5 = make_semiring("int_mod", 5)
@@ -471,6 +471,7 @@ def test_export_dot_unknown_token(capsys):
     (["laws", "--suite", "semiheap", "--semiring", "int-mod:07"], "BAD_MODULUS"),
     (["export-dot", "chain100000000"], "BAD_REFERENCE"),  # above the chain edge limit
     (["laws", "--suite", "semiheap", "--sizes", "2,17,2"], "BAD_REFERENCE"),  # above the law size limit
+    (["laws", "--suite", "semiheap", "--trials", "1001"], "BAD_REFERENCE"),  # above the trial limit
     # whole-value options read by the count rule, with '-' before a nonzero count
     (["laws", "--suite", "semiheap", "--trials", "\u0663"], "PARSE_ERROR"),
     (["laws", "--suite", "semiheap", "--seed", "+1"], "PARSE_ERROR"),
@@ -536,6 +537,19 @@ def test_laws_sizes_above_the_limit_are_refused_before_any_array_is_drawn(capsys
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (2, "")
     assert json.loads(err)["message"] == f"[BAD_REFERENCE] --sizes 1000 is above the limit {LAW_SIZE_LIMIT}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "--trials", "100000000000000000000"],
+    ["rewrite", "chain5", "--semantic", "int-mod:7", "--trials", "100000000000000000000"],
+], ids=["laws", "rewrite"])
+def test_trial_counts_above_the_limit_are_refused_before_any_trial_runs(capsys, argv):
+    assert trial_range(TRIAL_LIMIT) == range(TRIAL_LIMIT)  # the limit itself is taken
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)  # each ran until killed
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == f"[BAD_REFERENCE] trials {10 ** 20} is above the limit {TRIAL_LIMIT}"
 
 
 @pytest.mark.parametrize("variant", ["IJK", "JIK", "KIJ", "IKJ", "JKI", "KJI"])

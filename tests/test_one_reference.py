@@ -37,7 +37,13 @@ public entry, never again on arrays a walk made itself. A count inside a
 CLI token, and every number the CLI reads from argv, is read by one rule,
 `core.parse_count`: no definition in `cli` reads `int` (`type=int` is a read,
 not a call), none in `semiring` calls it, and only `core.natural_key` calls
-`isdigit` or `isdecimal`."""
+`isdigit` or `isdecimal`. Four facts have one owner each: the immutability
+refusal (`core.Immutable`, the only definition of `__setattr__` and
+`__delattr__`), an array's entry count (`Array`, the only reader of the
+`SIZE_MISMATCH` code), a semiring's `add` and `mul` (the `Semiring` methods,
+never shadowed by a record, with `reference_ops` handing out the row's own
+pair), and a bound edge's legs in axis order (`evaluator._axis_legs`, the
+only reader of `leg_to_axis.get`)."""
 import ast
 import functools
 from pathlib import Path
@@ -45,6 +51,7 @@ from pathlib import Path
 import pytest
 
 import plexus
+from plexus.semiring import make_semiring
 
 SOURCE = Path(plexus.__file__).parent
 
@@ -226,3 +233,35 @@ def test_no_cli_or_semiring_definition_calls_int():
 
 def test_only_the_natural_sort_key_reads_isdigit_or_isdecimal():
     assert attribute_readers("isdigit") | attribute_readers("isdecimal") == {"core.natural_key"}
+
+
+def test_only_the_immutable_base_refuses_assignment_and_deletion():
+    def defines(n):
+        if isinstance(n, ast.FunctionDef):
+            names = {n.name}
+        elif isinstance(n, ast.Assign):
+            names = {t.id for t in n.targets if isinstance(t, ast.Name)}
+        else:
+            return False
+        return bool(names & {"__setattr__", "__delattr__"})
+    assert readers(defines) == {"core.Immutable"}
+
+
+def test_only_the_array_checks_an_entry_count():
+    assert readers(lambda n: isinstance(n, ast.Constant) and n.value == "SIZE_MISMATCH") == {"arrays.Array"}
+
+
+@pytest.mark.parametrize("kind, modulus", [("boolean", None), ("nat64", None), ("int_mod", 7), ("min_plus", None),
+                                           ("float64", None)])
+def test_a_semiring_record_holds_no_add_or_mul_and_hands_out_its_rows_own_pair(kind, modulus):
+    s = make_semiring(kind, modulus)
+    row = s._row
+    assert {"add", "mul"} & vars(s).keys() == set()
+    assert [f is g for f, g in zip(s.reference_ops(), row.reference or (row.add, row.mul))] == [True, True]
+
+
+def test_only_the_helper_reads_the_legs_in_axis_order():
+    def reads(n):
+        return (isinstance(n, ast.Attribute) and n.attr == "get" and isinstance(n.value, ast.Attribute)
+                and n.value.attr == "leg_to_axis")
+    assert readers(reads) == {"evaluator._axis_legs"}

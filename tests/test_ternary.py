@@ -412,6 +412,27 @@ def test_counts_that_are_not_ints_are_refused(call, code):
     assert err.value.code == code
 
 
+NOT_A_NAME = ["IJK"]  # not a string, and not hashable
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: fish(A222, A222, A222, NOT_A_NAME), "UNKNOWN_VARIANT"),
+    (lambda: make_fish_binding(A222, A222, A222, NOT_A_NAME), "UNKNOWN_VARIANT"),
+    (lambda: fish_output_order(NOT_A_NAME), "UNKNOWN_VARIANT"),
+    (lambda: heapoid_check([kronecker(3, I2, BOOL)], NOT_A_NAME), "UNKNOWN_VARIANT"),
+    (lambda: semiheap_law_arrays(NOT_A_NAME, MOD5, (2, 2, 2), 1), "UNKNOWN_VARIANT"),
+    (lambda: enumerate_compositions(variant=NOT_A_NAME), "BAD_REFERENCE"),
+    (lambda: make_ternary_table(NOT_A_NAME), "UNKNOWN_KIND"),
+    (lambda: standard_diagram(NOT_A_NAME), "BAD_REFERENCE"),
+], ids=["fish", "make_fish_binding", "fish_output_order", "heapoid_check", "semiheap_law_arrays",
+        "enumerate_compositions", "make_ternary_table", "standard_diagram"])
+def test_a_name_that_is_not_a_string_is_refused_as_an_unknown_name(call, code):
+    # each raised a raw TypeError: unhashable type: 'list'
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert err.value.code == code and str(err.value).endswith(repr(NOT_A_NAME))
+
+
 def test_semiheap_law_rejects_broken_product(monkeypatch):
     monkeypatch.setattr(ternary, "fish", lambda x, y, z, variant, twist: fish(x, y, x, variant, twist))
     v = semiheap_law_arrays("IJK", MOD5, (2, 2, 2), trials=15, seed=4)
