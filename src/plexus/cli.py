@@ -113,8 +113,7 @@ def _cmd_rewrite(args):
     host, _ = _load_host(args.host, args.diagram)
     motif_d, _ = _load_host(args.motif, None)
     motif = Motif(motif_d)
-    if args.semantic:
-        trial_range(args.trials)  # refuse a bad count before the multiway walk
+    trial_range(args.trials)  # refuse a bad count before the multiway walk
     report = check_concurrency(host, motif)
     code = 0
     if args.semantic:
@@ -133,9 +132,7 @@ def _cmd_rewrite(args):
 
 def _cmd_enumerate(args):
     from .rewrite import enumerate_compositions
-    reps, symmetric = enumerate_compositions(
-        args.edges, args.order, args.free, args.variant, size=args.size
-    )
+    reps, symmetric = enumerate_compositions(args.edges, args.order, args.free, args.variant)
     sym_ids = {id(d) for d in symmetric}
     classes = []
     for d in reps:
@@ -262,7 +259,6 @@ def build_parser():
     pn.add_argument("--order", type=_number, default=3)
     pn.add_argument("--free", type=_number, default=3)
     pn.add_argument("--variant", default="default")
-    pn.add_argument("--size", type=_number, default=2)
     pn.add_argument("--json", action="store_true", help="stable JSON report instead of text")
     pn.set_defaults(fn=_cmd_enumerate)
 

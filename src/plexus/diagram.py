@@ -158,6 +158,10 @@ STANDARD_NAMES = ("chain", *_STANDARD)
 # the work budget of a chain: its edge count is refused above this, before any edge is built
 CHAIN_EDGE_LIMIT = 4096
 
+# the work budget of a labelling search: a diagram whose refined colour classes admit more
+# labellings than this (the product of their sizes' factorials) is refused before the search
+LABELLING_LIMIT = 10**6
+
 
 def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
     """Library of named diagrams, all on a single index set "I".
@@ -215,6 +219,13 @@ def _labelling_search(d: Diagram):
     cardinality that lead its color, so the vertex signature is fixed and
     only the edge signature is minimised."""
     blocks = _refine_colors(d)
+    count = 1
+    for b in blocks:  # the product of the classes' factorials, stopped once it passes the limit
+        for t in range(2, len(b) + 1):
+            count *= t
+            if count > LABELLING_LIMIT:
+                raise PlexusError("BAD_REFERENCE", f"labelling count of a {len(d.vertices)}-vertex diagram "
+                                                   f"is above the limit {LABELLING_LIMIT}")
     vsig = tuple((d.vertices[b[0]].marked, d.vertices[b[0]].index_set.size) for b in blocks for _ in b)
     legs = [e.legs for e in d.edges.values()]
     best, optimal = None, []

@@ -18,10 +18,13 @@ import math
 import random
 from collections import deque, namedtuple
 
-from .core import IndexSet, PlexusError, Record, fresh_id, int_in, natural_key, require_int, trial_range
+from .core import IndexSet, PlexusError, Record, fresh_id, int_in, natural_key, trial_range
 from .arrays import einsum, random_array
 from .diagram import Diagram, Hyperedge, _labelling_search, build_diagram, standard_diagram
 from .evaluator import BoundEdge, _axis_legs, _check_binding, default_binding, evaluate
+
+MAX_STATES = 1000  # the work budget of a rewrite walk: more distinct states are refused
+CENSUS_LIMIT = 10**7  # the work budget of a census (`_census_work`), refused before any edge is built
 
 
 class Motif(Record):
@@ -39,12 +42,12 @@ class Motif(Record):
         object.__setattr__(self, "pattern", pattern)
 
 
-def vee_motif(size: int = 2) -> Motif:
-    return Motif(standard_diagram("vee", size=size))
+def vee_motif() -> Motif:
+    return Motif(standard_diagram("vee"))
 
 
-def fish_motif(size: int = 2) -> Motif:
-    return Motif(standard_diagram("fish", size=size))
+def fish_motif() -> Motif:
+    return Motif(standard_diagram("fish"))
 
 
 class Match(Record):
@@ -270,11 +273,10 @@ class RewriteGraph:
         return [k for k in self.states if k not in sources]
 
 
-def _walk(start, key, successors, max_states: int = 1000):
+def _walk(start, key, successors):
     """Breadth-first walk expanding each distinct `key` once; `successors(k, state)` yields
     (key, label, build) triples for the state of key `k`, and `build()` makes the state, once
     per new key. Returns the graph and each key's count of rewrite sequences from `start`."""
-    require_int(max_states, "BAD_REFERENCE", "max_states")
     k0 = key(start)
     states, paths, keys, transitions = {k0: start}, {k0: 1}, {k0: k0}, []
     frontier = deque([k0])
@@ -283,8 +285,8 @@ def _walk(start, key, successors, max_states: int = 1000):
         for k2, label, build in successors(k, states[k]):
             if k2 not in states:
                 states[k2], paths[k2], keys[k2] = build(), 0, k2
-                if len(states) > max_states:
-                    raise PlexusError("REWRITE_EXPLOSION", f"more than {max_states} states")
+                if len(states) > MAX_STATES:
+                    raise PlexusError("REWRITE_EXPLOSION", f"more than {MAX_STATES} states")
                 frontier.append(k2)
             k2 = keys[k2]  # one key object per state, however many transitions reach it
             transitions.append((k, k2, label))
@@ -294,7 +296,7 @@ def _walk(start, key, successors, max_states: int = 1000):
     return RewriteGraph(states, transitions, k0), paths
 
 
-def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGraph:
+def multiway(host: Diagram, motif: Motif) -> RewriteGraph:
     """Breadth-first exploration of every rewrite order. A state's key, diagram and matches
     are derived from the state that first reaches it, and it is built only when its key is new."""
 
@@ -309,7 +311,7 @@ def multiway(host: Diagram, motif: Motif, max_states: int = 1000) -> RewriteGrap
             yield rewrite.key(k), rewrite.label, build
 
     start = (host, _carried_matches([], None, host, None, motif, host.rank))
-    g = _walk(start, lambda state: state_key(state[0]), successors, max_states)[0]
+    g = _walk(start, lambda state: state_key(state[0]), successors)[0]
     g.initial_matches = [m for _, m, _ in g.states[g.initial][1]]
     g.states = {k: d for k, (d, _) in g.states.items()}
     return g
@@ -428,9 +430,31 @@ def _marking_key(skeleton, unmarked):
     return sig, min(tuple(sorted(pos[v] for v in unmarked)) for pos in optimal)
 
 
+def _capped_binomial(n: int, r: int) -> int:
+    """C(n, r), or CENSUS_LIMIT + 1 once a partial product passes the limit: for r <= n - r,
+    each factor (n - r + i) / i at least doubles it, so this takes at most about 25 steps."""
+    if not 0 <= r <= n:
+        return 0
+    r, c = min(r, n - r), 1
+    for i in range(1, r + 1):
+        c = c * (n - r + i) // i
+        if c > CENSUS_LIMIT:
+            return CENSUS_LIMIT + 1
+    return c
+
+
+def _census_work(num_edges: int, edge_order: int, free_vertices: int) -> int:
+    """A census's work, exact up to CENSUS_LIMIT and above it past the limit: on N = k + (m - 1)(k - 1)
+    points it lists the C(N, k) edges (their C(N, k)·k legs, at least N), then walks
+    C(C(N, k) - 1, m - 1) edge groups, trying up to C(N, f) markings in each."""
+    points = edge_order + (num_edges - 1) * (edge_order - 1)
+    edges = _capped_binomial(points, edge_order)
+    groups = _capped_binomial(edges - 1, num_edges - 1)
+    return max(edges * edge_order, groups * _capped_binomial(points, free_vertices))
+
+
 def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
-                           free_vertices: int = 3, variant: str = "default",
-                           size: int = 2):
+                           free_vertices: int = 3, variant: str = "default"):
     """Isomorphism classes of connected simple hypergraphs with `num_edges`
     edges of order `edge_order` and exactly `free_vertices` unmarked
     vertices. Variant sets the degree constraints (marked minimum degree,
@@ -442,8 +466,11 @@ def enumerate_compositions(num_edges: int = 3, edge_order: int = 3,
                                ("free_vertices", free_vertices, 0)):
         if not int_in(value, least, math.inf):
             raise PlexusError("BAD_REFERENCE", f"{name} must be at least {least}, got {value!r}")
+    if _census_work(num_edges, edge_order, free_vertices) > CENSUS_LIMIT:
+        raise PlexusError("BAD_REFERENCE", f"census work of ({num_edges}, {edge_order}, {free_vertices}) "
+                                           f"is above the limit {CENSUS_LIMIT}")
     marked_min, unmarked_exact = ENUMERATION_VARIANTS[variant]
-    iset = IndexSet("I", size)
+    iset = IndexSet("I", 2)
     reps, symmetric, seen, skeletons = [], [], set(), set()
     edges = list(itertools.combinations(range(edge_order + (num_edges - 1) * (edge_order - 1)), edge_order))
     # every class has a gap-free labelling holding the least edge (0, ..., k-1), and the groups

@@ -14,7 +14,8 @@ from plexus import IndexSet, fish, make_array, make_semiring
 from plexus import checks
 from plexus.cli import LAW_SIZE_LIMIT, SUITE_NAMES, _fail_law, run_command
 from plexus.core import TRIAL_LIMIT, Verdict, trial_range
-from plexus.diagram import STANDARD_NAMES, standard_diagram, to_dot
+from plexus.diagram import LABELLING_LIMIT, STANDARD_NAMES, standard_diagram, to_dot
+from plexus.rewrite import CENSUS_LIMIT
 
 MOD5 = make_semiring("int_mod", 5)
 
@@ -402,6 +403,23 @@ def test_enumerate_refuses_a_parameter_below_its_bound(capsys, flag, value, name
     assert f"{name} must be at least {least}, got {value}" in rep["message"]
 
 
+@pytest.mark.parametrize("args, limit", [
+    ("--edges 5", CENSUS_LIMIT),  # 29,051,001 edge groups
+    ("--edges 9 --order 2 --free 2", CENSUS_LIMIT),  # 177,232,627 edge groups
+    ("--edges 1 --order 2000 --free 3", CENSUS_LIMIT),  # 1.3e9 markings of one edge
+    ("--edges 100000000", CENSUS_LIMIT),
+    ("--edges 2 --order 100000000", CENSUS_LIMIT),  # killed for its memory
+    ("--edges 1 --order 100000000 --free 0", CENSUS_LIMIT),
+    ("--edges 1 --order 10 --free 10 --variant all", LABELLING_LIMIT),  # one class of 10 vertices: 10! (33 s)
+])
+def test_a_census_above_a_limit_is_refused_before_the_work_starts(capsys, args, limit):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["enumerate", *args.split()])  # each ran past 8 s or was killed
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].endswith(f"is above the limit {limit}")
+
+
 def test_enumerate_allows_no_free_vertices(capsys):
     code, out, _ = run(capsys, ["enumerate", "--free", "0"])
     assert code == 0
@@ -472,6 +490,10 @@ def test_export_dot_unknown_token(capsys):
     (["export-dot", "chain100000000"], "BAD_REFERENCE"),  # above the chain edge limit
     (["laws", "--suite", "semiheap", "--sizes", "2,17,2"], "BAD_REFERENCE"),  # above the law size limit
     (["laws", "--suite", "semiheap", "--trials", "1001"], "BAD_REFERENCE"),  # above the trial limit
+    # `rewrite` checks its count with or without --semantic (each of these exited 0)
+    (["rewrite", "chain5", "--trials", "1001"], "BAD_REFERENCE"),
+    (["rewrite", "chain5", "--trials", "0"], "BAD_REFERENCE"),
+    (["rewrite", "chain5", "--trials", "-3"], "BAD_REFERENCE"),
     # whole-value options read by the count rule, with '-' before a nonzero count
     (["laws", "--suite", "semiheap", "--trials", "\u0663"], "PARSE_ERROR"),
     (["laws", "--suite", "semiheap", "--seed", "+1"], "PARSE_ERROR"),
@@ -590,9 +612,12 @@ def test_a_well_formed_number_reaches_its_range_check(capsys):
     # a negative or zero count passes the parser, and the command's own check keeps its code
     code, _, err = run(capsys, ["laws", "--suite", "semiheap", "--trials", "1", "--seed", "-3"])
     assert (code, err) == (0, "")
-    code, out, err = run(capsys, ["enumerate", "--size", "0"])
+    code, out, err = run(capsys, ["rewrite", "chain5", "--trials", "0"])
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == "BAD_INDEX_SET"
+    assert json.loads(err)["error"] == "BAD_REFERENCE"
+    code, out, err = run(capsys, ["enumerate", "--size", "2"])  # the census runs on size 2 only
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "PARSE_ERROR"
 
 
 def test_fail_law_contract(capsys):
@@ -729,7 +754,7 @@ HELP_SHA256 = {
     "eval": "b24368590ca7d1eaa8f6d4e0fb6b15de2cdbc9a1a1c81be12afead194dfad972",
     "fish": "00f3e4d0cee2ca44c60dc1727af3530c0b2d5be3096ad622e3cc447cae329e14",
     "rewrite": "3c41b25e7b7bb6934fa2d7c6cc7b426a34c4519e172aee25cc974db05348a428",
-    "enumerate": "4f7afa39f9bdcf5003bb4d3f740718d3aa19b779bd628522997c17811fdf6bd3",
+    "enumerate": "a2452cdcb815f2ecd53bbe9311b4e0244b0259546f71a4a0f58f1681c608c5c9",  # with no --size
     "export-dot": "398114dc2980ddf62cf61b819748b4c263ccdc797efb980a904c43727772f13c",
     "laws": "6948f4535d5b590226e9ae141f46d989262ccc4e17879bd966587d16a25461c0",
     "selftest": "259ecd98bbf4797f1904a4c9af9ad49c2e8574c659a56278fc136e26fa9f8022",

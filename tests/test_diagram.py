@@ -15,7 +15,7 @@ from plexus import (
     standard_diagram,
     to_dot,
 )
-from plexus.diagram import CHAIN_EDGE_LIMIT
+from plexus.diagram import CHAIN_EDGE_LIMIT, LABELLING_LIMIT
 
 I2 = IndexSet("I", 2)
 
@@ -100,6 +100,24 @@ def test_a_chain_above_the_edge_limit_is_refused_before_it_is_built():
         standard_diagram("chain", n=10 ** 8)  # started building 10^8 edges
     assert time.perf_counter() - start < 0.1
     assert str(err.value) == f"[BAD_REFERENCE] chain edge count 100000000 is above the limit {CHAIN_EDGE_LIMIT}"
+
+
+def flower(k):
+    """One marked centre and k order-3 edges, each with two free tips: one class of 2k tips."""
+    vertices = [("c", I2, True)] + [(f"t{t}", I2, False) for t in range(2 * k)]
+    return build_diagram(vertices, [(f"e{j}", ("c", f"t{2 * j}", f"t{2 * j + 1}")) for j in range(k)])
+
+
+def test_a_labelling_search_above_the_limit_is_refused_before_it_starts():
+    canonical_form(flower(4))  # 8! = 40,320 labellings are still searched
+    # flower(5) has 10! labellings (21 s); chain(64)'s 65 vertices refine into 32 mirror pairs, 2**32
+    for d in (flower(5), standard_diagram("chain", n=64)):
+        start = time.perf_counter()
+        with pytest.raises(PlexusError) as err:
+            canonical_form(d)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value) == (f"[BAD_REFERENCE] labelling count of a {len(d.vertices)}-vertex diagram "
+                                  f"is above the limit {LABELLING_LIMIT}")
 
 
 def test_unknown_standard_name():

@@ -25,7 +25,7 @@ from test_rewrite_reference import MOTIFS, random_host  # noqa: E402
 BOUNDED = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 
 
-def scratch_multiway(host, motif, max_states=1000):
+def scratch_multiway(host, motif):
     """Breadth-first over every rewrite order, matching and building each state."""
     k0 = state_key(host)
     states, transitions, frontier = {k0: host}, [], [k0]
@@ -38,8 +38,8 @@ def scratch_multiway(host, motif, max_states=1000):
             transitions.append((k, k2, label))
             if k2 not in states:
                 states[k2] = d2
-                if len(states) > max_states:
-                    raise PlexusError("REWRITE_EXPLOSION", f"more than {max_states} states")
+                if len(states) > rewrite.MAX_STATES:
+                    raise PlexusError("REWRITE_EXPLOSION", f"more than {rewrite.MAX_STATES} states")
                 frontier.append(k2)
     return states, transitions, find_matches(host, motif)
 
@@ -81,13 +81,13 @@ def checked_multiway(host, motif):
                    for _, match, rw in got), (child, rewritten)
         return got
 
-    def walk_and_check(start, key, successors, max_states=1000):
+    def walk_and_check(start, key, successors):
         def checked(k, state):
             for k2, label, build in successors(k, state):
                 assert key(build()) == k2, (state, label)
                 yield k2, label, build
 
-        return walk(start, key, checked, max_states)
+        return walk(start, key, checked)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(rewrite, "_carried_matches", carried_and_checked)

@@ -1,7 +1,9 @@
 """Motif matching, rewrite application, multiway exploration, concurrency
 reports, and the composition census."""
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -315,6 +317,25 @@ def test_census_four_edges():
     assert (len(reps), len(symmetric)) == (84, 1)
 
 
+def test_census_work_is_exact_up_to_the_limit():
+    for m, k, f in itertools.product(range(1, 5), range(1, 5), range(0, 6)):
+        n = k + (m - 1) * (k - 1)
+        edges = math.comb(n, k)
+        want = max(edges * k, math.comb(edges - 1, m - 1) * math.comb(n, f))
+        got = rewrite._census_work(m, k, f)
+        assert got == want if want <= rewrite.CENSUS_LIMIT else got > rewrite.CENSUS_LIMIT, (m, k, f)
+    # the largest censuses the repository runs, (4,3,3) and (3,4,4), fit under the limit
+    assert rewrite._census_work(4, 3, 3) == 91_881 * 84 <= rewrite.CENSUS_LIMIT
+    assert rewrite._census_work(3, 4, 4) == 21_736 * 210 <= rewrite.CENSUS_LIMIT
+    start = time.perf_counter()
+    for m, k, f in ((5, 3, 3), (10 ** 100, 3, 3), (2, 10 ** 100, 3), (1, 10 ** 100, 0), (1, 2000, 3)):
+        assert rewrite._census_work(m, k, f) > rewrite.CENSUS_LIMIT
+        with pytest.raises(PlexusError) as err:
+            enumerate_compositions(m, k, f)
+        assert str(err.value) == f"[BAD_REFERENCE] census work of ({m}, {k}, {f}) is above the limit 10000000"
+    assert time.perf_counter() - start < 0.1
+
+
 def test_census_bad_parameters():
     with pytest.raises(PlexusError) as err:
         enumerate_compositions(0, 3, 3)
@@ -333,19 +354,11 @@ def test_census_bad_parameters():
     assert err.value.code == "BAD_REFERENCE"
 
 
-@pytest.mark.parametrize("max_states", [1, 0])
-def test_multiway_explosion_guard(max_states):
+def test_multiway_explosion_guard():
+    # chain(11) has 2**10 = 1024 states under the vee, past MAX_STATES
     with pytest.raises(PlexusError) as err:
-        multiway(standard_diagram("long_fish"), fish_motif(), max_states=max_states)
-    assert err.value.code == "REWRITE_EXPLOSION"
-
-
-@pytest.mark.parametrize("max_states", ["x", True, 2.5, None])
-def test_multiway_refuses_a_state_bound_that_is_not_an_int(max_states):
-    # "x" raised a raw TypeError, and True and 2.5 were read as numbers
-    with pytest.raises(PlexusError) as err:
-        multiway(standard_diagram("chain", n=4), vee_motif(), max_states=max_states)
-    assert str(err.value) == f"[BAD_REFERENCE] max_states must be an integer, got {max_states!r}"
+        multiway(standard_diagram("chain", n=11), vee_motif())
+    assert str(err.value) == "[REWRITE_EXPLOSION] more than 1000 states"
 
 
 def triangle_host():
