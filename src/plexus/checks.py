@@ -16,7 +16,7 @@ import math
 import random
 
 from .arrays import diagonal_extension, kronecker, random_array, unary_contract
-from .core import IndexSet, PlexusError, Verdict, trial_range
+from .core import IndexSet, Verdict, trial_range
 from .diagram import canonical_form, standard_diagram
 from .evaluator import evaluate, evaluate_formula_oracle, insert_kronecker
 from .rewrite import (
@@ -30,6 +30,7 @@ from .rewrite import (
 from .semiring import parse_semiring
 from .ternary import (
     _fish_labels,
+    _law_axes,
     _monoid_heap,
     _semiheap_trials,
     bijection_heap,
@@ -55,10 +56,6 @@ from .ternary import (
 )
 
 
-def _axes(sizes):
-    return tuple(IndexSet(n, s) for n, s in zip("IJK", sizes))
-
-
 def _ok(law, note=""):
     return Verdict(True, law), note
 
@@ -76,7 +73,7 @@ def _conforming_triple(variant, twist, rng, semiring, sizes):
     q r k carry X Y P W V M, sized by sizes * 2. The tail, body and head are
     drawn in that order; an order that reverses is its own inverse."""
     roles, _, order = _fish_labels(variant, twist)
-    iset = {lab: IndexSet(n, s) for lab, n, s in zip("ijpqrk", "XYPWVM", sizes * 2)}
+    iset = {lab: IndexSet(n, x.size) for lab, n, x in zip("ijpqrk", "XYPWVM", _law_axes(sizes) * 2)}
     drawn = [random_array([iset[lab] for lab in labels], semiring, rng) for labels in roles]
     return tuple(drawn[n] for n in order)
 
@@ -123,7 +120,7 @@ def heap(semiring, sizes, trials, rng, **_):
 
 def units(semiring, sizes, trials, rng, **_):
     """The right units: (a t t) = (a u t) = (a t u) = a."""
-    axes = _axes(sizes)
+    axes = _law_axes(sizes)
     for t in trial_range(trials):
         a = random_array(axes, semiring, rng)
         v = fish_units_check(a)
@@ -136,9 +133,7 @@ def biunit(semiring, sizes, trials, rng, **_):
     """The boolean biunit pairs on (I, J, K): the permutation arrays, one
     for each bijection I -> J x K, each a two-sided unit of the JKI product;
     the order-3 identity is not one."""
-    if semiring.kind != "boolean":
-        raise PlexusError("UNSUPPORTED", "the biunit suite searches the boolean semiring")
-    axes = _axes(sizes)
+    axes = _law_axes(sizes)
     pairs = find_biunit_pairs(*axes, semiring)
     expected = math.factorial(sizes[0]) if sizes[0] == sizes[1] * sizes[2] else 0
     if len(pairs) != expected:
@@ -176,13 +171,13 @@ def isotropy(semiring, sizes, trials, rng, **_):
 
 def heapoid(semiring, sizes, trials, rng, **_):
     """The order-3 identity is a semiheapoid but not a heapoid; the 24
-    permutation arrays on (I:4, J:2, K:2) are a Malcev heapoid."""
-    if semiring.kind != "boolean":
-        raise PlexusError("UNSUPPORTED", "the heapoid suite runs on the boolean semiring")
+    permutation arrays on (I:4, J:2, K:2) are a Malcev heapoid. They are
+    searched first, so the search refuses another semiring before any work."""
+    graphs = [e for e, _ in find_biunit_pairs(*_law_axes((4, 2, 2)), semiring)]
     r = heapoid_check([kronecker(3, IndexSet("I", 2), semiring)])
     if not (r["semiheapoid"] and not r["heapoid"]):
         return _fail("delta carrier must be a semiheapoid but not a heapoid")
-    r = heapoid_check([e for e, _ in find_biunit_pairs(*_axes((4, 2, 2)), semiring)], "JKI")
+    r = heapoid_check(graphs, "JKI")
     if not (r["semiheapoid"] and r["heapoid"] and r["malcev"]):
         return _fail("permutation carrier must be a Malcev heapoid")
     return _ok("heapoid", "heapoid ok: delta carrier semiheapoid only; "
@@ -197,7 +192,7 @@ def fish_vs_evaluation(semiring, sizes, trials, rng):
     formula oracle; each trial also checks the engine against the four
     sequential forms on regular arrays, whose legs are not read from the
     engine's label table as the diagram's are."""
-    regular = (IndexSet("I", sizes[0]),) * 3
+    regular = (_law_axes(sizes)[0],) * 3
     for variant, twist in itertools.product(("IJK", "JKI", "KJI"), (False, True)):
         for _ in trial_range(trials):
             a, b, c = _conforming_triple(variant, twist, rng, semiring, sizes)
@@ -290,9 +285,8 @@ def reversal(semiring, sizes, trials, rng):
 def twist_witness(semiring, sizes, trials, rng):
     """The twist changes some product (explicit forms 3 and 4 differ for
     some random body), but not through the order-3 identity."""
-    n = sizes[0]
-    axes = (IndexSet("I", n),) * 3
-    basis = [indicator_array(axes, pos, semiring) for pos in itertools.product(range(n), repeat=3)]
+    axes = (_law_axes(sizes)[0],) * 3
+    basis = [indicator_array(axes, pos, semiring) for pos in itertools.product(range(axes[0].size), repeat=3)]
 
     def differs(b):
         return any(fish_form3(a, b, c) != fish_form4(a, b, c) for a in basis for c in basis)

@@ -13,15 +13,11 @@ import os
 import random
 import sys
 
-from .core import ETA_VARIANTS, PlexusError, parse_count, trial_range
+from .core import ETA_VARIANTS, LAW_SIZE_LIMIT, PlexusError, parse_count, trial_range
 
 # sorted(checks.SUITES), stated here so that building the parser does not
 # load the law checks
 SUITE_NAMES = ("biunit", "flatfish", "heap", "heapoid", "isotropy", "semiheap", "units")
-
-# the work budget of `laws`: an index-set size of --sizes is refused above this, before any array
-# is drawn (a suite's time grows as about the fourth to fifth power of the sizes)
-LAW_SIZE_LIMIT = 16
 
 
 def _bind_by_label(ws, d):

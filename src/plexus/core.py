@@ -133,6 +133,7 @@ def natural_key(s: str):
     return tuple(int(part) if part.isdecimal() else part for part in _SPLIT_DIGITS.split(s)), s
 
 
+LAW_SIZE_LIMIT = 16  # the largest index-set size of a law check (its time grows as the 4th to 5th power)
 TRIAL_LIMIT = 1000  # the most trials of a law check (a semiheap trial at `laws --sizes 16,16,16` takes 0.1 s)
 
 

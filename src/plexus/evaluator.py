@@ -92,7 +92,7 @@ def evaluate(d: Diagram, binding: dict, output_order: list | None = None) -> Arr
     Output axes follow `output_order` (default: free vertices by natural id).
     Vertex ids label the kernel's indices; marked ones are summed out."""
     _check_binding(d, binding)
-    return einsum(_operands(d, binding), _output_order(d, output_order))
+    return einsum(_operands(binding, d.edge_ids()), _output_order(d, output_order))
 
 
 def _output_order(d: Diagram, output_order: list | None) -> list:
@@ -107,9 +107,9 @@ def _output_order(d: Diagram, output_order: list | None) -> list:
     return free if output_order is None else list(output_order)
 
 
-def _operands(d: Diagram, binding: dict) -> list:
-    """Each edge's array with its axes labelled by their vertex ids."""
-    return [(binding[eid].array, _axis_legs(binding[eid])) for eid in d.edge_ids()]
+def _operands(binding: dict, eids) -> list:
+    """Each edge of `eids` as a kernel operand: its array, axes labelled by their vertex ids."""
+    return [(binding[eid].array, _axis_legs(binding[eid])) for eid in eids]
 
 
 def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None = None) -> Array:
@@ -127,7 +127,7 @@ def evaluate_formula_oracle(d: Diagram, binding: dict, output_order: list | None
     single assignments."""
     _check_binding(d, binding)
     free = _output_order(d, output_order)
-    _label_axes(_operands(d, binding))
+    _label_axes(_operands(binding, d.edge_ids()))
     slot = d.rank
     sizes = tuple(d.vertices[v].index_set.size for v in slot)
     bound = [binding[eid] for eid in d.edges]

@@ -21,7 +21,7 @@ from collections import deque, namedtuple
 from .core import IndexSet, PlexusError, Record, fresh_id, int_in, natural_key, trial_range
 from .arrays import einsum, random_array
 from .diagram import Diagram, Hyperedge, _labelling_search, build_diagram, standard_diagram
-from .evaluator import BoundEdge, _axis_legs, _check_binding, default_binding, evaluate
+from .evaluator import BoundEdge, _check_binding, _operands, default_binding, evaluate
 
 MAX_STATES = 1000  # the work budget of a rewrite walk: more distinct states are refused
 CENSUS_LIMIT = 10**7  # the work budget of a census (`_census_work`), refused before any edge is built
@@ -236,8 +236,7 @@ def _bound_rewrite(host: Diagram, binding: dict, rewrite: _Rewrite):
     """`apply_rewrite_bound` given the match's `_Rewrite`, on a checked binding: one kernel call
     over the matched edges, labelled as `evaluate` labels them, onto the new legs, which are
     exactly the unsummed images, as the matched edges' legs are the motif vertices' images."""
-    removed = sorted(rewrite.removed, key=natural_key)
-    collapsed = einsum([(binding[eid].array, _axis_legs(binding[eid])) for eid in removed], rewrite.legs)
+    collapsed = einsum(_operands(binding, sorted(rewrite.removed, key=natural_key)), rewrite.legs)
     new_d, new_eid = rewrite.applied(host)
     new_binding = {eid: binding[eid] for eid in new_d.edges if eid != new_eid}
     new_binding[new_eid] = BoundEdge(collapsed, {v: t for t, v in enumerate(rewrite.legs)})
@@ -246,14 +245,11 @@ def _bound_rewrite(host: Diagram, binding: dict, rewrite: _Rewrite):
 
 def state_key(d: Diagram):
     """Concrete unlabeled state: vertex ids with marks and cardinalities plus
-    the multiset of edge leg-sets. Edge ids and labels are ignored."""
-    return _state_key(d.vertices, d.edges, d.rank)
-
-
-def _state_key(vertices: dict, edges: dict, rank: dict):
-    """`state_key`'s full sort; a rewrite's key is spliced from its parent's (`_Rewrite.key`)."""
-    vsig = tuple(sorted((v, x.marked, x.index_set.size) for v, x in vertices.items()))
-    esig = tuple(sorted(tuple(sorted(e.legs, key=rank.get)) for e in edges.values()))
+    the multiset of edge leg-sets. Edge ids and labels are ignored. A walk
+    sorts only its start state: a rewrite's key is spliced from its parent's
+    (`_Rewrite.key`)."""
+    vsig = tuple(sorted((v, x.marked, x.index_set.size) for v, x in d.vertices.items()))
+    esig = tuple(sorted(tuple(sorted(e.legs, key=d.rank.get)) for e in d.edges.values()))
     return (vsig, esig)
 
 

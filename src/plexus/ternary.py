@@ -18,7 +18,7 @@ import random
 
 from .arrays import (Array, _label_axes, broaden, contract, einsum, flatten, kronecker,
                      random_array, zero_array)
-from .core import ETA_VARIANTS, Immutable, IndexSet, PlexusError, Verdict, int_in, trial_range
+from .core import ETA_VARIANTS, LAW_SIZE_LIMIT, Immutable, IndexSet, PlexusError, Verdict, int_in, trial_range
 from .diagram import Diagram, Vertex, standard_diagram
 from .evaluator import BoundEdge, evaluate_formula_oracle
 from .semiring import Semiring
@@ -134,12 +134,20 @@ def semiheap_law_arrays(variant: str, semiring: Semiring, sizes, trials: int,
     return _semiheap_trials(variant, semiring, sizes, trials, random.Random(seed), twist)
 
 
+def _law_axes(sizes) -> list:
+    """The index sets I, J, K of a law check, refusing all but three sizes up to LAW_SIZE_LIMIT."""
+    if not isinstance(sizes, (tuple, list)) or len(sizes) != 3:
+        raise PlexusError("BAD_REFERENCE", f"sizes must be three index set sizes, got {sizes!r}")
+    axes = [IndexSet(n, s) for n, s in zip("IJK", sizes)]
+    if max(sizes) > LAW_SIZE_LIMIT:
+        raise PlexusError("BAD_REFERENCE", f"size {max(sizes)} is above the limit {LAW_SIZE_LIMIT}")
+    return axes
+
+
 def _semiheap_trials(variant, semiring, sizes, trials, rng, twist=False) -> Verdict:
     """The trial loop of the para-associativity law: five arrays on (I, J, K)
     drawn from `rng` per trial; a failure's witness names its trial."""
-    if not isinstance(sizes, (tuple, list)) or len(sizes) != 3:
-        raise PlexusError("BAD_REFERENCE", f"sizes must be three index set sizes, got {sizes!r}")
-    axes = [IndexSet(n, s) for n, s in zip("IJK", sizes, strict=True)]
+    axes = _law_axes(sizes)
     if twist:  # the twist swaps the body's tips: draw both on the first tip's index set
         first, second = (_fish_labels(variant, False)[1].index(tip) for tip in "ij")
         if sizes[first] != sizes[second]:
@@ -183,13 +191,12 @@ def biunit_pair_check(e: Array, e_prime: Array) -> dict:
 
 
 def find_biunit_pairs(I: IndexSet, J: IndexSet, K: IndexSet, semiring: Semiring):
-    """Exhaustive boolean search for biunit pairs on (I, J, K), capped at 16
-    entries. A boolean two-sided inverse of flatten(e) transposed exists only
-    when flatten(e) is a permutation matrix, and then e' = e, so the candidates
-    are the graphs of the bijections sigma: I -> J x K, in ascending bitmask
-    order (sorted by entries reversed); those that pass biunit_pair_check are
-    the pairs (e, e)."""
-    if semiring.kind != "boolean":
+    """The boolean biunit pairs on (I, J, K). A boolean two-sided inverse of flatten(e) transposed
+    exists only when flatten(e) is a permutation matrix, and then e' = e, so the search tries the
+    graphs of the |I|! bijections sigma: I -> J x K (none unless |I| = |J| |K|), in ascending bitmask
+    order (sorted by entries reversed), and returns as (e, e) those that pass biunit_pair_check. The
+    cap |I| |J| |K| <= 16 bounds |I| by 4, so at most 24 graphs; other semirings are refused."""
+    if semiring != _BOOLEAN:
         raise PlexusError("UNSUPPORTED", "biunit search is implemented for the boolean semiring")
     total = I.size * J.size * K.size
     if total > 16:
@@ -343,6 +350,12 @@ def _tabulate(elements, op, kind: str, labels=None) -> TernaryTable:
     return TernaryTable(len(index), table, labels, kind)
 
 
+def _nonassociative(rows):
+    """The first (a, b, c), in product order, where the table rows[x][y] is not associative, or None."""
+    return next(((a, b, c) for a, b, c in itertools.product(range(len(rows)), repeat=3)
+                 if rows[rows[a][b]][c] != rows[a][rows[b][c]]), None)
+
+
 def _monoid_heap(elements, mul, inv, kind: str, labels=None) -> TernaryTable:
     """Wagner's correspondence from an involuted monoid, given by its
     elements, product and involution, to its heap: (a b c) = a.b~.c."""
@@ -370,9 +383,8 @@ def group_heap(mult) -> TernaryTable:
         if rows[ia][a] != identity:
             raise PlexusError("BAD_TABLE", f"element {a} has no two-sided inverse")
         inv.append(ia)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-            raise PlexusError("BAD_TABLE", f"multiplication not associative at {(a, b, c)}")
+    if (triple := _nonassociative(rows)) is not None:
+        raise PlexusError("BAD_TABLE", f"multiplication not associative at {triple}")
     return _monoid_heap(range(n), lambda a, b: rows[a][b], inv.__getitem__, "group-heap")
 
 
@@ -523,9 +535,8 @@ def involuted_monoid(t: TernaryTable, e: int):
     for a, b in itertools.product(range(n), repeat=2):
         if inv[mult[a][b]] != mult[inv[b]][inv[a]]:
             return mult, inv, Verdict(False, "antihomomorphism", (a, b))
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-            return mult, inv, Verdict(False, "associativity", (a, b, c))
+    if (triple := _nonassociative(mult)) is not None:
+        return mult, inv, Verdict(False, "associativity", triple)
     return mult, inv, verdict
 
 

@@ -60,11 +60,7 @@ def parse_workspace(obj) -> Workspace:
     _require("semiring" in obj, "PARSE_ERROR", "missing 'semiring'", "$")
     semiring = parse_semiring(obj["semiring"])
     index_sets = _parse_index_sets(obj.get("index_sets", {}), "index_sets")
-    arrays = {}
-    raw_arrays = obj.get("arrays", {})
-    _require(isinstance(raw_arrays, dict), "PARSE_ERROR", "'arrays' must be an object", "arrays")
-    for name, spec in raw_arrays.items():
-        arrays[name] = _load_array(name, spec, index_sets, semiring)
+    arrays = _parse_arrays(obj.get("arrays", {}), index_sets, semiring)
     diagrams = {}
     raw_diagrams = obj.get("diagrams", {})
     _require(isinstance(raw_diagrams, dict), "PARSE_ERROR", "'diagrams' must be an object", "diagrams")
@@ -80,6 +76,11 @@ def parse_diagram(obj):
     _require(isinstance(obj, dict), "PARSE_ERROR", "diagram must be an object", "$")
     index_sets = _parse_index_sets(obj.get("index_sets", {}), "index_sets")
     return _load_diagram(obj, index_sets, "$"), index_sets
+
+
+def _parse_arrays(raw_arrays, index_sets, semiring) -> dict:
+    _require(isinstance(raw_arrays, dict), "PARSE_ERROR", "'arrays' must be an object", "arrays")
+    return {name: _load_array(name, spec, index_sets, semiring) for name, spec in raw_arrays.items()}
 
 
 def _load_array(name, spec, index_sets, semiring) -> Array:
@@ -167,10 +168,7 @@ def load_bindings(path: str, index_sets: dict):
     _require(isinstance(obj, dict), "PARSE_ERROR", "bindings must be an object", "$")
     _require("semiring" in obj, "PARSE_ERROR", "missing 'semiring'", "$")
     semiring = parse_semiring(obj["semiring"])
-    raw = obj.get("arrays", {})
-    _require(isinstance(raw, dict), "PARSE_ERROR", "'arrays' must be an object", "arrays")
-    arrays = {name: _load_array(name, spec, index_sets, semiring) for name, spec in raw.items()}
-    return semiring, arrays
+    return semiring, _parse_arrays(obj.get("arrays", {}), index_sets, semiring)
 
 
 def _read_json(path: str):

@@ -3,6 +3,7 @@ contraction products, kronecker identities."""
 import itertools
 import random
 from array import array
+from enum import IntEnum
 
 import pytest
 
@@ -51,12 +52,23 @@ def test_make_array_and_entry():
     assert a.sizes == (2, 2)
     assert a.entry((0, 0)) == 1 and a.entry((0, 1)) == 1
     assert a.entry((1, 0)) == 0 and a.entry((1, 1)) == 0
+    Bit = IntEnum("Bit", [("LOW", 0), ("HIGH", 1)])  # an int subclass is read as its int value
+    assert a.offset((Bit.HIGH, Bit.LOW)) == 2 and a.entry([Bit.LOW, Bit.HIGH]) == 1
 
 
 def test_zero_order_array_is_a_scalar():
     a = make_array((), [7], NAT)
     assert a.order == 0
     assert a.scalar() == 7
+    with pytest.raises(PlexusError) as err:
+        make_array((I2,), [7, 7], NAT).scalar()
+    assert str(err.value) == "[BAD_INDEX] scalar() needs an order-0 array"
+
+
+def test_an_array_equals_no_other_value_and_no_array_over_another_semiring():
+    a = make_array((I2,), [0, 1], BOOL)
+    assert a.__eq__([0, 1]) is NotImplemented and a != [0, 1]
+    assert a != make_array((I2,), [0, 1], MOD5)
 
 
 def test_make_array_size_mismatch():

@@ -114,6 +114,14 @@ def test_eval_bindings_can_use_labels(tmp_path, capsys):
     assert json.loads(out)["entries"] == [2, 1, 4, 3]
 
 
+def test_eval_bindings_refuse_an_edge_with_no_array(tmp_path, capsys):
+    dpath = write(tmp_path, DIAGRAM, "d.json")
+    bpath = write(tmp_path, dict(BINDINGS, arrays={"e0": BINDINGS["arrays"]["e0"]}), "b.json")
+    code, out, err = run(capsys, ["eval", dpath, "--bindings", bpath])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == "[BAD_REFERENCE] no bound array for edge 'e1'"
+
+
 def test_eval_missing_array_reports_bad_reference(tmp_path, capsys):
     broken = dict(WS, arrays={"a": WS["arrays"]["a"]})
     path = write(tmp_path, broken, "w.json")
@@ -214,6 +222,9 @@ def test_eval_diagram_choice(tmp_path, capsys):
     code, out, _ = run(capsys, ["eval", path, "--diagram", "comp"])
     assert code == 0
     assert json.loads(out)["entries"] == [2, 1, 4, 3]
+    code, out, err = run(capsys, ["eval", path, "--diagram", "nosuch"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == "[BAD_REFERENCE] no diagram named 'nosuch' in workspace"
 
 
 def test_fish_command(tmp_path, capsys):

@@ -249,6 +249,11 @@ def test_to_dot_points_and_cliques():
     assert fish.count("--") == 9
 
 
+def test_to_dot_draws_a_one_leg_edge_as_a_loop():
+    d = build_diagram([("v0", I2, False)], [("e0", ("v0",), "u")])
+    assert to_dot(d).splitlines()[-2:] == ['  "v0" -- "v0" [label="u"];', "}"]
+
+
 def test_to_dot_escapes_backslashes_and_quotes():
     # a quote or backslash in an id or label must not end its quoted string
     d = build_diagram([('a"b', IndexSet('J"', 2), True), ("w\\", I2, False)],

@@ -11,11 +11,12 @@ so the oracle stays independent of what it checks. A
 `deque` frontier lives only in the rewrite walk, and only the full and the
 carried match searches call the raw matcher, so no second multiway loop can
 grow either; a rewrite's state key is spliced from its parent's, and only
-the public `state_key` sorts a whole state. The unit law (a pair is a unit
+the public `state_key` sorts a whole state, once per walk. The unit law (a pair is a unit
 iff its composite is the identity) is read only by the basis check and the
 biunit equations, and no batched fish kernel is left to stack basis
-indicators again. No method of `Semiring` branches on its kind: a record
-binds its kind's row. `Semiring.mul` is read only by the semiring's rows,
+indicators again. No definition but the row lookup branches on a semiring
+kind: a record binds its kind's row, and only the biunit search refuses a
+semiring it does not run in. `Semiring.mul` is read only by the semiring's rows,
 its record and its axiom check, so no product
 multiplies one entry at a time beside the kernel; and the one fish closure
 is read only by `heapoid_check` and the relation and bijection heaps, so
@@ -43,7 +44,10 @@ refusal (`core.Immutable`, the only definition of `__setattr__` and
 `SIZE_MISMATCH` code), a semiring's `add` and `mul` (the `Semiring` methods,
 never shadowed by a record, with `reference_ops` handing out the row's own
 pair), and a bound edge's legs in axis order (`evaluator._axis_legs`, the
-only reader of `leg_to_axis.get`)."""
+only reader of `leg_to_axis.get`, read by the kernel operands and the oracle).
+One reader builds a law check's I, J, K and checks them against
+`core.LAW_SIZE_LIMIT`, one scan tests a binary table for associativity,
+and one reader loads a JSON file's arrays section."""
 import ast
 import functools
 from pathlib import Path
@@ -122,7 +126,16 @@ def test_the_rewrite_walk_is_the_only_breadth_first_loop():
 
 
 def test_only_the_public_state_key_sorts_a_whole_state():
-    assert name_readers("_state_key") == {"rewrite.state_key"}
+    """A rewrite's key is spliced from its parent's (`_Rewrite.key`), so the
+    full sort of a state's vertices lives in `state_key` alone, and in the
+    rewrite module each walk reads it once, for its start."""
+    def sorts_vertices(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "sorted"
+                and any(isinstance(m, ast.Attribute) and m.attr == "marked" for a in n.args for m in ast.walk(a)))
+    assert readers(sorts_vertices) == {"rewrite.state_key"}
+    reads = [owner for node, owner in owned_nodes() if owner.split(".")[0] == "rewrite"
+             and isinstance(node, ast.Name) and node.id == "state_key" and isinstance(node.ctx, ast.Load)]
+    assert sorted(reads) == ["rewrite.multiway", "rewrite.semantic_confluence_binding"]
 
 
 def test_only_the_match_searches_call_the_raw_matcher():
@@ -143,22 +156,46 @@ def test_the_per_entry_product_is_read_only_by_the_semiring():
                                         "semiring.check_semiring_axioms"}
 
 
-def test_no_method_of_the_semiring_branches_on_its_kind():
-    """A record binds its kind's row when it is built, so no method compares
-    `kind` or looks a table up by it."""
-    tree = ast.parse((SOURCE / "semiring.py").read_text())
-    record = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Semiring")
-
+def test_only_the_row_lookup_branches_on_a_semiring_kind():
+    """A record binds its kind's row when it is built, so no definition but
+    the lookup `semiring._row` compares a `kind` or looks a table up by it:
+    finiteness is the row's carrier, and the boolean semiring the biunit
+    search needs is a record it compares with. The other three read a
+    ternary table's kind, not a semiring's."""
     def reads_kind(node):
         return any(isinstance(n, ast.Name) and n.id == "kind" or isinstance(n, ast.Attribute) and n.attr == "kind"
                    for n in ast.walk(node))
 
-    branches = [n for n in ast.walk(record)
-                if isinstance(n, ast.Compare) and reads_kind(n)
-                or isinstance(n, ast.Subscript) and reads_kind(n.slice)
-                or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "get"
-                and any(map(reads_kind, n.args))]
-    assert [ast.unparse(n) for n in branches] == []
+    branches = readers(lambda n: isinstance(n, ast.Compare) and reads_kind(n)
+                       or isinstance(n, ast.Subscript) and reads_kind(n.slice)
+                       or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "get"
+                       and any(map(reads_kind, n.args)))
+    assert branches == {"semiring._row", "ternary.make_ternary_table", "checks.heap", "checks.involuted_monoids"}
+
+
+def test_only_the_biunit_search_refuses_a_semiring_it_does_not_run_in():
+    # the biunit and heapoid suites let the search refuse, before any work
+    assert readers(lambda n: isinstance(n, ast.Constant) and n.value == "UNSUPPORTED") == \
+        {"ternary.find_biunit_pairs"}
+
+
+def test_one_reader_builds_the_law_axes_and_checks_their_budget():
+    def builds(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "zip" and n.args
+                and isinstance(n.args[0], ast.Constant) and n.args[0].value == "IJK")
+    assert readers(builds) == {"ternary._law_axes"}
+    # the parser refuses a --sizes size before any law module loads, naming the option
+    assert name_readers("LAW_SIZE_LIMIT") == {"ternary._law_axes", "cli._parse_sizes"}
+    assert readers(lambda n: isinstance(n, ast.Name) and n.id == "LAW_SIZE_LIMIT" and isinstance(n.ctx, ast.Store)) \
+        == {"core"}
+
+
+def test_one_scan_tests_a_binary_table_for_associativity():
+    def composes(n):  # rows[rows[a][b]]: a product read back as a row of its own table
+        inner = n.slice.value if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Subscript) else None
+        return (isinstance(inner, ast.Subscript) and isinstance(n.value, ast.Name)
+                and isinstance(inner.value, ast.Name) and inner.value.id == n.value.id)
+    assert readers(composes) == {"ternary._nonassociative"}
 
 
 def test_the_fish_closure_is_read_only_by_the_heapoid_check_and_the_dagger_heaps():
@@ -258,6 +295,14 @@ def test_a_semiring_record_holds_no_add_or_mul_and_hands_out_its_rows_own_pair(k
     row = s._row
     assert {"add", "mul"} & vars(s).keys() == set()
     assert [f is g for f, g in zip(s.reference_ops(), row.reference or (row.add, row.mul))] == [True, True]
+
+
+def test_only_the_kernel_operands_and_the_oracle_pair_an_edge_with_its_legs():
+    assert name_readers("_axis_legs") == {"evaluator._operands", "evaluator.evaluate_formula_oracle"}
+
+
+def test_only_the_arrays_section_reader_loads_an_array():
+    assert name_readers("_load_array") == {"workspace._parse_arrays"}
 
 
 def test_only_the_helper_reads_the_legs_in_axis_order():

@@ -59,7 +59,7 @@ def loop_oracle(d, binding, output_order=None):
     same binding, output-order and operand checks."""
     _check_binding(d, binding)
     free = _output_order(d, output_order)
-    _label_axes(_operands(d, binding))
+    _label_axes(_operands(binding, d.edge_ids()))
     vids = d.vertex_ids()
     slot = {v: n for n, v in enumerate(vids)}
     s = binding[d.edge_ids()[0]].array.semiring

@@ -58,7 +58,7 @@ from plexus import (
     vee_motif,
     zero_array,
 )
-from plexus.core import trial_range
+from plexus.core import LAW_SIZE_LIMIT, trial_range
 
 BOOL = make_semiring("boolean")
 MOD5 = make_semiring("int_mod", 5)
@@ -361,6 +361,20 @@ def test_twisted_semiheap_law_draws_both_tips_on_one_index_set():
     assert "got J:2 and K:3" in str(err.value)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: semiheap_law_arrays("IJK", MOD5, (17, 2, 2), 1),  # 4.1 s at (40, 40, 40)
+    lambda: checks.units(MOD5, (2, 2, 17), 1, random.Random(0)),
+    lambda: checks.flatfish(MOD5, (2, 17, 2), 1, random.Random(0)),
+], ids=["semiheap-law-arrays", "units", "flatfish"])
+def test_law_sizes_above_the_limit_are_refused_before_any_array_is_drawn(call):
+    assert semiheap_law_arrays("IJK", BOOL, (LAW_SIZE_LIMIT, 1, 1), 1).ok  # the limit itself is taken
+    start = time.perf_counter()
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == f"[BAD_REFERENCE] size 17 is above the limit {LAW_SIZE_LIMIT}"
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_semiheap_law_refuses_fewer_than_one_trial(trials):
     with pytest.raises(PlexusError) as err:
@@ -586,6 +600,10 @@ def test_example_tables_are_heaps():
         res = check_heap(t)
         assert res["ok"], t.kind
         assert find_biunits(t) == list(range(t.n))
+
+
+def test_a_table_repr_names_its_carrier_size_and_kind():
+    assert repr(group_heap(Z3)) == "TernaryTable(n=3, kind='group-heap')"
 
 
 def test_relation_table_is_semiheap_not_heap():
