@@ -31,6 +31,8 @@ class Array(Immutable):
         expected = _entry_count(axes)
         if len(entries) != expected:
             raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}")
+        if not isinstance(semiring, Semiring):
+            raise PlexusError("UNKNOWN_KIND", f"semiring {semiring!r} is not a Semiring")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "semiring", semiring)

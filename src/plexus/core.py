@@ -59,16 +59,17 @@ class Immutable:
 
 
 class Record(Immutable):
-    """Base of the immutable records: a subclass names its fields in
-    `__slots__` (or, if it keeps more slots than fields, in `_fields`). As
-    for a frozen dataclass, records are equal iff of one class with equal
-    fields, hash as their field tuple, and list their fields in the repr."""
+    """Base of the immutable records: a subclass's fields are its parent's, then
+    its own `__slots__` other than `__dict__`. As for a frozen dataclass, records
+    are equal iff of one class with equal fields, hash as their field tuple, and
+    list their fields in the repr."""
 
     __slots__ = ()
+    _fields = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        cls._fields += tuple(f for f in vars(cls).get("__slots__", ()) if f != "__dict__")
         get = operator.attrgetter(*cls._fields)
         cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 

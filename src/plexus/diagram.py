@@ -41,6 +41,8 @@ class Diagram(Immutable):
     __slots__ = ("vertices", "edges", "rank", "incidence", "_eids")
 
     def __init__(self, vertices: dict, edges: dict):
+        if not isinstance(vertices, dict) or not isinstance(edges, dict):
+            raise PlexusError("INVALID_DIAGRAM", "a diagram's vertices and edges must be dicts")
         object.__setattr__(self, "vertices", dict(vertices))
         object.__setattr__(self, "edges", dict(edges))
         self._validate()
@@ -74,8 +76,13 @@ class Diagram(Immutable):
         return d
 
     def _validate(self):
+        for vid, v in self.vertices.items():
+            if not isinstance(v, Vertex) or v.id != vid or not isinstance(v.index_set, IndexSet):
+                raise PlexusError("INVALID_DIAGRAM", f"vertex {vid!r} is not a Vertex of that id on an IndexSet")
         seen_leg_sets = set()
-        for e in self.edges.values():
+        for eid, e in self.edges.items():
+            if not isinstance(e, Hyperedge) or e.id != eid:
+                raise PlexusError("INVALID_DIAGRAM", f"edge {eid!r} is not a Hyperedge of that id")
             if len(e.legs) == 0:
                 raise PlexusError("INVALID_DIAGRAM", f"edge {e.id} has no legs")
             if len(set(e.legs)) != len(e.legs):

@@ -427,16 +427,11 @@ def _marking_key(skeleton, unmarked):
 
 
 def _capped_binomial(n: int, r: int) -> int:
-    """C(n, r), or CENSUS_LIMIT + 1 once a partial product passes the limit: for r <= n - r,
-    each factor (n - r + i) / i at least doubles it, so this takes at most about 25 steps."""
-    if not 0 <= r <= n:
-        return 0
-    r, c = min(r, n - r), 1
-    for i in range(1, r + 1):
-        c = c * (n - r + i) // i
-        if c > CENSUS_LIMIT:
-            return CENSUS_LIMIT + 1
-    return c
+    """C(n, r), or CENSUS_LIMIT + 1 where C(n, r) passes the limit by its bound: for r <= n - r, each
+    factor (n - r + i) / i of C(n, r) at least doubles it, so C(n, r) >= 2^min(r, n - r)."""
+    if min(r, n - r) >= CENSUS_LIMIT.bit_length():
+        return CENSUS_LIMIT + 1
+    return math.comb(n, r)
 
 
 def _census_work(num_edges: int, edge_order: int, free_vertices: int) -> int:

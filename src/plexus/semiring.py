@@ -19,8 +19,6 @@ NAT64_MAX = 2**64 - 1
 INF = math.inf
 FLOAT64_MAX = sys.float_info.max
 
-KINDS = ("boolean", "nat64", "int_mod", "min_plus", "float64")
-
 
 # the fields a row may leave out, with their defaults
 _DEFAULTS = {"zero": 0, "one": 1, "exact": True, "eq": operator.eq, "check_range": lambda entries: None,
@@ -120,7 +118,7 @@ def _int_mod(m: int) -> Row:
 
 def _row(kind, modulus) -> Row:
     """The row of `kind`, refusing an unknown kind and a modulus it does not take."""
-    if kind not in KINDS:
+    if kind not in (*_ROWS, "int_mod"):
         raise PlexusError("UNKNOWN_KIND", f"unknown semiring kind {kind!r}")
     if kind == "int_mod":
         if not int_in(modulus, 2, math.inf):
@@ -137,7 +135,6 @@ class Semiring(Record):
     the methods `add` and `mul` call the row's."""
 
     __slots__ = ("kind", "modulus", "__dict__")
-    _fields = ("kind", "modulus")
     _bound = ("name", "exact", "dot", "validate", "check_range", "eq", "random_element", "inf_json")
 
     def __init__(self, kind: str, modulus: int = 0):

@@ -25,10 +25,11 @@ from .semiring import Semiring
 
 _BOOLEAN = Semiring("boolean")  # the entries of relation and bijection matrices
 
-# the fish diagram's vertex v<n> is index n of "ijpqrk"; its edges e0, e1,
-# e2 are the tail, body and head, on the legs ijp, qrp and qrk
+# the fish diagram's vertices, in natural order, are i j p q r k, and its edges,
+# in order, the tail, body and head, on the legs ijp, qrp and qrk
 _FISH = standard_diagram("fish")
-_FISH_VERTEX = {lab: f"v{n}" for n, lab in enumerate("ijpqrk")}
+_FISH_LABEL = dict(zip(_FISH.vertex_ids(), "ijpqrk"))  # vertex id -> label
+_FISH_VERTEX = {lab: vid for vid, lab in _FISH_LABEL.items()}
 
 
 def _fish_labels(variant: str, twist: bool):
@@ -69,10 +70,9 @@ def _fish_diagram(terms):
     # each array on its own labels: one label per axis, else CONFORMABILITY
     tail, _, head = (_label_axes([term]) for term in terms)
     axis = {**tail, **head}  # i j p carry the tail's index sets, q r k the head's
-    label = {vid: lab for lab, vid in _FISH_VERTEX.items()}
-    verts = {vid: Vertex(vid, axis[label[vid]], v.marked) for vid, v in _FISH.vertices.items()}
-    binding = {eid: BoundEdge(x, {vid: labels.index(label[vid]) for vid in _FISH.edges[eid].legs})
-               for eid, (x, labels) in zip(("e0", "e1", "e2"), terms)}
+    verts = {vid: Vertex(vid, axis[_FISH_LABEL[vid]], v.marked) for vid, v in _FISH.vertices.items()}
+    binding = {eid: BoundEdge(x, {vid: labels.index(_FISH_LABEL[vid]) for vid in e.legs})
+               for (eid, e), (x, labels) in zip(_FISH.edges.items(), terms)}
     return Diagram(verts, _FISH.edges), binding
 
 

@@ -55,10 +55,14 @@ def _parse_index_sets(raw_sets, loc: str) -> dict:
     return index_sets
 
 
-def parse_workspace(obj) -> Workspace:
-    _require(isinstance(obj, dict), "PARSE_ERROR", "workspace must be an object", "$")
+def _parse_header(obj, what: str) -> Semiring:
+    _require(isinstance(obj, dict), "PARSE_ERROR", f"{what} must be an object", "$")
     _require("semiring" in obj, "PARSE_ERROR", "missing 'semiring'", "$")
-    semiring = parse_semiring(obj["semiring"])
+    return parse_semiring(obj["semiring"])
+
+
+def parse_workspace(obj) -> Workspace:
+    semiring = _parse_header(obj, "workspace")
     index_sets = _parse_index_sets(obj.get("index_sets", {}), "index_sets")
     arrays = _parse_arrays(obj.get("arrays", {}), index_sets, semiring)
     diagrams = {}
@@ -165,9 +169,7 @@ def load_bindings(path: str, index_sets: dict):
     "entries"}}}. Axes reference the caller's index_sets (normally the ones
     declared by the diagram file). Returns (semiring, arrays by name)."""
     obj = _read_json(path)
-    _require(isinstance(obj, dict), "PARSE_ERROR", "bindings must be an object", "$")
-    _require("semiring" in obj, "PARSE_ERROR", "missing 'semiring'", "$")
-    semiring = parse_semiring(obj["semiring"])
+    semiring = _parse_header(obj, "bindings")
     return semiring, _parse_arrays(obj.get("arrays", {}), index_sets, semiring)
 
 

@@ -100,6 +100,17 @@ def test_an_axis_that_is_not_an_index_set_is_refused(build):
     assert str(err.value) == "[BAD_AXIS] axis 2 is not an index set"
 
 
+@pytest.mark.parametrize("build", [
+    lambda: arrays.Array((I2,), [0, 1], "boolean"),
+    lambda: make_array((I2,), [0, 1], "boolean"),
+], ids=["Array", "make_array"])
+def test_a_semiring_that_is_not_a_semiring_is_refused(build):
+    # fish on such arrays raised a raw AttributeError: 'str' object has no attribute 'dot'
+    with pytest.raises(PlexusError) as err:
+        build()
+    assert str(err.value) == "[UNKNOWN_KIND] semiring 'boolean' is not a Semiring"
+
+
 def test_make_array_validates_elements():
     with pytest.raises(PlexusError) as err:
         make_array((I2,), [0, 2], BOOL)

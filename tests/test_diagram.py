@@ -7,8 +7,11 @@ import time
 import pytest
 
 from plexus import (
+    Diagram,
+    Hyperedge,
     IndexSet,
     PlexusError,
+    Vertex,
     build_diagram,
     canonical_form,
     is_isomorphic,
@@ -133,6 +136,26 @@ def test_unknown_standard_name():
 def test_duplicate_ids_are_refused(vertices, edges, message):
     with pytest.raises(PlexusError) as err:
         build_diagram(vertices, edges)
+    assert str(err.value) == f"[INVALID_DIAGRAM] {message}"
+
+
+V, E = Vertex("a", I2), Hyperedge("e", ("a",))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Diagram([("a", V)], {"e": E}), "a diagram's vertices and edges must be dicts"),
+    (lambda: Diagram({"a": V}, [("e", E)]), "a diagram's vertices and edges must be dicts"),
+    (lambda: Diagram({"a": ("a", I2)}, {"e": E}), "vertex 'a' is not a Vertex of that id on an IndexSet"),
+    (lambda: Diagram({"a": Vertex("b", I2)}, {"e": E}), "vertex 'a' is not a Vertex of that id on an IndexSet"),
+    (lambda: build_diagram([("a", 2, False)], [("e", ("a",))]),
+     "vertex 'a' is not a Vertex of that id on an IndexSet"),
+    (lambda: Diagram({"a": V}, {"e": ("a",)}), "edge 'e' is not a Hyperedge of that id"),
+    (lambda: Diagram({"a": V}, {"f": E}), "edge 'f' is not a Hyperedge of that id"),
+], ids=["vertex-list", "edge-list", "vertex-tuple", "vertex-id", "index-set", "edge-tuple", "edge-id"])
+def test_a_part_of_the_wrong_type_or_id_is_refused(build, message):
+    # each was accepted, or raised a raw AttributeError here or in canonical_form, to_dot or a JSON reload
+    with pytest.raises(PlexusError) as err:
+        build()
     assert str(err.value) == f"[INVALID_DIAGRAM] {message}"
 
 

@@ -47,7 +47,11 @@ pair), and a bound edge's legs in axis order (`evaluator._axis_legs`, the
 only reader of `leg_to_axis.get`, read by the kernel operands and the oracle).
 One reader builds a law check's I, J, K and checks them against
 `core.LAW_SIZE_LIMIT`, one scan tests a binary table for associativity,
-and one reader loads a JSON file's arrays section."""
+and one reader loads a JSON file's arrays section. A record's fields are
+set only by `core.Record`, from its parent's and its own slots; one reader
+refuses a loaded file that is not an object or names no semiring, and
+parses the one it names; and the semiring kinds are the keys of the rows,
+with no second list of their names."""
 import ast
 import functools
 from pathlib import Path
@@ -310,3 +314,25 @@ def test_only_the_helper_reads_the_legs_in_axis_order():
         return (isinstance(n, ast.Attribute) and n.attr == "get" and isinstance(n.value, ast.Attribute)
                 and n.value.attr == "leg_to_axis")
     assert readers(reads) == {"evaluator._axis_legs"}
+
+
+def test_only_the_record_base_sets_a_records_fields():
+    def sets(n):
+        named = isinstance(n, ast.Name) and n.id == "_fields" or isinstance(n, ast.Attribute) and n.attr == "_fields"
+        return named and isinstance(n.ctx, ast.Store)
+    assert readers(sets) == {"core.Record"}
+
+
+def test_one_definition_reads_a_loaded_files_semiring_key():
+    def reads(n):
+        def is_key(x):
+            return isinstance(x, ast.Constant) and x.value == "semiring"
+        return (isinstance(n, ast.Subscript) and is_key(n.slice)
+                or isinstance(n, ast.Compare) and is_key(n.left) and isinstance(n.ops[0], (ast.In, ast.NotIn))
+                or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "get"
+                and n.args and is_key(n.args[0]))
+    assert readers(reads) == {"workspace._parse_header"}
+
+
+def test_no_definition_reads_a_list_of_the_semiring_kinds():
+    assert name_readers("KINDS") == set()

@@ -80,3 +80,30 @@ def test_record_defaults_and_keywords():
     assert Hyperedge("e1", ("v0",), label="a").label == "a"
     assert Semiring(kind="boolean") == BOOL
     assert IndexSet(size=3, id="J") == IndexSet("J", 3)
+
+
+class S(Semiring):
+    """A subclass that declares no slots of its own."""
+
+
+class Tagged(IndexSet):
+    __slots__ = ("tag",)
+
+    def __init__(self, id, size, tag):
+        super().__init__(id, size)
+        object.__setattr__(self, "tag", tag)
+
+
+def test_a_subclass_without_slots_keeps_its_parents_fields():
+    # its fields were the inherited slots, `__dict__` included, so it could not be hashed
+    assert S._fields == ("kind", "modulus")
+    assert hash(S("boolean")) == hash(("boolean", 0))
+    assert repr(S("int_mod", 5)) == "S(kind='int_mod', modulus=5)"
+
+
+def test_a_subclass_lists_its_parents_fields_then_its_own_slot():
+    t = Tagged("I", 2, "t")
+    assert Tagged._fields == ("id", "size", "tag")
+    assert hash(t) == hash(("I", 2, "t"))
+    assert repr(t) == "Tagged(id='I', size=2, tag='t')"
+    assert t != Tagged("I", 2, "u") and t == Tagged("I", 2, "t")

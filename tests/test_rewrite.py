@@ -317,6 +317,13 @@ def test_census_four_edges():
     assert (len(reps), len(symmetric)) == (84, 1)
 
 
+def test_the_capped_binomial_is_exact_up_to_the_limit():
+    for n in range(81):
+        for r in range(n + 2):
+            want, got = math.comb(n, r), rewrite._capped_binomial(n, r)
+            assert got == want if want <= rewrite.CENSUS_LIMIT else got > rewrite.CENSUS_LIMIT, (n, r)
+
+
 def test_census_work_is_exact_up_to_the_limit():
     for m, k, f in itertools.product(range(1, 5), range(1, 5), range(0, 6)):
         n = k + (m - 1) * (k - 1)
