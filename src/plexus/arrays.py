@@ -17,7 +17,7 @@ from collections import Counter, namedtuple
 from typing import Sequence
 
 from .core import Immutable, IndexSet, PlexusError, require_int
-from .semiring import Semiring
+from .semiring import Semiring, require_semiring
 
 
 class Array(Immutable):
@@ -27,12 +27,11 @@ class Array(Immutable):
     __slots__ = ("axes", "entries", "semiring")
 
     def __init__(self, axes: Sequence[IndexSet], entries: Sequence, semiring: Semiring):
+        require_semiring(semiring)
         axes, entries = tuple(axes), tuple(entries)
         expected = _entry_count(axes)
         if len(entries) != expected:
             raise PlexusError("SIZE_MISMATCH", f"expected {expected} entries, got {len(entries)}")
-        if not isinstance(semiring, Semiring):
-            raise PlexusError("UNKNOWN_KIND", f"semiring {semiring!r} is not a Semiring")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "semiring", semiring)
@@ -480,15 +479,18 @@ def _contract_pair(s, x, y, grids):
 
 
 def zero_array(axes: Sequence[IndexSet], semiring: Semiring) -> Array:
+    require_semiring(semiring)
     return Array(tuple(axes), [semiring.zero()] * _entry_count(axes), semiring)
 
 
 def full_array(axes: Sequence[IndexSet], semiring: Semiring) -> Array:
+    require_semiring(semiring)
     return Array(tuple(axes), [semiring.one()] * _entry_count(axes), semiring)
 
 
 def kronecker(n: int, index_set: IndexSet, semiring: Semiring) -> Array:
     """The order-n identity array: 1 where all n indices agree, else 0."""
+    require_semiring(semiring)
     require_int(n, "BAD_AXIS", "kronecker order")
     if n < 1:
         raise PlexusError("BAD_AXIS", "kronecker order must be >= 1")
@@ -501,11 +503,8 @@ def kronecker(n: int, index_set: IndexSet, semiring: Semiring) -> Array:
 
 
 def random_array(axes: Sequence[IndexSet], semiring: Semiring, rng) -> Array:
-    return Array(
-        tuple(axes),
-        [semiring.random_element(rng) for _ in range(_entry_count(axes))],
-        semiring,
-    )
+    require_semiring(semiring)
+    return Array(tuple(axes), [semiring.random_element(rng) for _ in range(_entry_count(axes))], semiring)
 
 
 def diagonal_extension(a: Array, axis: int, copies: int = 1) -> Array:

@@ -29,6 +29,7 @@ from .rewrite import (
 )
 from .semiring import parse_semiring
 from .ternary import (
+    _FISH_LABEL,
     _fish_labels,
     _law_axes,
     _monoid_heap,
@@ -73,7 +74,7 @@ def _conforming_triple(variant, twist, rng, semiring, sizes):
     q r k carry X Y P W V M, sized by sizes * 2. The tail, body and head are
     drawn in that order; an order that reverses is its own inverse."""
     roles, _, order = _fish_labels(variant, twist)
-    iset = {lab: IndexSet(n, x.size) for lab, n, x in zip("ijpqrk", "XYPWVM", _law_axes(sizes) * 2)}
+    iset = {lab: IndexSet(n, x.size) for lab, n, x in zip(_FISH_LABEL.values(), "XYPWVM", _law_axes(sizes) * 2)}
     drawn = [random_array([iset[lab] for lab in labels], semiring, rng) for labels in roles]
     return tuple(drawn[n] for n in order)
 
@@ -189,7 +190,7 @@ def heapoid(semiring, sizes, trials, rng, **_):
 
 def fish_vs_evaluation(semiring, sizes, trials, rng):
     """fish agrees with evaluating its diagram, by the evaluator and by the
-    formula oracle; each trial also checks the engine against the four
+    formula oracle; then each trial checks the engine against the four
     sequential forms on regular arrays, whose legs are not read from the
     engine's label table as the diagram's are."""
     regular = (_law_axes(sizes)[0],) * 3
@@ -203,9 +204,10 @@ def fish_vs_evaluation(semiring, sizes, trials, rng):
                 return _fail("fish-vs-evaluate", {"variant": variant, "twist": twist})
             if evaluate_formula_oracle(d, binding, order) != direct:
                 return _fail("fish-vs-oracle", {"variant": variant, "twist": twist})
-            v = fish_sequentializations_check(*(random_array(regular, semiring, rng) for _ in range(3)))
-            if not v:
-                return _fail(v.law, v.witness)
+    for _ in trial_range(trials):
+        v = fish_sequentializations_check(*(random_array(regular, semiring, rng) for _ in range(3)))
+        if not v:
+            return _fail(v.law, v.witness)
     return _ok("fish-vs-evaluation")
 
 

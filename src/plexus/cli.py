@@ -59,14 +59,13 @@ def _load_host(token, diagram_name):
     from .diagram import STANDARD_NAMES, standard_diagram
     from .workspace import load_workspace
     if os.path.exists(token):
-        ws = load_workspace(token)
-        return _sole(ws.diagrams, "diagram", diagram_name), ws
+        return _sole(load_workspace(token).diagrams, "diagram", diagram_name)
     if token in STANDARD_NAMES:
-        return standard_diagram(token), None
+        return standard_diagram(token)
     if token.startswith("chain"):  # chain<N> or chain(<N>)
         n = parse_count(token[6:-1] if token.startswith("chain(") and token.endswith(")") else token[5:])
         if n is not None:
-            return standard_diagram("chain", n=n), None
+            return standard_diagram("chain", n=n)
     raise PlexusError("PARSE_ERROR", f"{token!r} is neither a file nor a standard diagram name")
 
 
@@ -106,9 +105,8 @@ def _cmd_fish(args):
 def _cmd_rewrite(args):
     from .rewrite import Motif, check_concurrency, semantic_confluence
     from .semiring import parse_semiring
-    host, _ = _load_host(args.host, args.diagram)
-    motif_d, _ = _load_host(args.motif, None)
-    motif = Motif(motif_d)
+    host = _load_host(args.host, args.diagram)
+    motif = Motif(_load_host(args.motif, None))
     trial_range(args.trials)  # refuse a bad count before the multiway walk
     report = check_concurrency(host, motif)
     code = 0
@@ -147,7 +145,7 @@ def _cmd_enumerate(args):
 
 def _cmd_export_dot(args):
     from .diagram import to_dot
-    d, _ = _load_host(args.file, args.diagram)
+    d = _load_host(args.file, args.diagram)
     text = to_dot(d)
     if args.out:
         try:

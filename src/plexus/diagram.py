@@ -183,16 +183,13 @@ def standard_diagram(name: str, n: int | None = None, size: int = 2) -> Diagram:
             raise PlexusError("BAD_REFERENCE", "chain needs a positive edge count")
         if n > CHAIN_EDGE_LIMIT:
             raise PlexusError("BAD_REFERENCE", f"chain edge count {n} is above the limit {CHAIN_EDGE_LIMIT}")
-        vertices = [(f"v{t}", iset, 0 < t < n) for t in range(n + 1)]
-        edges = [(f"e{t}", (f"v{t}", f"v{t + 1}")) for t in range(n)]
-        return build_diagram(vertices, edges)
-    if not isinstance(name, str) or name not in _STANDARD:
+        nverts, marked, edge_legs = n + 1, range(1, n), [(t, t + 1) for t in range(n)]
+    elif not isinstance(name, str) or name not in _STANDARD:
         raise PlexusError("BAD_REFERENCE", f"unknown standard diagram {name!r}")
-    nverts, marked, edge_legs = _STANDARD[name]
+    else:
+        nverts, marked, edge_legs = _STANDARD[name]
     vertices = [(f"v{t}", iset, t in marked) for t in range(nverts)]
-    edges = [
-        (f"e{k}", tuple(f"v{t}" for t in legs)) for k, legs in enumerate(edge_legs)
-    ]
+    edges = [(f"e{k}", tuple(f"v{t}" for t in legs)) for k, legs in enumerate(edge_legs)]
     return build_diagram(vertices, edges)
 
 

@@ -22,6 +22,7 @@ from .core import IndexSet, PlexusError, Record, fresh_id, int_in, natural_key, 
 from .arrays import einsum, random_array
 from .diagram import Diagram, Hyperedge, _labelling_search, build_diagram, standard_diagram
 from .evaluator import BoundEdge, _check_binding, _operands, default_binding, evaluate
+from .semiring import require_semiring
 
 MAX_STATES = 1000  # the work budget of a rewrite walk: more distinct states are refused
 CENSUS_LIMIT = 10**7  # the work budget of a census (`_census_work`), refused before any edge is built
@@ -381,6 +382,7 @@ def semantic_confluence(host: Diagram, motif: Motif, semiring, trials: int = 50,
                         seed: int = 0) -> dict:
     """Sample random bindings and check that every maximal rewrite sequence
     evaluates to the direct host value on each. Needs an exact semiring."""
+    require_semiring(semiring)
     draws = trial_range(trials)
     if not semiring.exact:
         raise PlexusError("INEXACT_SEMIRING", "semantic confluence needs an exact semiring")

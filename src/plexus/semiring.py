@@ -204,6 +204,12 @@ class Semiring(Record):
         return [self.element_from_json(v) for v in values] if entries is None else entries
 
 
+def require_semiring(s) -> None:
+    """Refuse `s` with UNKNOWN_KIND unless it is a `Semiring`."""
+    if not isinstance(s, Semiring):
+        raise PlexusError("UNKNOWN_KIND", f"semiring {s!r} is not a Semiring")
+
+
 def make_semiring(kind: str, modulus: int | None = None) -> Semiring:
     """Semiring(kind, modulus), with the kind also spelled with hyphens."""
     return Semiring(kind.replace("-", "_") if isinstance(kind, str) else kind, modulus)
@@ -222,6 +228,7 @@ def parse_semiring(name: str) -> Semiring:
 
 def check_semiring_axioms(s: Semiring, samples=None) -> Verdict:
     """Exhaustive over the carrier of a kind whose row has one, over samples otherwise."""
+    require_semiring(s)
     if s._row.carrier is not None:
         elems = s.elements()
     else:

@@ -25,27 +25,29 @@ from .semiring import Semiring
 
 _BOOLEAN = Semiring("boolean")  # the entries of relation and bijection matrices
 
-# the fish diagram's vertices, in natural order, are i j p q r k, and its edges,
-# in order, the tail, body and head, on the legs ijp, qrp and qrk
+
+def _placed(vids, z, swap=False) -> str:
+    i, j, mouth = (_FISH_LABEL[v] for v in vids)
+    tips = j + i if swap else i + j
+    return tips[:z] + mouth + tips[z:]
+
+
+# the fish diagram's vertices, in natural order, are i j p q r k, its edges the tail, body and head; each
+# edge's legs, like the free vertices, are two tips then a mouth, which `_placed` moves to axis z
 _FISH = standard_diagram("fish")
 _FISH_LABEL = dict(zip(_FISH.vertex_ids(), "ijpqrk"))  # vertex id -> label
-_FISH_VERTEX = {lab: vid for vid, lab in _FISH_LABEL.items()}
+_FISH_LABELS = {(variant, twist): (tuple(_placed(_FISH.edges[e].legs, z, twist and k == 1)
+                                         for k, e in enumerate(_FISH.edge_ids())),
+                                   _placed(_FISH.free_vertices(), z), (2, 1, 0) if rev else (0, 1, 2))
+                for variant, (z, rev) in ETA_VARIANTS.items() for twist in (False, True)}
 
 
 def _fish_labels(variant: str, twist: bool):
-    """The fish geometry, stated once. Returns the kernel labels of the
-    tail, body and head over i j p q r k, the output labels, and the
-    positions in (a, b, c) of the tail, body and head. The tips sit on the
-    two axes that are not the mouth, in order; the twist swaps the body's."""
+    """The fish geometry: the kernel labels of the tail, body (its tips swapped by the twist) and head,
+    the output labels, and the positions in (a, b, c) of the tail, body and head, from `_FISH_LABELS`."""
     if not isinstance(variant, str) or variant not in ETA_VARIANTS:
         raise PlexusError("UNKNOWN_VARIANT", f"unknown fish variant {variant!r}")
-    z, rev = ETA_VARIANTS[variant]
-
-    def at(tips, mouth):
-        return tips[:z] + mouth + tips[z:]
-
-    roles = (at("ij", "p"), at("rq" if twist else "qr", "p"), at("qr", "k"))
-    return roles, at("ij", "k"), ((2, 1, 0) if rev else (0, 1, 2))
+    return _FISH_LABELS[variant, bool(twist)]
 
 
 def fish(a: Array, b: Array, c: Array, variant: str = "IJK", twist: bool = False) -> Array:
@@ -80,7 +82,7 @@ def fish_output_order(variant: str) -> list:
     """Free vertices of the diagram from make_fish_binding, ordered so the
     evaluated axes line up with fish(): tips at their positions, mouth at z."""
     _, out, _ = _fish_labels(variant, False)
-    return [_FISH_VERTEX[lab] for lab in out]
+    return sorted(_FISH.free_vertices(), key=lambda v: out.index(_FISH_LABEL[v]))
 
 
 def fish_unit_arrays(index_set: IndexSet, semiring: Semiring):

@@ -45,14 +45,17 @@ def _require(cond: bool, code: str, message: str, location: str):
         raise PlexusError(code, message, location)
 
 
-def _parse_index_sets(raw_sets, loc: str) -> dict:
-    _require(isinstance(raw_sets, dict), "PARSE_ERROR", "'index_sets' must be an object", loc)
-    index_sets = {}
-    for name, size in raw_sets.items():
-        _require(int_in(size, 1, math.inf), "PARSE_ERROR",
-                 f"index set {name!r} needs a positive integer size", f"{loc}.{name}")
-        index_sets[name] = IndexSet(name, size)
-    return index_sets
+def _section(obj: dict, key: str, load) -> dict:
+    """A file's section `key` by name, each entry loaded by load(name, entry, location); an absent
+    section reads as empty, and one that is not an object is refused at `key`."""
+    raw = obj.get(key, {})
+    _require(isinstance(raw, dict), "PARSE_ERROR", f"'{key}' must be an object", key)
+    return {name: load(name, entry, f"{key}.{name}") for name, entry in raw.items()}
+
+
+def _index_set(name, size, loc: str) -> IndexSet:
+    _require(int_in(size, 1, math.inf), "PARSE_ERROR", f"index set {name!r} needs a positive integer size", loc)
+    return IndexSet(name, size)
 
 
 def _parse_header(obj, what: str) -> Semiring:
@@ -63,13 +66,9 @@ def _parse_header(obj, what: str) -> Semiring:
 
 def parse_workspace(obj) -> Workspace:
     semiring = _parse_header(obj, "workspace")
-    index_sets = _parse_index_sets(obj.get("index_sets", {}), "index_sets")
-    arrays = _parse_arrays(obj.get("arrays", {}), index_sets, semiring)
-    diagrams = {}
-    raw_diagrams = obj.get("diagrams", {})
-    _require(isinstance(raw_diagrams, dict), "PARSE_ERROR", "'diagrams' must be an object", "diagrams")
-    for name, spec in raw_diagrams.items():
-        diagrams[name] = _load_diagram(spec, index_sets, f"diagrams.{name}")
+    index_sets = _section(obj, "index_sets", _index_set)
+    arrays = _parse_arrays(obj, index_sets, semiring)
+    diagrams = _section(obj, "diagrams", lambda _, spec, loc: _load_diagram(spec, index_sets, loc))
     return Workspace(semiring, index_sets, arrays, diagrams)
 
 
@@ -78,17 +77,15 @@ def parse_diagram(obj):
 
     Returns (diagram, index_sets)."""
     _require(isinstance(obj, dict), "PARSE_ERROR", "diagram must be an object", "$")
-    index_sets = _parse_index_sets(obj.get("index_sets", {}), "index_sets")
+    index_sets = _section(obj, "index_sets", _index_set)
     return _load_diagram(obj, index_sets, "$"), index_sets
 
 
-def _parse_arrays(raw_arrays, index_sets, semiring) -> dict:
-    _require(isinstance(raw_arrays, dict), "PARSE_ERROR", "'arrays' must be an object", "arrays")
-    return {name: _load_array(name, spec, index_sets, semiring) for name, spec in raw_arrays.items()}
+def _parse_arrays(obj, index_sets, semiring) -> dict:
+    return _section(obj, "arrays", lambda _, spec, loc: _load_array(spec, loc, index_sets, semiring))
 
 
-def _load_array(name, spec, index_sets, semiring) -> Array:
-    loc = f"arrays.{name}"
+def _load_array(spec, loc, index_sets, semiring) -> Array:
     _require(isinstance(spec, dict), "PARSE_ERROR", "array spec must be an object", loc)
     _require("axes" in spec and "entries" in spec, "PARSE_ERROR", "array needs 'axes' and 'entries'", loc)
     _require(isinstance(spec["axes"], list), "PARSE_ERROR", "'axes' must be a list", loc)
@@ -170,7 +167,7 @@ def load_bindings(path: str, index_sets: dict):
     declared by the diagram file). Returns (semiring, arrays by name)."""
     obj = _read_json(path)
     semiring = _parse_header(obj, "bindings")
-    return semiring, _parse_arrays(obj.get("arrays", {}), index_sets, semiring)
+    return semiring, _parse_arrays(obj, index_sets, semiring)
 
 
 def _read_json(path: str):

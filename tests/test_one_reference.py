@@ -51,7 +51,10 @@ and one reader loads a JSON file's arrays section. A record's fields are
 set only by `core.Record`, from its parent's and its own slots; one reader
 refuses a loaded file that is not an object or names no semiring, and
 parses the one it names; and the semiring kinds are the keys of the rows,
-with no second list of their names."""
+with no second list of their names. The fish's legs are read off the fish
+diagram, so the label table and the law checks' triple draw spell no leg
+out; one reader refuses a file's section that is not an object; and one
+definition refuses a semiring that is not a `Semiring`."""
 import ast
 import functools
 from pathlib import Path
@@ -336,3 +339,26 @@ def test_one_definition_reads_a_loaded_files_semiring_key():
 
 def test_no_definition_reads_a_list_of_the_semiring_kinds():
     assert name_readers("KINDS") == set()
+
+
+@pytest.mark.parametrize("owner", ["ternary._placed", "ternary._fish_labels", "checks._conforming_triple"])
+def test_the_fish_labels_and_the_triple_draw_spell_out_no_leg(owner):
+    # the vertex labels i j p q r k are named once, where `ternary` reads the fish diagram
+    def fish_letters(n):
+        return isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value and set(n.value) <= set("ijpqrk")
+    assert owner not in readers(fish_letters)
+
+
+def test_one_reader_refuses_a_section_that_is_not_an_object():
+    def refuses(n):  # the message "'<section>' must be an object", literal or formatted
+        return isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.endswith("' must be an object")
+    assert readers(refuses) == {"workspace._section"}
+
+
+def test_one_definition_refuses_a_semiring_that_is_not_a_semiring():
+    def tests_the_type(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
+                and len(n.args) == 2 and isinstance(n.args[1], ast.Name) and n.args[1].id == "Semiring")
+    assert readers(tests_the_type) == {"semiring.require_semiring"}
+    assert readers(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and "is not a Semiring" in n.value) == {"semiring.require_semiring"}

@@ -1,11 +1,16 @@
 """Semiring carriers, operations, tokens, and axiom checking."""
 import itertools
 import math
+import random
 
 import pytest
 
 from plexus import IndexSet, PlexusError, Semiring, check_semiring_axioms, make_array, make_semiring, parse_semiring
+from plexus.arrays import full_array, kronecker, random_array, zero_array
+from plexus.diagram import standard_diagram
+from plexus.rewrite import random_binding, semantic_confluence, vee_motif
 from plexus.semiring import NAT64_MAX
+from plexus.ternary import fish_unit_arrays, indicator_array, semiheap_law_arrays
 
 
 def test_boolean_ops():
@@ -195,3 +200,27 @@ def test_semiring_distributivity_spot_check():
     for s in (make_semiring("boolean"), make_semiring("int_mod", 3)):
         for a, b, c in itertools.product(s.elements(), repeat=3):
             assert s.eq(s.mul(a, s.add(b, c)), s.add(s.mul(a, b), s.mul(a, c)))
+
+
+I2 = IndexSet("I", 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zero_array((I2,), "boolean"),
+    lambda: full_array((I2,), "boolean"),
+    lambda: random_array((I2,), "boolean", random.Random(0)),
+    lambda: kronecker(2, I2, "boolean"),
+    lambda: fish_unit_arrays(I2, "boolean"),
+    lambda: indicator_array((I2,), (0,), "boolean"),
+    lambda: random_binding(standard_diagram("vee"), "boolean", random.Random(0)),
+    lambda: semiheap_law_arrays("IJK", "boolean", (2, 2, 2), 1),
+    lambda: semantic_confluence(standard_diagram("zee"), vee_motif(), "boolean", 1),
+    lambda: check_semiring_axioms("boolean"),
+], ids=["zero_array", "full_array", "random_array", "kronecker", "fish_unit_arrays", "indicator_array",
+        "random_binding", "semiheap_law_arrays", "semantic_confluence", "check_semiring_axioms"])
+def test_a_semiring_that_is_not_a_semiring_is_refused_before_it_is_read(call):
+    # each raised a raw AttributeError: 'str' object has no attribute 'zero', 'one',
+    # 'random_element', 'exact' or '_row'
+    with pytest.raises(PlexusError) as err:
+        call()
+    assert str(err.value) == "[UNKNOWN_KIND] semiring 'boolean' is not a Semiring"

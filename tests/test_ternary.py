@@ -277,6 +277,13 @@ def _by_formula(arrays, letters, out):
     return Array([axis[lab] for lab in out], entries, s)
 
 
+@pytest.mark.parametrize("variant,twist", list(FISH_FORMULAS))
+def test_the_label_table_read_off_the_fish_diagram_is_the_hand_written_formula(variant, twist):
+    roles, out, order = ternary._fish_labels(variant, twist)
+    by_argument = [roles[order.index(n)] for n in range(3)]
+    assert (*by_argument, out) == FISH_FORMULAS[variant, twist]
+
+
 @pytest.mark.parametrize("regular", [False, True], ids=["per-letter-sets", "one-set"])
 @pytest.mark.parametrize("variant,twist", list(FISH_FORMULAS))
 def test_fish_and_its_diagram_match_the_hand_written_formula(variant, twist, regular):
